@@ -6,6 +6,15 @@
 // messages and falls back to reliable broadcast only when it stalls.
 // This bench quantifies both sides: bytes per event AND delivery
 // percentage must match (the ring must not trade reliability for cost).
+//
+//   bench_ablation_ring_vs_rb [--check]
+//
+// --check turns the claim into an exit code: non-zero when the ring costs
+// more bytes per event than always-broadcast at any loss <= 0.3, or when
+// the two delivered percentages differ by more than 2 points at any loss.
+#include <cmath>
+#include <cstring>
+
 #include "baseline/broadcast_delivery.hpp"
 #include "bench_util.hpp"
 
@@ -76,14 +85,24 @@ Result broadcast(double loss, std::uint64_t seed) {
 }  // namespace
 }  // namespace riv::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace riv::bench;
+  bool check = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+    } else {
+      std::fprintf(stderr, "usage: %s [--check]\n", argv[0]);
+      return 2;
+    }
+  }
   print_header(
       "Ablation: optimistic ring (+RB fallback) vs always-broadcast",
       "equal delivery %, ring substantially fewer bytes at low loss "
       "(the common case in homes, Fig 1)");
   std::printf("\n%-7s | %-22s | %-22s\n", "loss", "ring B/ev (deliv %)",
               "broadcast B/ev (deliv %)");
+  int failures = 0;
   for (double loss : {0.0, 0.05, 0.1, 0.2, 0.3, 0.5}) {
     Result a = ring(loss, 1100 + static_cast<std::uint64_t>(loss * 100));
     Result b =
@@ -91,6 +110,16 @@ int main() {
     std::printf("%-7.2f | %8.1f  (%5.1f%%)    | %8.1f  (%5.1f%%)\n", loss,
                 a.bytes_per_event, a.delivered_pct, b.bytes_per_event,
                 b.delivered_pct);
+    if (loss <= 0.3 && a.bytes_per_event > b.bytes_per_event) {
+      std::printf("  claim broken: ring costs more bytes than broadcast\n");
+      ++failures;
+    }
+    if (std::fabs(a.delivered_pct - b.delivered_pct) > 2.0) {
+      std::printf("  claim broken: delivered %% differ by more than 2\n");
+      ++failures;
+    }
   }
-  return 0;
+  if (!check) return 0;
+  std::printf("\ncheck: %s\n", failures == 0 ? "PASS" : "FAIL");
+  return failures == 0 ? 0 : 1;
 }

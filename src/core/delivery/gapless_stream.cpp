@@ -155,12 +155,12 @@ void GaplessStream::reflood(ProcessId origin, const wire::EventPayload& p) {
 }
 
 void GaplessStream::sync_successor(ProcessId successor,
-                                   TimePoint their_high_water) {
-  // Re-send every stored event the new successor has not received, as
-  // ring messages carrying our best S/V knowledge (so the protocol's
-  // stall detection keeps working across the re-sent suffix).
+                                   const wire::SyncSummary& theirs) {
+  // Re-send every stored event the successor lacks, as ring messages
+  // carrying our best S/V knowledge (so the protocol's stall detection
+  // keeps working across the re-sent events).
   const std::vector<const StoredEvent*> missing =
-      ctx_.log->events_after(ctx_.edge.sensor, their_high_water);
+      ctx_.log->missing_from(theirs);
   if (missing.empty()) return;
   // The view cannot change while this loop runs; snapshot it once, and
   // reuse one payload object so the per-event cost is only the copies the

@@ -14,8 +14,9 @@
 //   * a *seen* (e:S:V) with S ≠ V and p_i ∈ S means the ring stalled after
 //     p_i already forwarded it — p_i falls back to reliable broadcast;
 //   * on gaining a new ring successor, p_i synchronizes it Bayou-style
-//     (handled app-wide by the runtime via the event log's high-water
-//     marks; the stream re-sends the missing suffix).
+//     (handled app-wide by the runtime: the successor answers with the
+//     event log's per-sensor sequence summary and the stream re-sends
+//     exactly the stored events that summary lacks).
 //
 // Coordinated polling: the active sensor nodes in the local view pick
 // disjoint slots i*e/n inside each epoch of length e without communicating
@@ -46,9 +47,10 @@ class GaplessStream {
   void on_ring(ProcessId from, const wire::RingPayload& p);
   void on_rb(ProcessId from, const wire::EventPayload& p);
 
-  // The runtime resolved a sync response from the new successor: re-send
-  // every stored event newer than the successor's high-water mark.
-  void sync_successor(ProcessId successor, TimePoint their_high_water);
+  // The runtime resolved a sync response from the successor: re-send, in
+  // sequence order, every stored event inside the summary's missing runs
+  // or at/after its end.
+  void sync_successor(ProcessId successor, const wire::SyncSummary& theirs);
 
   // Statistics.
   std::uint64_t ingested() const { return ingested_; }

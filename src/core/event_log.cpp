@@ -52,19 +52,56 @@ bool EventLog::seen(EventId id) const {
   return stream.events.count(id.seq) != 0;
 }
 
-void EventLog::advance_prefix(Stream& stream) {
-  auto it = stream.events.lower_bound(stream.prefix_next);
-  while (it != stream.events.end() && it->first == stream.prefix_next) {
-    ++stream.prefix_next;
-    ++it;
+std::uint32_t EventLog::end_of(const Stream& stream) {
+  if (stream.events.empty()) return stream.first_retained;
+  return std::max(stream.first_retained, stream.events.rbegin()->first + 1);
+}
+
+void EventLog::set_prefix(Stream& stream) {
+  stream.prefix_next =
+      stream.holes.empty() ? end_of(stream) : stream.holes.begin()->first;
+}
+
+void EventLog::rebuild_index(Stream& stream) {
+  stream.holes.clear();
+  std::uint32_t next = stream.first_retained;
+  for (auto it = stream.events.lower_bound(next); it != stream.events.end();
+       ++it) {
+    if (it->first != next)
+      stream.holes.emplace_hint(stream.holes.end(), next, it->first);
+    next = it->first + 1;
   }
+  set_prefix(stream);
 }
 
 bool EventLog::append(const devices::SensorEvent& e, PidSet s, PidSet v) {
   Stream& stream = streams_[e.id.sensor];
-  auto [it, inserted] = stream.events.emplace(
-      e.id.seq, StoredEvent{e, std::move(s), std::move(v)});
+  const std::uint32_t seq = e.id.seq;
+  const std::uint32_t end = end_of(stream);
+  auto [it, inserted] =
+      stream.events.emplace(seq, StoredEvent{e, std::move(s), std::move(v)});
   if (!inserted) return false;
+  if (seq > end) {
+    // Everything skipped over past the old end is a new hole.
+    stream.holes.emplace_hint(stream.holes.end(), end, seq);
+  } else if (seq < end && seq >= stream.first_retained) {
+    // New inside [first_retained, end), so it fills part of a hole: shrink,
+    // split or drop that run, reusing its node where the run survives.
+    auto hole = std::prev(stream.holes.upper_bound(seq));
+    const std::uint32_t hi = hole->second;
+    if (hole->first < seq) {
+      hole->second = seq;
+      if (seq + 1 < hi)
+        stream.holes.emplace_hint(std::next(hole), seq + 1, hi);
+    } else if (seq + 1 < hi) {
+      auto node = stream.holes.extract(hole);
+      node.key() = seq + 1;
+      stream.holes.insert(std::move(node));
+    } else {
+      stream.holes.erase(hole);
+    }
+  }
+  set_prefix(stream);
   if (stream.monotone) {
     // Out-of-order timestamps (only possible with fabricated events) void
     // the fast-path ordering assumption for this stream.
@@ -76,7 +113,6 @@ bool EventLog::append(const devices::SensorEvent& e, PidSet s, PidSet v) {
         e.emitted_at > nx->second.event.emitted_at)
       stream.monotone = false;
   }
-  if (e.id.seq == stream.prefix_next) advance_prefix(stream);
   persist(it->second);
   evict(e.id.sensor, stream);
   return true;
@@ -104,42 +140,36 @@ const StoredEvent* EventLog::find(EventId id) const {
   return it == sit->second.events.end() ? nullptr : &it->second;
 }
 
-TimePoint EventLog::high_water(SensorId sensor) const {
-  TimePoint hw{};
+wire::SyncSummary EventLog::summary(SensorId sensor) const {
+  wire::SyncSummary out;
+  out.sensor = sensor;
   auto sit = streams_.find(sensor);
-  if (sit == streams_.end() || sit->second.events.empty()) return hw;
-  // Timestamps track sequence order, so the max lives at the tail.
-  if (sit->second.monotone)
-    return sit->second.events.rbegin()->second.event.emitted_at;
-  for (const auto& [seq, se] : sit->second.events)
-    hw = std::max(hw, se.event.emitted_at);
-  return hw;
+  // No stream yet: prefix = end = 1, so the predecessor sends everything.
+  if (sit == streams_.end()) return out;
+  const Stream& stream = sit->second;
+  out.prefix = stream.prefix_next;
+  out.end = end_of(stream);
+  out.missing.reserve(stream.holes.size());
+  for (const auto& [lo, hi] : stream.holes) out.missing.push_back({lo, hi});
+  return out;
 }
 
-TimePoint EventLog::prefix_high_water(SensorId sensor) const {
-  auto sit = streams_.find(sensor);
-  if (sit == streams_.end() || sit->second.events.empty()) return TimePoint{};
-  const Stream& stream = sit->second;
-  if (stream.monotone) {
-    // The prefix counts only when the head of the stream is exactly
-    // first_retained (a stray re-ingested pre-eviction entry below it
-    // voids the prefix, same as a hole). [first_retained, prefix_next)
-    // is the contiguous run; its max timestamp is at its tail.
-    if (stream.events.begin()->first != stream.first_retained)
-      return TimePoint{};
-    return stream.events.find(stream.prefix_next - 1)
-        ->second.event.emitted_at;
+std::vector<const StoredEvent*> EventLog::missing_from(
+    const wire::SyncSummary& theirs) const {
+  std::vector<const StoredEvent*> out;
+  auto sit = streams_.find(theirs.sensor);
+  if (sit == streams_.end()) return out;
+  const std::map<std::uint32_t, StoredEvent>& events = sit->second.events;
+  // Runs are ascending and end below theirs.end, so out stays in
+  // sequence order.
+  for (const wire::SeqRun& run : theirs.missing) {
+    for (auto it = events.lower_bound(run.lo);
+         it != events.end() && it->first < run.hi; ++it)
+      out.push_back(&it->second);
   }
-  TimePoint hw{};
-  // The prefix must start at the first sequence number this log is still
-  // responsible for; a missing head is a hole like any other.
-  std::uint32_t expected = stream.first_retained;
-  for (const auto& [seq, se] : stream.events) {
-    if (seq != expected) break;  // first hole
-    hw = std::max(hw, se.event.emitted_at);
-    ++expected;
-  }
-  return hw;
+  for (auto it = events.lower_bound(theirs.end); it != events.end(); ++it)
+    out.push_back(&it->second);
+  return out;
 }
 
 std::vector<const StoredEvent*> EventLog::events_after(SensorId sensor,
@@ -230,13 +260,14 @@ void EventLog::evict(SensorId sensor, Stream& stream) {
     stream.first_retained = std::max(stream.first_retained, seq + 1);
     evicted = true;
   }
-  if (stream.prefix_next < stream.first_retained) {
-    // Eviction jumped first_retained over the old prefix (the evicted
-    // head sat above it); restart the run at the new floor.
-    stream.prefix_next = stream.first_retained;
-    advance_prefix(stream);
-  }
-  if (evicted && store_ != nullptr) {
+  if (!evicted) return;
+  // Holes below the raised floor are no longer this log's to fill. None
+  // straddles it: the floor sits just above an evicted, held sequence.
+  while (!stream.holes.empty() &&
+         stream.holes.begin()->first < stream.first_retained)
+    stream.holes.erase(stream.holes.begin());
+  set_prefix(stream);
+  if (store_ != nullptr) {
     BinaryWriter w;
     w.u32(stream.first_retained);
     store_->put(retained_key(sensor), w.take());
@@ -279,8 +310,7 @@ void EventLog::recover() {
   }
   // Rebuild the derived per-stream bookkeeping the fast paths rely on.
   for (auto& [sensor, stream] : streams_) {
-    stream.prefix_next = stream.first_retained;
-    advance_prefix(stream);
+    rebuild_index(stream);
     TimePoint last{};
     for (const auto& [seq, se] : stream.events) {
       if (se.event.emitted_at < last) {
@@ -357,7 +387,7 @@ void EventLog::restore_clone(BinaryReader& r) {
     SensorId sensor = r.sensor_id();
     Stream& stream = streams_[sensor];
     stream.first_retained = r.u32();
-    stream.prefix_next = r.u32();
+    (void)r.u32();  // prefix_next: rebuilt with the hole index below
     stream.monotone = r.u8() != 0;
     const std::uint64_t n_events = r.u64();
     for (std::uint64_t j = 0; j < n_events; ++j) {
@@ -375,6 +405,7 @@ void EventLog::restore_clone(BinaryReader& r) {
       se.need = read_pid_set(r);
       stream.events.emplace_hint(stream.events.end(), seq, std::move(se));
     }
+    rebuild_index(stream);
   }
   processed_hw_.clear();
   const std::uint64_t n_hw = r.u64();

@@ -4,13 +4,17 @@
 // with the protocol's S (seen) and V (must-see) sets, so that:
 //   * dedup is exact (an event is delivered to the local logic node at
 //     most once per process),
-//   * a new ring successor can be synchronized Bayou-style by high-water
-//     timestamp (§4.1), re-sending exactly the missing suffix,
+//   * a ring successor can be synchronized Bayou-style (§4.1): it reports
+//     a per-sensor sequence summary (contiguous prefix, end, and the
+//     missing runs between them) and the predecessor re-sends exactly the
+//     stored events the successor lacks,
 //   * a newly promoted logic node can replay the backlog past the gossiped
 //     processed watermark (§5, Fig 7's post-failover spike).
 //
 // Entries are written through to the process's StableStore so they survive
-// crash/recover (§3.1's crash-recovery model).
+// crash/recover (§3.1's crash-recovery model). The missing-run index behind
+// the summaries is derived state: never persisted or snapshotted, rebuilt
+// from the events by recover() and restore_clone().
 #pragma once
 
 #include <cstdint>
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "common/pid_set.hpp"
+#include "core/wire.hpp"
 #include "devices/event.hpp"
 #include "sim/stable_store.hpp"
 
@@ -47,17 +52,18 @@ class EventLog {
 
   const StoredEvent* find(EventId id) const;
 
-  // Largest emitted_at among stored events of `sensor` (zero when empty).
-  TimePoint high_water(SensorId sensor) const;
+  // Sync summary of `sensor`'s stream: every seq in [first_retained,
+  // prefix) is held, nothing at or past `end` is, and `missing` lists the
+  // holes in between. Crash-recovery, a missed stream head and emissions
+  // no receiver heard all punch holes; listing them lets the predecessor
+  // fill each one without re-sending the suffix behind it. O(holes).
+  wire::SyncSummary summary(SensorId sensor) const;
 
-  // Bayou-style sync mark: the timestamp of the last event in the
-  // *contiguous* sequence prefix held for `sensor`. Crash-recovery can
-  // punch holes in the middle of a log (events missed while down, newer
-  // events ingested right after recovery); reporting the prefix mark makes
-  // the predecessor re-send everything from the first hole onward, so
-  // anti-entropy actually fills holes rather than hiding them behind a
-  // fresh maximum timestamp.
-  TimePoint prefix_high_water(SensorId sensor) const;
+  // Stored events that a log summarized by `theirs` lacks — those inside
+  // its missing runs or at/after its end — in sequence order.
+  // O(runs · log n + matches).
+  std::vector<const StoredEvent*> missing_from(
+      const wire::SyncSummary& theirs) const;
 
   // Events of `sensor` with emitted_at strictly greater than `after`, in
   // emission order.
@@ -88,26 +94,29 @@ class EventLog {
   void restore_clone(BinaryReader& r);
 
  private:
-  // One per-sensor stream plus the bookkeeping that keeps the sync-path
-  // queries (prefix_high_water, events_after) off O(n) scans: syncs run
-  // every anti-entropy period on every process, so they sit on the
-  // simulation hot path (DESIGN.md §9).
+  // One per-sensor stream plus the bookkeeping that keeps the sync path
+  // (summary, missing_from) and dedup off O(n) scans: syncs run every
+  // anti-entropy period on every process, so they sit on the simulation
+  // hot path (DESIGN.md §9).
   struct Stream {
     // Ordered by sequence number (== emission order per sensor).
     std::map<std::uint32_t, StoredEvent> events;
     // Lowest sequence this log is still expected to hold (raised only by
-    // capacity eviction). The contiguous prefix is measured from here, so
-    // a node that missed a stream's beginning reports prefix 0 and gets
-    // the full history re-sent, instead of hiding the gap.
+    // capacity eviction). The prefix and holes are measured from here, so
+    // a node that missed a stream's beginning reports that head as a hole
+    // and gets it re-sent, instead of hiding the gap.
     std::uint32_t first_retained{1};
     // One past the contiguous run [first_retained, prefix_next): every
-    // sequence in that range is present. Maintained incrementally on
-    // append/evict so prefix_high_water() is a lookup, not a walk.
+    // sequence in that range is present. Kept in step with `holes`.
     std::uint32_t prefix_next{1};
+    // The missing runs [lo, hi) (lo -> hi) between first_retained and the
+    // highest held sequence; the first starts at prefix_next. append
+    // splits or opens a run, eviction drops runs below the new floor.
+    std::map<std::uint32_t, std::uint32_t> holes;
     // emitted_at is nondecreasing in seq for real sensors (both advance
     // together at emission; anti-entropy re-sends carry the original
-    // stamps). The fast paths rely on this; a fabricated out-of-order
-    // append flips the flag and queries fall back to full scans.
+    // stamps). events_after relies on this; a fabricated out-of-order
+    // append flips the flag and it falls back to a full scan.
     bool monotone{true};
   };
 
@@ -116,8 +125,12 @@ class EventLog {
   std::string retained_key(SensorId sensor) const;
   void persist(const StoredEvent& se);
   void evict(SensorId sensor, Stream& stream);
-  // Advance prefix_next over whatever contiguous run is now present.
-  static void advance_prefix(Stream& stream);
+  // One past the highest held sequence (first_retained when none is held).
+  static std::uint32_t end_of(const Stream& stream);
+  // prefix_next from the hole index: the first hole, else the end.
+  static void set_prefix(Stream& stream);
+  // Recompute `holes` and `prefix_next` from the events (recovery, clone).
+  static void rebuild_index(Stream& stream);
 
   AppId app_;
   sim::StableStore* store_;

@@ -456,8 +456,7 @@ void RivuletProcess::handle_sync_request(const net::Message& msg) {
   resp.app = id;
   for (const auto& [sensor, stream] : ait->second.streams) {
     if (stream.gapless)
-      resp.high_waters.emplace_back(
-          sensor, ait->second.log->prefix_high_water(sensor));
+      resp.streams.push_back(ait->second.log->summary(sensor));
   }
   net_->endpoint(self_).send(msg.src, net::MsgType::kSyncResponse,
                              wire::encode(resp));
@@ -467,10 +466,10 @@ void RivuletProcess::handle_sync_response(const net::Message& msg) {
   wire::SyncResponse resp = wire::decode_sync_response(msg.payload);
   auto ait = apps_.find(resp.app);
   if (ait == apps_.end()) return;
-  for (const auto& [sensor, hw] : resp.high_waters) {
-    auto sit = ait->second.streams.find(sensor);
+  for (const wire::SyncSummary& theirs : resp.streams) {
+    auto sit = ait->second.streams.find(theirs.sensor);
     if (sit != ait->second.streams.end() && sit->second.gapless)
-      sit->second.gapless->sync_successor(msg.src, hw);
+      sit->second.gapless->sync_successor(msg.src, theirs);
   }
 }
 
@@ -776,11 +775,20 @@ std::size_t RivuletProcess::device_seqs_seen_count(SensorId sensor) const {
 // --- watermark gossip ---------------------------------------------------------
 
 std::vector<std::byte> RivuletProcess::keepalive_payload() {
-  BinaryWriter w;
+  // count (1), then per logic-hosting app: id (2) | streams (1) |
+  // (sensor (2), watermark (8))* — sized first so the buffer is allocated
+  // once (keep-alives go out every period from every process).
   std::uint8_t count = 0;
+  std::size_t size = 1;
   for (const auto& [id, app] : apps_) {
-    if (app.logic != nullptr) ++count;
+    if (app.logic == nullptr) continue;
+    ++count;
+    size += 3;
+    for (const auto& [sensor, stream] : app.streams)
+      if (stream.gapless) size += 10;
   }
+  BinaryWriter w;
+  w.reserve(size);
   w.u8(count);
   for (const auto& [id, app] : apps_) {
     if (app.logic == nullptr) continue;

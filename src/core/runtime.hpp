@@ -151,9 +151,9 @@ class RivuletProcess {
   void on_message(const net::Message& msg);
   void on_device_event(const devices::SensorEvent& e);
   void on_view_change();
-  // Bayou-style anti-entropy: ask the ring successor for its prefix
-  // high-waters; on response, re-send what it misses. `force` syncs even
-  // when the successor is unchanged (the periodic pass).
+  // Bayou-style anti-entropy: ask the ring successor for its per-sensor
+  // sequence summaries; on response, re-send exactly what it lacks.
+  // `force` syncs even when the successor is unchanged (the periodic pass).
   void sync_rings(bool force);
   void handle_sync_request(const net::Message& msg);
   void handle_sync_response(const net::Message& msg);

@@ -120,13 +120,21 @@ AppId decode_sync_request(const std::vector<std::byte>& buf) {
 }
 
 std::vector<std::byte> encode(const SyncResponse& p) {
+  std::size_t size = 4;
+  for (const SyncSummary& s : p.streams) size += 14 + 8 * s.missing.size();
   BinaryWriter w;
-  w.reserve(4 + 10 * p.high_waters.size());
+  w.reserve(size);
   w.app_id(p.app);
-  w.u16(static_cast<std::uint16_t>(p.high_waters.size()));
-  for (const auto& [sensor, hw] : p.high_waters) {
-    w.sensor_id(sensor);
-    w.time_point(hw);
+  w.u16(static_cast<std::uint16_t>(p.streams.size()));
+  for (const SyncSummary& s : p.streams) {
+    w.sensor_id(s.sensor);
+    w.u32(s.prefix);
+    w.u32(s.end);
+    w.u32(static_cast<std::uint32_t>(s.missing.size()));
+    for (const SeqRun& run : s.missing) {
+      w.u32(run.lo);
+      w.u32(run.hi);
+    }
   }
   return w.take();
 }
@@ -136,12 +144,27 @@ std::optional<SyncResponse> try_decode_sync_response(
   BinaryReader r(buf);
   SyncResponse p;
   p.app = r.app_id();
-  std::uint16_t n = r.u16();
-  for (std::uint16_t i = 0; i < n; ++i) {
-    SensorId sensor = r.sensor_id();
-    TimePoint hw = r.time_point();
-    if (!r.ok()) return std::nullopt;
-    p.high_waters.emplace_back(sensor, hw);
+  const std::uint16_t n = r.u16();
+  // Counts are checked against the bytes left before anything is
+  // reserved, so a forged count cannot make the decoder allocate.
+  if (!r.ok() || r.remaining() / 14 < n) return std::nullopt;
+  p.streams.resize(n);
+  for (SyncSummary& s : p.streams) {
+    s.sensor = r.sensor_id();
+    s.prefix = r.u32();
+    s.end = r.u32();
+    const std::uint32_t runs = r.u32();
+    if (!r.ok() || s.prefix > s.end || r.remaining() / 8 < runs)
+      return std::nullopt;
+    s.missing.resize(runs);
+    std::uint32_t min_lo = s.prefix;
+    for (SeqRun& run : s.missing) {
+      run.lo = r.u32();
+      run.hi = r.u32();
+      if (run.lo < min_lo || run.lo >= run.hi || run.hi > s.end)
+        return std::nullopt;
+      min_lo = run.hi;
+    }
   }
   if (!consumed(r)) return std::nullopt;
   return p;

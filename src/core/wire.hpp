@@ -12,7 +12,6 @@
 #pragma once
 
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -58,10 +57,28 @@ AppId decode_sync_request(const std::vector<std::byte>& buf);
 std::optional<AppId> try_decode_sync_request(
     const std::vector<std::byte>& buf);
 
-// kSyncResponse: app (2) | count (2) | (sensor (2), high-water (8))*.
+// kSyncResponse: app (2) | count (2) | per Gapless stream:
+//   sensor (2) | prefix (4) | end (4) | runs (4) | (lo (4), hi (4))*.
+// A sequence summary of the responder's log for one sensor: it holds
+// every seq in [first_retained, prefix), none at or past `end`, and lacks
+// exactly the `missing` runs [lo, hi) in between (ascending, disjoint,
+// non-empty, inside [prefix, end)). The requester re-sends its stored
+// events inside those runs or at/after `end` — never one the responder
+// holds. The decoders reject any summary that breaks these rules.
+struct SeqRun {
+  std::uint32_t lo{0};
+  std::uint32_t hi{0};
+  bool operator==(const SeqRun&) const = default;
+};
+struct SyncSummary {
+  SensorId sensor{};
+  std::uint32_t prefix{1};
+  std::uint32_t end{1};
+  std::vector<SeqRun> missing;
+};
 struct SyncResponse {
   AppId app{};
-  std::vector<std::pair<SensorId, TimePoint>> high_waters;
+  std::vector<SyncSummary> streams;
 };
 std::vector<std::byte> encode(const SyncResponse& p);
 SyncResponse decode_sync_response(const std::vector<std::byte>& buf);

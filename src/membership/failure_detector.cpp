@@ -29,10 +29,12 @@ void FailureDetector::start() {
 
 void FailureDetector::tick() {
   // Send keep-alives. The frame is identical for every peer (same
-  // timestamp, same piggyback), so encode once and share the buffer.
+  // timestamp, same piggyback), so encode once, into a buffer reserved at
+  // its exact size, and share it.
   std::vector<std::byte> extra;
   if (provider_) extra = provider_();
   BinaryWriter w;
+  w.reserve(8 + 4 + extra.size());
   w.time_point(timers_->now());
   w.bytes(extra);
   net::Payload payload = w.take();

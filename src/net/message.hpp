@@ -20,8 +20,9 @@ enum class MsgType : std::uint8_t {
   kRingEvent = 2,     // Gapless ring protocol (e:S:V)
   kRbEvent = 3,       // reliable-broadcast flooding of an event
   kGapForward = 4,    // Gap chain forward of an event
-  kSyncRequest = 5,   // new-successor sync: ask for high-water timestamps
-  kSyncResponse = 6,  // reply with per-sensor high-water timestamps
+  kSyncRequest = 5,   // successor sync: ask for the successor's log summary
+  kSyncResponse = 6,  // reply with per-sensor sequence summaries (prefix,
+                      // end, missing runs; see core/wire.hpp)
   kCommand = 7,       // actuation command forwarded to an active actuator peer
   kPromote = 8,       // logic-node promotion notification (§5)
   kDemote = 9,        // logic-node demotion notification (§5)

@@ -1,7 +1,11 @@
-// Tests for the replicated event log: dedup, ordering, high-water marks,
-// watermarks, bounded retention, and crash recovery from stable storage.
+// Tests for the replicated event log: dedup, ordering, sync summaries and
+// the hole index behind them, watermarks, bounded retention, and crash
+// recovery from stable storage.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hpp"
 #include "core/event_log.hpp"
 
 namespace riv::core {
@@ -41,13 +45,13 @@ TEST(EventLog, StreamsAreIndependent) {
   EXPECT_EQ(log.sensors().size(), 2u);
 }
 
-TEST(EventLog, HighWaterTracksMaxEmittedAt) {
+TEST(EventLog, SummaryEndTracksHighestSeq) {
   EventLog log(AppId{1}, nullptr, 100);
-  EXPECT_EQ(log.high_water(SensorId{1}), TimePoint{});
+  EXPECT_EQ(log.summary(SensorId{1}).end, 1u);
   log.append(ev(1, 1, 100), {}, {});
-  log.append(ev(1, 2, 300), {}, {});
-  log.append(ev(1, 3, 200), {}, {});  // out-of-order arrival
-  EXPECT_EQ(log.high_water(SensorId{1}), TimePoint{300});
+  log.append(ev(1, 3, 300), {}, {});
+  log.append(ev(1, 2, 200), {}, {});  // out-of-order arrival
+  EXPECT_EQ(log.summary(SensorId{1}).end, 4u);
 }
 
 TEST(EventLog, EventsAfterReturnsOrderedSuffix) {
@@ -101,7 +105,7 @@ TEST(EventLog, RecoversFromStableStore) {
   EXPECT_TRUE(recovered.seen({SensorId{1}, 1}));
   EXPECT_TRUE(recovered.seen({SensorId{1}, 2}));
   EXPECT_TRUE(recovered.seen({SensorId{2}, 7}));
-  EXPECT_EQ(recovered.high_water(SensorId{1}), TimePoint{200});
+  EXPECT_EQ(recovered.summary(SensorId{1}).end, 3u);
   EXPECT_EQ(recovered.processed_watermark(SensorId{1}), TimePoint{150});
   const StoredEvent* se = recovered.find({SensorId{1}, 1});
   ASSERT_NE(se, nullptr);
@@ -137,17 +141,37 @@ TEST(EventLog, EvictionAlsoClearsStableStore) {
 }  // namespace
 }  // namespace riv::core
 
-// --- appended: prefix high-water (hole-aware sync mark) -------------------
+// --- appended: sequence summaries (hole-aware sync) -----------------------
 
 namespace riv::core {
 namespace {
 
+using wire::SeqRun;
+
+std::vector<std::uint32_t> seqs(const std::vector<const StoredEvent*>& evs) {
+  std::vector<std::uint32_t> out;
+  for (const StoredEvent* se : evs) out.push_back(se->event.id.seq);
+  return out;
+}
+
+void expect_summary(const EventLog& log, std::uint32_t prefix,
+                    std::uint32_t end, std::vector<SeqRun> missing) {
+  wire::SyncSummary s = log.summary(SensorId{1});
+  EXPECT_EQ(s.sensor, SensorId{1});
+  EXPECT_EQ(s.prefix, prefix);
+  EXPECT_EQ(s.end, end);
+  EXPECT_EQ(s.missing, missing);
+}
+
+void expect_same_index(const EventLog& a, const EventLog& b) {
+  wire::SyncSummary x = a.summary(SensorId{1});
+  expect_summary(b, x.prefix, x.end, x.missing);
+}
+
 TEST(EventLogPrefix, EqualsHighWaterWhenContiguous) {
   EventLog log(AppId{1}, nullptr, 100);
   for (std::uint32_t i = 1; i <= 5; ++i) log.append(ev(1, i, 100 * i), {}, {});
-  EXPECT_EQ(log.prefix_high_water(SensorId{1}), TimePoint{500});
-  EXPECT_EQ(log.prefix_high_water(SensorId{1}),
-            log.high_water(SensorId{1}));
+  expect_summary(log, 6, 6, {});
 }
 
 TEST(EventLogPrefix, StopsAtFirstHole) {
@@ -156,16 +180,17 @@ TEST(EventLogPrefix, StopsAtFirstHole) {
   log.append(ev(1, 2, 200), {}, {});
   log.append(ev(1, 4, 400), {}, {});  // seq 3 missing
   log.append(ev(1, 5, 500), {}, {});
-  EXPECT_EQ(log.prefix_high_water(SensorId{1}), TimePoint{200});
-  EXPECT_EQ(log.high_water(SensorId{1}), TimePoint{500});
+  log.append(ev(1, 9, 900), {}, {});  // 6..8 missing
+  expect_summary(log, 3, 10, {{3, 4}, {6, 9}});
 }
 
 TEST(EventLogPrefix, MissingHeadReportsZero) {
-  // A process that missed the stream's start must ask for everything.
+  // A process that missed the stream's start holds an empty prefix and
+  // reports the head as a hole, so it is re-sent like any other.
   EventLog log(AppId{1}, nullptr, 100);
   log.append(ev(1, 10, 1000), {}, {});
   log.append(ev(1, 11, 1100), {}, {});
-  EXPECT_EQ(log.prefix_high_water(SensorId{1}), TimePoint{});
+  expect_summary(log, 1, 12, {{1, 10}});
 }
 
 TEST(EventLogPrefix, EvictionRaisesTheFloor) {
@@ -173,7 +198,7 @@ TEST(EventLogPrefix, EvictionRaisesTheFloor) {
   for (std::uint32_t i = 1; i <= 6; ++i) log.append(ev(1, i, 100 * i), {}, {});
   // Seqs 1-3 evicted by the cap: the retained floor moved to 4, so the
   // remaining 4..6 run is a valid prefix again.
-  EXPECT_EQ(log.prefix_high_water(SensorId{1}), TimePoint{600});
+  expect_summary(log, 7, 7, {});
 }
 
 TEST(EventLogPrefix, FloorSurvivesRecovery) {
@@ -185,7 +210,173 @@ TEST(EventLogPrefix, FloorSurvivesRecovery) {
   }
   EventLog recovered(AppId{1}, &store, 3);
   recovered.recover();
-  EXPECT_EQ(recovered.prefix_high_water(SensorId{1}), TimePoint{600});
+  expect_summary(recovered, 7, 7, {});
+}
+
+TEST(EventLogSummary, FillingHolesShrinksSplitsAndClosesRuns) {
+  EventLog log(AppId{1}, nullptr, 100);
+  log.append(ev(1, 1, 100), {}, {});
+  log.append(ev(1, 10, 1000), {}, {});
+  expect_summary(log, 2, 11, {{2, 10}});
+  log.append(ev(1, 5, 500), {}, {});  // split
+  expect_summary(log, 2, 11, {{2, 5}, {6, 10}});
+  log.append(ev(1, 2, 200), {}, {});  // shrink from the bottom
+  log.append(ev(1, 9, 900), {}, {});  // shrink from the top
+  expect_summary(log, 3, 11, {{3, 5}, {6, 9}});
+  for (std::uint32_t s : {3u, 4u, 6u, 7u, 8u}) log.append(ev(1, s, s), {}, {});
+  expect_summary(log, 11, 11, {});
+}
+
+TEST(EventLogSummary, CrashRecoveryHoleIsListedAndRebuilt) {
+  // A process holds 1..4, is down while 5..7 are emitted, then ingests
+  // 8..9 after recovery: 5..7 is a hole between its prefix and end.
+  sim::StableStore store;
+  {
+    EventLog log(AppId{1}, &store, 100);
+    for (std::uint32_t i = 1; i <= 4; ++i)
+      log.append(ev(1, i, 100 * i), {}, {});
+  }  // crash
+  EventLog log(AppId{1}, &store, 100);
+  log.recover();
+  for (std::uint32_t i = 8; i <= 9; ++i) log.append(ev(1, i, 100 * i), {}, {});
+  expect_summary(log, 5, 10, {{5, 8}});
+  EventLog again(AppId{1}, &store, 100);
+  again.recover();
+  expect_same_index(log, again);
+}
+
+TEST(EventLogSummary, EvictionPastFirstRetainedDropsHolesBelowTheFloor) {
+  EventLog log(AppId{1}, nullptr, 4);
+  for (std::uint32_t s : {1u, 3u, 5u, 7u}) log.append(ev(1, s, s), {}, {});
+  expect_summary(log, 2, 8, {{2, 3}, {4, 5}, {6, 7}});
+  // Over the cap: seq 1 goes, the floor moves to 2 (still a hole).
+  log.append(ev(1, 9, 9), {}, {});
+  expect_summary(log, 2, 10, {{2, 3}, {4, 5}, {6, 7}, {8, 9}});
+  // Seq 3 goes: floor 4 sits on a hole, the holes below it are gone.
+  log.append(ev(1, 11, 11), {}, {});
+  expect_summary(log, 4, 12, {{4, 5}, {6, 7}, {8, 9}, {10, 11}});
+}
+
+TEST(EventLogSummary, StrayBelowTheFloorLeavesTheSummaryAlone) {
+  EventLog log(AppId{1}, nullptr, 2);
+  for (std::uint32_t i = 1; i <= 4; ++i) log.append(ev(1, i, i), {}, {});
+  expect_summary(log, 5, 5, {});
+  log.append(ev(1, 6, 6), {}, {});  // evicts 3: floor 4, hole {5}
+  expect_summary(log, 5, 7, {{5, 6}});
+  // A re-sent pre-eviction event lands below the floor: it is the oldest
+  // entry, so the cap evicts it at once and the summary does not move.
+  log.append(ev(1, 2, 2), {}, {});
+  EXPECT_FALSE(log.seen({SensorId{1}, 2}));
+  expect_summary(log, 5, 7, {{5, 6}});
+}
+
+TEST(EventLogSummary, MissingFromSendsOnlyWhatTheSummaryLacks) {
+  EventLog ours(AppId{1}, nullptr, 100);
+  for (std::uint32_t i = 1; i <= 12; ++i) {
+    if (i != 4) ours.append(ev(1, i, i), {}, {});  // 4 was never heard
+  }
+  EventLog theirs(AppId{1}, nullptr, 100);
+  for (std::uint32_t s : {1u, 2u, 3u, 5u, 8u, 9u})
+    theirs.append(ev(1, s, s), {}, {});
+  // theirs lacks 4 (nobody has it), 6..7 and everything from 10 on.
+  expect_summary(theirs, 4, 10, {{4, 5}, {6, 8}});
+  wire::SyncSummary summary = theirs.summary(SensorId{1});
+  EXPECT_EQ(seqs(ours.missing_from(summary)),
+            (std::vector<std::uint32_t>{6, 7, 10, 11, 12}));
+  // After those arrive the only hole left is the one nobody can fill, and
+  // the next sync re-sends nothing.
+  for (const StoredEvent* se : ours.missing_from(summary))
+    theirs.append(se->event, {}, {});
+  expect_summary(theirs, 4, 13, {{4, 5}});
+  EXPECT_TRUE(ours.missing_from(theirs.summary(SensorId{1})).empty());
+}
+
+TEST(EventLogSummary, UnknownSensorAsksForEverything) {
+  EventLog ours(AppId{1}, nullptr, 100);
+  for (std::uint32_t i = 1; i <= 3; ++i) ours.append(ev(1, i, i), {}, {});
+  EventLog empty(AppId{1}, nullptr, 100);
+  expect_summary(empty, 1, 1, {});
+  EXPECT_EQ(seqs(ours.missing_from(empty.summary(SensorId{1}))),
+            (std::vector<std::uint32_t>{1, 2, 3}));
+}
+
+TEST(EventLogSummary, RestoreCloneRebuildsTheSameIndex) {
+  EventLog log(AppId{1}, nullptr, 5);
+  for (std::uint32_t s : {2u, 3u, 6u, 9u, 10u, 14u, 15u})
+    log.append(ev(1, s, s), {}, {});
+  BinaryWriter w;
+  log.clone_state(w);
+  std::vector<std::byte> image = w.take();
+  BinaryReader r(image);
+  EventLog restored(AppId{1}, nullptr, 5);
+  restored.restore_clone(r);
+  ASSERT_TRUE(r.ok());
+  expect_same_index(log, restored);
+  // The rebuilt index keeps working: fill a hole in both and compare.
+  log.append(ev(1, 12, 12), {}, {});
+  restored.append(ev(1, 12, 12), {}, {});
+  expect_same_index(log, restored);
+}
+
+// Random appends — out of order, duplicated, below the floor — against
+// small caps: after every step the incrementally kept summary must agree
+// with the log's contents, with an index rebuilt by restore_clone, and,
+// at the end, with one rebuilt by recover(); and missing_from must pick
+// exactly the sequences the summary lacks.
+TEST(EventLogSummary, IncrementalIndexMatchesContentsAndRebuilds) {
+  constexpr std::uint32_t kMaxSeq = 60;
+  EventLog full(AppId{1}, nullptr, 1000);
+  for (std::uint32_t s = 1; s <= kMaxSeq; ++s) full.append(ev(1, s, s), {}, {});
+  Rng rng(7);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t cap = 2 + rng.uniform_int(12);
+    sim::StableStore store;
+    EventLog log(AppId{1}, &store, cap);
+    for (int step = 0; step < 150; ++step) {
+      const auto seq = static_cast<std::uint32_t>(1 + rng.uniform_int(kMaxSeq));
+      log.append(ev(1, seq, seq), {}, {});
+
+      const wire::SyncSummary s = log.summary(SensorId{1});
+      ASSERT_LE(s.prefix, s.end);
+      EXPECT_EQ(s.prefix, s.missing.empty() ? s.end : s.missing.front().lo);
+      std::vector<bool> lacks(kMaxSeq + 1, false);
+      std::uint32_t at = s.prefix;
+      for (const SeqRun& run : s.missing) {
+        ASSERT_LE(at, run.lo);
+        ASSERT_LT(run.lo, run.hi);
+        ASSERT_LE(run.hi, s.end);
+        for (std::uint32_t q = at; q < run.lo; ++q)
+          EXPECT_TRUE(log.seen({SensorId{1}, q})) << q;
+        for (std::uint32_t q = run.lo; q < run.hi; ++q) {
+          EXPECT_FALSE(log.seen({SensorId{1}, q})) << q;
+          lacks[q] = true;
+        }
+        at = run.hi;
+      }
+      for (std::uint32_t q = at; q < s.end; ++q)
+        EXPECT_TRUE(log.seen({SensorId{1}, q})) << q;
+      for (std::uint32_t q = s.end; q <= kMaxSeq; ++q) {
+        EXPECT_FALSE(log.seen({SensorId{1}, q})) << q;
+        lacks[q] = true;
+      }
+      std::vector<std::uint32_t> want;
+      for (std::uint32_t q = 1; q <= kMaxSeq; ++q)
+        if (lacks[q]) want.push_back(q);
+      EXPECT_EQ(seqs(full.missing_from(s)), want);
+
+      BinaryWriter w;
+      log.clone_state(w);
+      std::vector<std::byte> image = w.take();
+      BinaryReader r(image);
+      EventLog restored(AppId{1}, nullptr, cap);
+      restored.restore_clone(r);
+      expect_same_index(log, restored);
+      if (HasFailure()) return;
+    }
+    EventLog recovered(AppId{1}, &store, cap);
+    recovered.recover();
+    expect_same_index(log, recovered);
+  }
 }
 
 }  // namespace

@@ -202,8 +202,12 @@ TEST(GaplessUnit, SyncSuccessorResendsMissingSuffix) {
     h.stream->on_device_event(h.event(i));
   }
   h.sent.clear();
-  // Successor reports it has everything up to t=2s: events 3..5 re-sent.
-  h.stream->sync_successor(ProcessId{3}, TimePoint{seconds(2).us});
+  // Successor reports it holds exactly 1..2: events 3..5 re-sent.
+  wire::SyncSummary theirs;
+  theirs.sensor = SensorId{1};
+  theirs.prefix = 3;
+  theirs.end = 3;
+  h.stream->sync_successor(ProcessId{3}, theirs);
   ASSERT_EQ(h.sent.size(), 3u);
   for (const Sent& s : h.sent) {
     EXPECT_EQ(s.dst, ProcessId{3});
@@ -211,6 +215,74 @@ TEST(GaplessUnit, SyncSuccessorResendsMissingSuffix) {
   }
   wire::RingPayload first = wire::decode_ring(h.sent[0].payload);
   EXPECT_EQ(first.event.id.seq, 3u);
+}
+
+std::vector<std::uint32_t> resent_seqs(const Harness& h) {
+  std::vector<std::uint32_t> out;
+  for (const Sent& s : h.sent)
+    out.push_back(wire::decode_ring(s.payload).event.id.seq);
+  return out;
+}
+
+// A permanent hole — an emission this process never heard either — must
+// not drag the suffix behind it into every anti-entropy round: the sync
+// re-sends exactly what the successor lacks, with the current S/V sets.
+TEST(GaplessUnit, SyncAfterPermanentHoleResendsOnlyWhatSuccessorLacks) {
+  Harness h(2, {1, 2, 3});
+  for (std::uint32_t i = 1; i <= 10; ++i) {
+    h.sim.run_for(seconds(1));
+    if (i != 4) h.stream->on_device_event(h.event(i));  // 4 never heard
+  }
+  h.sent.clear();
+  // The successor holds 1..3 and 5..8 (4 is a hole for everyone).
+  EventLog succ(AppId{1}, nullptr, 1000);
+  for (std::uint32_t i : {1u, 2u, 3u, 5u, 6u, 7u, 8u})
+    succ.append(h.log.find({SensorId{1}, i})->event, {}, {});
+  h.stream->sync_successor(ProcessId{3}, succ.summary(SensorId{1}));
+  EXPECT_EQ(resent_seqs(h), (std::vector<std::uint32_t>{9, 10}));
+  wire::RingPayload p = wire::decode_ring(h.sent[0].payload);
+  EXPECT_EQ(p.seen, Harness::pids({2}));
+  EXPECT_EQ(p.need, Harness::pids({1, 2, 3}));
+
+  // Once the successor has them, the next round sends nothing.
+  for (std::uint32_t i : {9u, 10u})
+    succ.append(h.log.find({SensorId{1}, i})->event, {}, {});
+  h.sent.clear();
+  h.stream->sync_successor(ProcessId{3}, succ.summary(SensorId{1}));
+  EXPECT_TRUE(h.sent.empty());
+
+  // A hole only the successor has (it crashed through 6..7) is filled.
+  EventLog crashed(AppId{1}, nullptr, 1000);
+  for (std::uint32_t i : {1u, 2u, 3u, 5u, 8u, 9u, 10u})
+    crashed.append(h.log.find({SensorId{1}, i})->event, {}, {});
+  h.stream->sync_successor(ProcessId{3}, crashed.summary(SensorId{1}));
+  EXPECT_EQ(resent_seqs(h), (std::vector<std::uint32_t>{6, 7}));
+}
+
+TEST(GaplessUnit, SyncFillsMissedHeadButNothingBelowTheSuccessorsFloor) {
+  Harness h(2, {1, 2, 3});
+  for (std::uint32_t i = 1; i <= 8; ++i) {
+    h.sim.run_for(seconds(1));
+    h.stream->on_device_event(h.event(i));
+  }
+  auto event = [&h](std::uint32_t i) {
+    return h.log.find({SensorId{1}, i})->event;
+  };
+  // A successor that missed the stream's head gets exactly the head.
+  EventLog late(AppId{1}, nullptr, 1000);
+  for (std::uint32_t i = 6; i <= 8; ++i) late.append(event(i), {}, {});
+  h.sent.clear();
+  h.stream->sync_successor(ProcessId{3}, late.summary(SensorId{1}));
+  EXPECT_EQ(resent_seqs(h), (std::vector<std::uint32_t>{1, 2, 3, 4, 5}));
+
+  // A successor whose cap evicted past seq 5 is not handed back what it
+  // evicted; only the hole above its floor is filled.
+  EventLog capped(AppId{1}, nullptr, 3);
+  for (std::uint32_t i : {1u, 2u, 3u, 4u, 5u, 6u, 8u})
+    capped.append(event(i), {}, {});  // holds 5, 6, 8; floor 5
+  h.sent.clear();
+  h.stream->sync_successor(ProcessId{3}, capped.summary(SensorId{1}));
+  EXPECT_EQ(resent_seqs(h), (std::vector<std::uint32_t>{7}));
 }
 
 TEST(GaplessUnit, ViewShrinkChangesSuccessor) {

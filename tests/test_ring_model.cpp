@@ -75,7 +75,7 @@ struct Network {
   }
 
   // One anti-entropy round: every node syncs its ring successor with the
-  // successor's true prefix high-water (what the runtime's request /
+  // successor's true sequence summary (what the runtime's request /
   // response exchange computes).
   void sync_round() {
     for (auto& n : nodes) {
@@ -85,8 +85,7 @@ struct Network {
       if (*it == n->self) continue;
       Node& succ = node(*it);
       if (succ.silenced) continue;
-      n->stream->sync_successor(succ.self,
-                                succ.log.prefix_high_water(SensorId{1}));
+      n->stream->sync_successor(succ.self, succ.log.summary(SensorId{1}));
     }
   }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "checkpoint/clone.hpp"
@@ -223,18 +224,25 @@ TEST(WorkerPool, PersistsAcrossCallsAndStaysByteIdentical) {
 }
 
 TEST(WorkerPool, PropagatesFirstExceptionAndStopsClaiming) {
-  std::atomic<int> ran{0};
-  EXPECT_THROW(
-      parallel_map<int>(4, 1000,
-                        [&](std::size_t i) {
-                          ran.fetch_add(1);
-                          if (i == 3) throw std::runtime_error("boom");
-                          return 0;
-                        }),
-      std::runtime_error);
-  // Workers stop claiming once a failure is flagged.
-  EXPECT_LT(ran.load(), 1000);
-  // The pool survives the failed run and serves the next one.
+  // Items past the throwing one wait until it has run, so the failure is
+  // raised while the rest of the queue is still live, however the
+  // workers are scheduled. Items are claimed in index order, so item 3 is
+  // already taken by the time any of them waits: this cannot deadlock,
+  // even when the pool degrades to the serial loop.
+  std::atomic<bool> thrown{false};
+  EXPECT_THROW(parallel_map<int>(4, 1000,
+                                 [&](std::size_t i) {
+                                   if (i == 3) {
+                                     thrown.store(true);
+                                     throw std::runtime_error("boom");
+                                   }
+                                   while (i > 3 && !thrown.load())
+                                     std::this_thread::yield();
+                                   return 0;
+                                 }),
+               std::runtime_error);
+  EXPECT_TRUE(thrown.load());
+  // The run returned, and the pool serves the next one.
   EXPECT_EQ(parallel_map<int>(4, 8, [](std::size_t i) {
               return static_cast<int>(i);
             }),

@@ -85,15 +85,19 @@ TEST(Wire, SyncRequestRoundTrip) {
 TEST(Wire, SyncResponseRoundTrip) {
   SyncResponse p;
   p.app = AppId{4};
-  p.high_waters = {{SensorId{1}, TimePoint{100}},
-                   {SensorId{9}, TimePoint{20000}}};
+  p.streams.push_back({SensorId{1}, 101, 101, {}});
+  p.streams.push_back({SensorId{9}, 7, 40, {{7, 9}, {12, 30}}});
   std::vector<std::byte> buf = encode(p);
-  EXPECT_EQ(buf.size(), 2u + 2u + 2u * 10u);
+  // app + count, then 14 B per summary and 8 B per missing run.
+  EXPECT_EQ(buf.size(), 2u + 2u + 2u * 14u + 2u * 8u);
   SyncResponse d = decode_sync_response(buf);
   EXPECT_EQ(d.app, p.app);
-  ASSERT_EQ(d.high_waters.size(), 2u);
-  EXPECT_EQ(d.high_waters[1].first, SensorId{9});
-  EXPECT_EQ(d.high_waters[1].second, TimePoint{20000});
+  ASSERT_EQ(d.streams.size(), 2u);
+  EXPECT_EQ(d.streams[0].prefix, 101u);
+  EXPECT_EQ(d.streams[1].sensor, SensorId{9});
+  EXPECT_EQ(d.streams[1].prefix, 7u);
+  EXPECT_EQ(d.streams[1].end, 40u);
+  EXPECT_EQ(d.streams[1].missing, p.streams[1].missing);
 }
 
 TEST(Wire, CommandPayloadRoundTrip) {

@@ -139,30 +139,85 @@ TEST(WireFuzzTest, SyncRequestAndRoleChangeRoundTrip) {
   }
 }
 
+// A well-formed summary: ascending, disjoint, non-empty runs inside
+// [prefix, end), as EventLog::summary produces them.
+SyncSummary random_summary(Rng& rng) {
+  SyncSummary s;
+  s.sensor = SensorId{static_cast<std::uint16_t>(1 + rng.next() % 16)};
+  s.prefix = 1 + static_cast<std::uint32_t>(rng.next() % 1000);
+  std::uint32_t at = s.prefix;
+  const int runs = static_cast<int>(rng.next() % 5);
+  for (int k = 0; k < runs; ++k) {
+    const auto lo = at + static_cast<std::uint32_t>(rng.next() % 3);
+    const auto hi = lo + 1 + static_cast<std::uint32_t>(rng.next() % 9);
+    s.missing.push_back({lo, hi});
+    at = hi + 1;
+  }
+  s.end = at + static_cast<std::uint32_t>(rng.next() % 4);
+  return s;
+}
+
 TEST(WireFuzzTest, SyncResponseRoundTripsAndRejectsTruncation) {
   Rng rng(4);
   for (int i = 0; i < kRounds; ++i) {
     SyncResponse p;
     p.app = AppId{static_cast<std::uint16_t>(1 + rng.next() % 8)};
     int n = static_cast<int>(rng.next() % 6);
-    for (int j = 0; j < n; ++j) {
-      p.high_waters.emplace_back(
-          SensorId{static_cast<std::uint16_t>(1 + rng.next() % 16)},
-          TimePoint{static_cast<std::int64_t>(rng.next() % 100000000)});
-    }
+    for (int j = 0; j < n; ++j) p.streams.push_back(random_summary(rng));
     std::vector<std::byte> buf = encode(p);
 
     std::optional<SyncResponse> q = try_decode_sync_response(buf);
     ASSERT_TRUE(q.has_value());
     EXPECT_EQ(q->app, p.app);
-    ASSERT_EQ(q->high_waters.size(), p.high_waters.size());
-    for (std::size_t j = 0; j < p.high_waters.size(); ++j) {
-      EXPECT_EQ(q->high_waters[j].first, p.high_waters[j].first);
-      EXPECT_EQ(q->high_waters[j].second.us, p.high_waters[j].second.us);
+    ASSERT_EQ(q->streams.size(), p.streams.size());
+    for (std::size_t j = 0; j < p.streams.size(); ++j) {
+      EXPECT_EQ(q->streams[j].sensor, p.streams[j].sensor);
+      EXPECT_EQ(q->streams[j].prefix, p.streams[j].prefix);
+      EXPECT_EQ(q->streams[j].end, p.streams[j].end);
+      EXPECT_EQ(q->streams[j].missing, p.streams[j].missing);
     }
 
     if (i < 10) expect_all_prefixes_rejected(buf, try_decode_sync_response);
   }
+}
+
+// The summary decoder is total over the rules the requester relies on:
+// every malformed run list or count is rejected, never acted on.
+TEST(WireFuzzTest, SyncResponseRejectsMalformedSummaries) {
+  auto one = [](std::uint32_t prefix, std::uint32_t end,
+                std::vector<SeqRun> missing) {
+    SyncResponse p;
+    p.app = AppId{1};
+    p.streams.push_back({SensorId{2}, prefix, end, std::move(missing)});
+    return encode(p);
+  };
+  auto accepted = [](const std::vector<std::byte>& buf) {
+    return try_decode_sync_response(buf).has_value();
+  };
+  EXPECT_TRUE(accepted(one(5, 20, {{5, 7}, {9, 12}})));
+  EXPECT_TRUE(accepted(one(5, 20, {{5, 7}, {7, 20}})));  // touching, inside
+  EXPECT_TRUE(accepted(one(9, 9, {})));
+  EXPECT_FALSE(accepted(one(9, 8, {})));                 // prefix > end
+  EXPECT_FALSE(accepted(one(5, 20, {{9, 12}, {5, 7}})));  // unordered
+  EXPECT_FALSE(accepted(one(5, 20, {{5, 10}, {8, 12}})));  // overlapping
+  EXPECT_FALSE(accepted(one(5, 20, {{7, 7}})));           // lo == hi
+  EXPECT_FALSE(accepted(one(5, 20, {{9, 7}})));           // lo > hi
+  EXPECT_FALSE(accepted(one(5, 20, {{4, 7}})));           // below prefix
+  EXPECT_FALSE(accepted(one(5, 20, {{15, 21}})));         // past end
+
+  // Counts past the buffer: a summary count or a run count larger than
+  // the bytes left is rejected before anything is read or reserved.
+  std::vector<std::byte> buf = one(5, 20, {{5, 7}});
+  std::vector<std::byte> more_streams = buf;
+  more_streams[2] = std::byte{0xff};
+  more_streams[3] = std::byte{0xff};
+  EXPECT_FALSE(accepted(more_streams));
+  std::vector<std::byte> more_runs = buf;
+  more_runs[4 + 13] = std::byte{0xff};  // top byte of the u32 runs count
+  EXPECT_FALSE(accepted(more_runs));
+  std::vector<std::byte> fewer_runs = buf;
+  fewer_runs[4 + 10] = std::byte{0};  // trailing run bytes left over
+  EXPECT_FALSE(accepted(fewer_runs));
 }
 
 TEST(WireFuzzTest, CommandPayloadRoundTripsAndRejectsTruncation) {
