@@ -67,9 +67,9 @@ class LogicInstance {
 
   const AppGraph& graph() const { return *graph_; }
 
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Unlike checkpoints (which re-execute logic state), a clone carries the
-  // full live engine: window buffers, pending trigger windows, periodic
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // A snapshot carries the full live engine: window buffers, pending
+  // trigger windows, periodic
   // timers, local KV, sequence counters and provenance cursors. Restore
   // targets a freshly constructed, not-started instance built from the
   // same graph; start() afterwards is a no-op.

@@ -133,6 +133,10 @@ ChaosSession::ChaosSession(EngineOptions options,
   // --- start --------------------------------------------------------------
   if (im.options.metrics_period.us > 0)
     home.enable_metric_snapshots(im.options.metrics_period);
+  // Any session may be checkpointed, and a capture serializes every frame
+  // and device delivery on the air.
+  home.net().set_clone_tracking();
+  home.bus().set_clone_tracking();
   home.start();
   im.checker->start(im.options.check_interval);
 }

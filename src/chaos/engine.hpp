@@ -165,7 +165,7 @@ class ChaosSession {
   const TraceRecorder& fault_trace() const;
 
   // Serialize the injector's fault-plan cursors — the "chaos.injector"
-  // checkpoint section.
+  // checkpoint section, the one RIVC section with no clone counterpart.
   void checkpoint_state(BinaryWriter& w) const;
 
  private:

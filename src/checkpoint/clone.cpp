@@ -4,8 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/codec.hpp"
-#include "checkpoint/rivc.hpp"
-#include "checkpoint/scenario.hpp"
 #include "metrics/metrics.hpp"
 #include "workload/deployment.hpp"
 
@@ -96,8 +94,8 @@ void decode_registry(BinaryReader& r, metrics::Registry& reg) {
 }  // namespace
 
 std::size_t WarmImage::bytes() const {
-  std::size_t total = kernel.size() + metrics.size() + network.size() +
-                      devices.size() + attest.size();
+  std::size_t total =
+      kernel.size() + metrics.size() + network.size() + devices.size();
   for (const auto& p : procs) total += p.size();
   return total;
 }
@@ -112,12 +110,12 @@ void WarmImage::clear() {
   network.clear();
   devices.clear();
   for (auto& p : procs) p.clear();
-  attest.clear();
+  attest = false;
 }
 
 void enable_clone_tracking(workload::HomeDeployment& home) {
-  home.net().set_clone_tracking(true);
-  home.bus().set_clone_tracking(true);
+  home.net().set_clone_tracking();
+  home.bus().set_clone_tracking();
 }
 
 void capture_warm_home(workload::HomeDeployment& home, std::uint64_t seed,
@@ -155,18 +153,25 @@ void capture_warm_home(workload::HomeDeployment& home, std::uint64_t seed,
     home.process(p).clone_state(w);
     out.procs[i++] = w.take();
   }
-  out.attest.clear();
-  if (with_attest) {
-    Snapshot snap;
-    capture_deployment(home, snap);
-    BinaryWriter w(std::move(out.attest));
-    w.u32(static_cast<std::uint32_t>(snap.sections.size()));
-    for (const Section& s : snap.sections) {
-      w.str(s.name);
-      w.bytes(s.payload);
-    }
-    out.attest = w.take();
+  out.attest = with_attest;
+}
+
+std::vector<Section> image_sections(WarmImage img,
+                                    const workload::HomeDeployment& home) {
+  RIV_ASSERT(img.procs.size() == home.processes().size(),
+             "image sections: per-process blob count mismatch");
+  std::vector<Section> out;
+  out.reserve(4 + img.procs.size());
+  out.push_back({"sim.kernel", std::move(img.kernel)});
+  out.push_back({"metrics", std::move(img.metrics)});
+  out.push_back({"net.wifi", std::move(img.network)});
+  out.push_back({"bus.devices", std::move(img.devices)});
+  std::size_t i = 0;
+  for (ProcessId p : home.processes()) {
+    out.push_back(
+        {"proc." + std::to_string(p.value), std::move(img.procs[i++])});
   }
+  return out;
 }
 
 bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
@@ -198,6 +203,8 @@ bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
   // Pre-register them in pid order — the same first-touch order the
   // source used — so SimNetwork::restore_clone sees matching identity.
   for (ProcessId p : target.processes()) target.net().endpoint(p);
+  // A clone that will be attested must track what restore puts on the air.
+  if (img.attest) enable_clone_tracking(target);
 
   {
     BinaryReader r(img.kernel);
@@ -234,25 +241,16 @@ bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
 
 std::string attest_clone(const WarmImage& img,
                          workload::HomeDeployment& clone) {
-  RIV_ASSERT(!img.attest.empty(),
+  RIV_ASSERT(img.attest,
              "attest_clone requires a capture taken with with_attest");
+  WarmImage recaptured;
+  capture_warm_home(clone, img.seed, recaptured, false);
   Snapshot ref;
   ref.at = img.at;
-  {
-    BinaryReader r(img.attest);
-    const std::uint32_t n = r.u32();
-    ref.sections.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      Section s;
-      s.name = r.str();
-      s.payload = r.bytes();
-      ref.sections.push_back(std::move(s));
-    }
-    RIV_ASSERT(r.ok() && r.remaining() == 0, "clone attest: reference blob");
-  }
+  ref.sections = image_sections(img, clone);
   Snapshot cur;
-  cur.at = img.at;
-  capture_deployment(clone, cur);
+  cur.at = recaptured.at;
+  cur.sections = image_sections(std::move(recaptured), clone);
   return diff_snapshots(ref, cur);
 }
 

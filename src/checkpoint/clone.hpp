@@ -1,24 +1,24 @@
 // Warm snapshot clones: restore a captured home directly, no re-execution.
 //
-// PR 7's RIVC checkpoints treat serialized state as an *attestation
-// surface*: timer callbacks are closures, so restore() re-executes the
-// scenario from its identity and byte-compares. That is the right
-// trust model for archival checkpoints, but it makes the checkpoint
-// useless as a performance primitive — restoring costs as much as the
-// run it saves.
+// Every timer-owning component serializes its own pending timers (exact
+// id/t/seq triples) alongside its data through one clone_state writer,
+// and restore rebuilds the closures itself — it knows its own callbacks —
+// re-registering them through Simulation::schedule_restored (DESIGN.md
+// §16). The target must be a freshly built, never-started deployment with
+// the same identity (same HomeSpec / builder calls); apply_warm_home()
+// then overwrites its state in one pass and the clone continues exactly
+// where the source stood.
 //
-// This module adds the second path (DESIGN.md §16): every timer-owning
-// component serializes its own pending timers (exact id/t/seq triples)
-// alongside its data, and restore rebuilds the closures itself — it knows
-// its own callbacks — re-registering them through
-// Simulation::schedule_restored. The target must be a freshly built,
-// never-started deployment with the same identity (same HomeSpec /
-// builder calls); apply_warm_home() then overwrites its state in one pass
-// and the clone continues exactly where the source stood. Correctness is
-// attested by *sampling*: capture optionally embeds the PR 7
-// checkpoint_state sections, and attest_clone() byte-compares a fresh
-// capture of the restored clone against them (the fleet runs this on the
-// observe.cpp hash-threshold-sampled subset, not on every clone).
+// The same blobs are the sections of a RIVC checkpoint (image_sections),
+// which restores by attested re-execution instead (checkpoint/scenario.hpp)
+// because chaos sessions own timers no component can rebuild.
+//
+// Correctness is attested by *sampling*: attest_clone() re-captures the
+// restored clone and diffs it against the image section by section (the
+// fleet runs this on the observe.cpp hash-threshold-sampled subset, not on
+// every clone). The round trip catches any field restore drops or
+// mis-sets; a field that clone_state never writes is invisible to it, and
+// the warm ≡ cold gates cover behaviour.
 //
 // The capture requires in-flight tracking (network frames, device
 // deliveries) to have been enabled since before the source started —
@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "checkpoint/rivc.hpp"
 #include "common/time.hpp"
 
 namespace riv::workload {
@@ -46,14 +47,14 @@ struct WarmImage {
   TimePoint at{};         // virtual time of capture
   std::uint32_t n_processes{0};
   std::uint32_t n_sensors{0};
-  std::vector<std::byte> kernel;   // Simulation clone header
+  std::vector<std::byte> kernel;   // Simulation header + live timers
   std::vector<std::byte> metrics;  // shared + per-process registries
   std::vector<std::byte> network;
   std::vector<std::byte> devices;
   std::vector<std::vector<std::byte>> procs;  // one per process, pid order
-  // PR 7 checkpoint sections of the source (attestation reference);
-  // empty unless capture was asked for it.
-  std::vector<std::byte> attest;
+  // Clones of this image will be attested: apply_warm_home turns on
+  // in-flight tracking in them so attest_clone can re-capture.
+  bool attest{false};
 
   std::size_t bytes() const;
   void clear();
@@ -65,10 +66,15 @@ void enable_clone_tracking(workload::HomeDeployment& home);
 
 // Serialize the live deployment into `out` (buffers reused). `seed` is
 // the home's identity seed (the caller knows it; HomeDeployment does not
-// retain it). with_attest additionally embeds the PR 7 checkpoint
-// sections for later attest_clone() calls.
+// retain it). with_attest flags the image for later attest_clone() calls.
 void capture_warm_home(workload::HomeDeployment& home, std::uint64_t seed,
                        WarmImage& out, bool with_attest);
+
+// The RIVC section view of an image: "sim.kernel", "metrics", "net.wifi",
+// "bus.devices", then "proc.<pid>" for each process of `home`, the
+// deployment the image was captured from or restored into.
+std::vector<Section> image_sections(WarmImage img,
+                                    const workload::HomeDeployment& home);
 
 // Restore `img` into `target`, a freshly built, never-started deployment
 // of the same identity. Returns false (and sets *error, never touching
@@ -79,11 +85,10 @@ void capture_warm_home(workload::HomeDeployment& home, std::uint64_t seed,
 bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
                      std::uint64_t seed, std::string* error);
 
-// Sampled background attestation: byte-compare the PR 7 checkpoint
-// sections of the restored clone against the reference embedded at
-// capture. Returns "" when identical, else the first difference
-// (rivc.hpp diff semantics). Requires img.attest (capture with
-// with_attest=true).
+// Sampled background attestation: re-capture the restored clone (before
+// it runs) and diff it against the image section by section. Returns ""
+// when identical, else the first difference (rivc.hpp diff semantics).
+// Requires an image captured with with_attest=true.
 std::string attest_clone(const WarmImage& img,
                          workload::HomeDeployment& clone);
 

@@ -3,15 +3,15 @@
 // A checkpoint is the scenario's identity (name, seed, opaque param blob)
 // plus the virtual time it was taken at, the flight-trace position
 // (record count + rolling hash), and a list of named state sections —
-// each an opaque byte payload produced by a component's
-// checkpoint_state(). The file ends with an FNV-1a footer over every
+// each an opaque byte payload: the blobs of a warm-clone image
+// (checkpoint/clone.hpp image_sections), plus scenario extras such as
+// "chaos.injector". The file ends with an FNV-1a footer over every
 // preceding byte, so corruption anywhere is detected before a single
 // field is trusted.
 //
-// Sections are an *attestation surface*, not a resurrection image: timer
-// callbacks are closures and cannot be serialized, so restore() rebuilds
-// the scenario from its identity, re-executes deterministically to `at`,
-// and byte-compares the re-captured sections against the stored ones
+// Sections are used as an *attestation surface*: restore() rebuilds the
+// scenario from its identity, re-executes deterministically to `at`, and
+// byte-compares the re-captured sections against the stored ones
 // (checkpoint/scenario.hpp). A section mismatch means the build's
 // behaviour diverged from the one that wrote the checkpoint.
 #pragma once
@@ -29,7 +29,8 @@ namespace riv::checkpoint {
 // Bumped whenever the container layout or any section payload changes
 // incompatibly. A reader only accepts its own version: checkpoints are
 // build-coupled by design (they attest behaviour, not archive data).
-inline constexpr std::uint32_t kRivcVersion = 1;
+// Version 2: sections are the warm-clone blobs, metrics included.
+inline constexpr std::uint32_t kRivcVersion = 2;
 
 struct Section {
   std::string name;
@@ -60,7 +61,7 @@ std::vector<std::byte> encode(const Snapshot& snap);
 // Decode; returns false and sets *error on any malformed input. Error
 // strings are pinned (test_checkpoint_fuzz):
 //   "not a RIVC checkpoint (bad magic)"
-//   "unsupported checkpoint version N (this build reads 1)"
+//   "unsupported checkpoint version N (this build reads 2)"
 //   "truncated checkpoint"
 //   "checkpoint footer hash mismatch"
 //   "trailing bytes after checkpoint footer"

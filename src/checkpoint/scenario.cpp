@@ -3,6 +3,7 @@
 #include <optional>
 #include <utility>
 
+#include "checkpoint/clone.hpp"
 #include "common/codec.hpp"
 #include "common/hash.hpp"
 #include "trace/trace.hpp"
@@ -70,6 +71,7 @@ class HomeScenario final : public Scenario {
     home_->deploy(
         workload::apps::turn_light_on_off(kApp, kDoor, kLight, guarantee_));
 
+    enable_clone_tracking(*home_);
     home_->start();
   }
 
@@ -212,33 +214,11 @@ Snapshot Scenario::capture() {
     snap.trace_records = rec->size();
     snap.trace_hash = rec->hash();
   }
-  capture_deployment(h, snap);
+  WarmImage img;
+  capture_warm_home(h, seed(), img, /*with_attest=*/false);
+  snap.sections = image_sections(std::move(img), h);
   extra_sections(snap);
   return snap;
-}
-
-void capture_deployment(workload::HomeDeployment& home, Snapshot& snap) {
-  {
-    BinaryWriter w;
-    home.sim().checkpoint_state(w);
-    snap.sections.push_back({"sim.kernel", w.take()});
-  }
-  {
-    BinaryWriter w;
-    home.net().checkpoint_state(w);
-    snap.sections.push_back({"net.wifi", w.take()});
-  }
-  {
-    BinaryWriter w;
-    home.bus().checkpoint_state(w);
-    snap.sections.push_back({"bus.devices", w.take()});
-  }
-  for (ProcessId p : home.processes()) {
-    BinaryWriter w;
-    home.process(p).checkpoint_state(w);
-    snap.sections.push_back(
-        {"proc." + std::to_string(p.value), w.take()});
-  }
 }
 
 std::unique_ptr<Scenario> make_golden_scenario(const std::string& name) {

@@ -3,14 +3,17 @@
 // A Scenario is a named, seeded, parameterized deployment run whose whole
 // behaviour is a pure function of (name, seed, params) — the golden-trace
 // scenarios and any chaos-engine configuration qualify. Checkpointing one
-// is capture(): serialize the logical state of every layer into named
-// RIVC sections plus the flight-trace position.
+// is capture(): the deployment's warm-clone image (checkpoint/clone.hpp)
+// as named RIVC sections, plus scenario extras and the flight-trace
+// position. Every scenario tracks in-flight frames from before start, as
+// a clone capture requires.
 //
-// restore() is re-execution + attestation, not deserialization: timer
-// callbacks are closures and cannot live in a file, so the only faithful
-// way back to a mid-run state is to rebuild the scenario from its
-// identity, run it deterministically to the snapshot time, and then
-// byte-compare a fresh capture against the stored sections. A match
+// restore() is re-execution + attestation, not deserialization: a chaos
+// session owns injector and checker timers that no component can
+// rebuild, so the only faithful way back to a mid-run state is to rebuild
+// the scenario from its identity, run it deterministically to the
+// snapshot time, and then byte-compare a fresh capture against the
+// stored sections. A match
 // proves "restored ≡ uninterrupted" for every captured layer; a mismatch
 // names the first divergent section and byte. The restored scenario is
 // live and can keep running (riv_replay, chaos_run --from-checkpoint).
@@ -65,17 +68,14 @@ class Scenario {
 
   // Serialize the current logical state into a snapshot: scenario
   // identity + virtual time + flight-trace position + one section per
-  // layer ("sim.kernel", "net.wifi", "bus.devices", "proc.<pid>", plus
-  // scenario extras such as "chaos.injector").
+  // layer ("sim.kernel", "metrics", "net.wifi", "bus.devices",
+  // "proc.<pid>", plus scenario extras such as "chaos.injector").
   Snapshot capture();
 
  protected:
   // Scenario-private sections appended after the deployment's.
   virtual void extra_sections(Snapshot& /*snap*/) {}
 };
-
-// The deployment-level sections shared by every scenario.
-void capture_deployment(workload::HomeDeployment& home, Snapshot& snap);
 
 // The four blessed golden-trace scenarios: "gapless_ring", "gap_chain",
 // "failover" (home runs, seed 42), "chaos_flight" (engine run, seed 7).

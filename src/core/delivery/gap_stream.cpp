@@ -125,7 +125,16 @@ void GapStream::on_epoch_boundary(std::uint32_t epoch) {
 }
 
 void GapStream::clone_state(BinaryWriter& w) const {
-  checkpoint_state(w);
+  w.u32(first_epoch_);
+  w.u64(recent_order_.size());
+  for (EventId id : recent_order_) w.event_id(id);
+  w.u64(epochs_seen_.size());
+  for (std::uint32_t e : epochs_seen_) w.u32(e);
+  w.u64(ingested_);
+  w.u64(forwards_);
+  w.u64(discarded_);
+  w.u64(polls_issued_);
+  w.u64(staleness_reports_);
   TimePoint t;
   std::uint64_t seq;
   bool epoch_live = epoch_timer_ != 0 &&

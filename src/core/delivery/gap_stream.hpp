@@ -42,23 +42,9 @@ class GapStream {
   std::uint64_t polls_issued() const { return polls_issued_; }
   std::uint64_t staleness_reports() const { return staleness_reports_; }
 
-  // Serialize protocol state (dedup window in arrival order, epoch
-  // tracking, counters) for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const {
-    w.u32(first_epoch_);
-    w.u64(recent_order_.size());
-    for (EventId id : recent_order_) w.event_id(id);
-    w.u64(epochs_seen_.size());
-    for (std::uint32_t e : epochs_seen_) w.u32(e);
-    w.u64(ingested_);
-    w.u64(forwards_);
-    w.u64(discarded_);
-    w.u64(polls_issued_);
-    w.u64(staleness_reports_);
-  }
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Checkpoint fields plus the epoch-boundary timer (poll streams only).
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // Protocol state (dedup window in arrival order, epoch tracking,
+  // counters) plus the epoch-boundary timer (poll streams only).
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 

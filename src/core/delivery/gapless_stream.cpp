@@ -262,7 +262,16 @@ void GaplessStream::on_poll_slot(std::uint32_t epoch) {
 }
 
 void GaplessStream::clone_state(BinaryWriter& w) const {
-  checkpoint_state(w);
+  w.u32(first_epoch_);
+  w.u64(epochs_seen_.size());
+  for (std::uint32_t e : epochs_seen_) w.u32(e);
+  w.u64(rb_done_.size());
+  for (EventId id : rb_done_) w.event_id(id);
+  w.u64(ingested_);
+  w.u64(ring_forwards_);
+  w.u64(rb_initiated_);
+  w.u64(polls_issued_);
+  w.u64(staleness_reports_);
   sim::Simulation& sim = ctx_.timers->sim();
   TimePoint t;
   std::uint64_t seq;

@@ -59,25 +59,11 @@ class GaplessStream {
   std::uint64_t polls_issued() const { return polls_issued_; }
   std::uint64_t staleness_reports() const { return staleness_reports_; }
 
-  // Serialize protocol state (epoch tracking, broadcast dedup, counters)
-  // for a checkpoint; event content lives in the EventLog.
-  void checkpoint_state(BinaryWriter& w) const {
-    w.u32(first_epoch_);
-    w.u64(epochs_seen_.size());
-    for (std::uint32_t e : epochs_seen_) w.u32(e);
-    w.u64(rb_done_.size());
-    for (EventId id : rb_done_) w.event_id(id);
-    w.u64(ingested_);
-    w.u64(ring_forwards_);
-    w.u64(rb_initiated_);
-    w.u64(polls_issued_);
-    w.u64(staleness_reports_);
-  }
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Checkpoint fields plus the epoch-boundary and poll-slot timers with
-  // their (id, t, seq) identities (poll streams only; push streams hold
-  // no timers).
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // Protocol state (epoch tracking, broadcast dedup, counters; event
+  // content lives in the EventLog) plus the epoch-boundary and poll-slot
+  // timers with their (id, t, seq) identities (poll streams only; push
+  // streams hold no timers).
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 

@@ -77,19 +77,16 @@ class RivuletProcess {
   // (extension; trigger handlers reach it via TriggerContext::put/get).
   store::ReplicatedStore& kv();
 
-  // Serialize the full protocol state of this process — stable store,
-  // per-origin sequence history, membership, replicated KV, and every
-  // app's log/delivery/execution/actuation state — for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Unlike checkpoint_state (replayed through recover()+re-execution), a
-  // clone serializes the complete live runtime — including every pending
-  // timer and in-flight protocol artifact — and restore_clone() rebuilds
-  // it directly into a freshly constructed, never-started process: the
-  // volatile shell (detector, KV, streams, logic) is re-wired exactly as
-  // build_state() would, then each component restores its own data and
-  // timers. No messages are sent and no fresh timers are scheduled.
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // Serialize the complete live runtime — stable store, per-origin
+  // sequence history, membership, replicated KV, every app's
+  // log/delivery/execution/actuation state, every pending timer and
+  // in-flight protocol artifact. RIVC checkpoints store this as the
+  // process's section; restore_clone() rebuilds it directly into a
+  // freshly constructed, never-started process: the volatile shell
+  // (detector, KV, streams, logic) is re-wired exactly as build_state()
+  // would, then each component restores its own data and timers. No
+  // messages are sent and no fresh timers are scheduled.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 

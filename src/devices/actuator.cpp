@@ -74,40 +74,6 @@ void Actuator::apply(const Command& cmd) {
       Applied{cmd.id, cmd.value, sim_->now(), accepted, cmd.cause});
 }
 
-void Actuator::checkpoint_state(BinaryWriter& w) const {
-  w.actuator_id(spec_.id);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(links_.size());
-  for (const auto& [p, loss] : links_) {
-    w.process_id(p);
-    w.f64(loss);
-  }
-  w.u8(crashed_ ? 1 : 0);
-  w.f64(state_);
-  w.u64(seen_.size());
-  for (CommandId id : seen_) w.command_id(id);
-  w.u64(history_.size());
-  for (const Applied& a : history_) {
-    w.command_id(a.id);
-    w.f64(a.value);
-    w.time_point(a.at);
-    w.u8(a.accepted ? 1 : 0);
-    w.provenance_id(a.cause);
-  }
-  w.u64(actions_);
-  w.u64(duplicate_deliveries_);
-  w.u64(unwarranted_actions_);
-  w.u64(rejected_tas_);
-}
-
-void Actuator::set_clone_tracking(bool on) {
-  clone_tracking_ = on;
-  if (!on) {
-    in_flight_.clear();
-    in_flight_.shrink_to_fit();
-  }
-}
-
 void Actuator::track_delivery(sim::TimerId id, const Command& cmd) {
   if (in_flight_.size() >= 16) {
     TimePoint t;

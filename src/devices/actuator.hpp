@@ -76,15 +76,13 @@ class Actuator {
   std::uint64_t unwarranted_actions() const { return unwarranted_actions_; }
   std::uint64_t rejected_test_and_set() const { return rejected_tas_; }
 
-  // Serialize device state (links, RNG stream, physical state, command
-  // dedup set, applied history, counters) for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Mirrors Sensor: while tracking is on, commands in flight to the
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // Mirrors Sensor: once tracking is on, commands in flight to the
   // device are remembered as (timer id, Command) so clone_state can
-  // serialize them with their timer identity.
-  void set_clone_tracking(bool on);
+  // serialize them with their timer identity. clone_state writes links,
+  // RNG stream, physical state, command dedup set, applied history,
+  // counters, and those in-flight commands.
+  void set_clone_tracking() { clone_tracking_ = true; }
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 

@@ -169,25 +169,9 @@ void HomeBus::perturb(std::uint64_t salt) {
   for (auto& [id, sensor] : sensors_) sensor->perturb(salt ^ (i++ << 32));
 }
 
-void HomeBus::checkpoint_state(BinaryWriter& w) const {
-  w.u64(sensors_.size());
-  for (const auto& [id, sensor] : sensors_) sensor->checkpoint_state(w);
-  w.u64(actuators_.size());
-  for (const auto& [id, actuator] : actuators_) actuator->checkpoint_state(w);
-  w.u64(adapters_.size());
-  for (const auto& [key, adapter] : adapters_) {
-    w.process_id(key.first);
-    w.u8(static_cast<std::uint8_t>(key.second));
-    w.u64(adapter.frames_received());
-    w.u64(adapter.frames_sent());
-  }
-  w.u64(handlers_.size());
-  for (const auto& [p, handler] : handlers_) w.process_id(p);
-}
-
-void HomeBus::set_clone_tracking(bool on) {
-  for (auto& [id, sensor] : sensors_) sensor->set_clone_tracking(on);
-  for (auto& [id, actuator] : actuators_) actuator->set_clone_tracking(on);
+void HomeBus::set_clone_tracking() {
+  for (auto& [id, sensor] : sensors_) sensor->set_clone_tracking();
+  for (auto& [id, actuator] : actuators_) actuator->set_clone_tracking();
 }
 
 void HomeBus::clone_state(BinaryWriter& w) const {
@@ -202,6 +186,8 @@ void HomeBus::clone_state(BinaryWriter& w) const {
     w.u64(adapter.frames_received());
     w.u64(adapter.frames_sent());
   }
+  w.u64(handlers_.size());
+  for (const auto& [p, handler] : handlers_) w.process_id(p);
 }
 
 void HomeBus::restore_clone(BinaryReader& r) {
@@ -222,6 +208,8 @@ void HomeBus::restore_clone(BinaryReader& r) {
     std::uint64_t tx = r.u64();
     adapter.restore_counts(rx, tx);
   }
+  const std::uint64_t n_subscribed = r.u64();
+  for (std::uint64_t i = 0; i < n_subscribed; ++i) (void)r.process_id();
 }
 
 }  // namespace riv::devices

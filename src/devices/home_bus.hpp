@@ -71,17 +71,15 @@ class HomeBus {
 
   sim::Simulation& sim() { return *sim_; }
 
-  // Serialize every device, adapter frame counters, and which processes
-  // are currently subscribed (handlers are closures; their presence is
-  // the state) for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Forwarded to every sensor and actuator (in-flight tracking).
-  void set_clone_tracking(bool on);
-  // Devices + adapter counters. Subscriptions are NOT serialized here:
-  // a restored process re-subscribes as part of its own restore, and the
-  // sampled attestation (checkpoint_state byte-compare) covers the set.
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // Forwarded to every sensor and actuator added so far (in-flight
+  // tracking).
+  void set_clone_tracking();
+  // Every device, adapter frame counters, and which processes are
+  // currently subscribed (handlers are closures; their presence is the
+  // state). Restore skips the subscribed set: a restored process
+  // re-subscribes as part of its own restore, and attestation's
+  // re-capture checks the set.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 

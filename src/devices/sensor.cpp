@@ -258,43 +258,6 @@ void Sensor::poll(ProcessId from, std::uint32_t epoch_tag) {
   });
 }
 
-void Sensor::checkpoint_state(BinaryWriter& w) const {
-  w.sensor_id(spec_.id);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(links_.size());
-  for (const auto& [p, link] : links_) {
-    w.process_id(p);
-    w.f64(link.params.loss_prob);
-    w.duration(link.params.latency);
-    w.f64(link.params.jitter_frac);
-  }
-  w.u8(running_ ? 1 : 0);
-  w.u8(crashed_ ? 1 : 0);
-  w.u8(busy_ ? 1 : 0);
-  w.u32(next_seq_);
-  w.u32(static_cast<std::uint32_t>(burst_remaining_));
-  w.u8(integrity_ ? 1 : 0);
-  w.u64(chain_);
-  w.u64(recent_.size());
-  w.u64(recent_pos_);
-  for (const SensorEvent& e : recent_) {
-    w.event_id(e.id);
-    w.time_point(e.emitted_at);
-  }
-  w.u64(events_emitted_);
-  w.u64(polls_received_);
-  w.u64(polls_dropped_);
-  w.u64(polls_served_);
-}
-
-void Sensor::set_clone_tracking(bool on) {
-  clone_tracking_ = on;
-  if (!on) {
-    in_flight_.clear();
-    in_flight_.shrink_to_fit();
-  }
-}
-
 void Sensor::track_delivery(sim::TimerId id, ProcessId process,
                             const SensorEvent& e) {
   // Lazy prune: drop fired entries once the list is mostly dead.

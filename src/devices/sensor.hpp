@@ -147,19 +147,15 @@ class Sensor {
   std::uint64_t polls_served() const { return polls_served_; }
   std::uint64_t battery_drain() const { return polls_received_; }
 
-  // Serialize device state (links, RNG stream, emission cursor, integrity
-  // chain and replay window, counters) for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // While tracking is on, transmissions in the air are remembered as
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // Once tracking is on, transmissions in the air are remembered as
   // (timer id, destination, event) so clone_state can serialize them.
   // Off by default; the normal emission path stays bookkeeping-free.
-  void set_clone_tracking(bool on);
-  // Full-state serialization for the clone path: RNG stream, links,
-  // emission cursor, integrity window, counters, plus the emission-loop
-  // timer, a pending poll response, and in-flight deliveries — each with
-  // its (id, t, seq) timer identity. Requires clone tracking on.
+  void set_clone_tracking() { clone_tracking_ = true; }
+  // Full-state serialization: RNG stream, links, emission cursor,
+  // integrity chain and window, counters, plus the emission-loop timer, a
+  // pending poll response, and in-flight deliveries — each with its
+  // (id, t, seq) timer identity. Requires clone tracking on.
   void clone_state(BinaryWriter& w) const;
   // Restore into a freshly built sensor of the same spec (asserted);
   // timers are re-created via ProcessTimers::restore_at.

@@ -54,23 +54,11 @@ class FailureDetector {
   ProcessId self() const { return self_; }
   const std::vector<ProcessId>& all_processes() const { return all_; }
 
-  // Serialize membership state (the local view and the last-heard table
-  // behind it) for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const {
-    w.u8(started_ ? 1 : 0);
-    w.u64(last_heard_.size());
-    for (const auto& [p, t] : last_heard_) {
-      w.process_id(p);
-      w.time_point(t);
-    }
-    w.u64(view_.size());
-    for (ProcessId p : view_) w.process_id(p);
-  }
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Full state including the heartbeat timer's (id, t, seq) identity.
-  // Restore requires a constructed-but-not-started detector with its
-  // hooks already installed (the runtime re-wires closures first).
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // Membership state (the local view and the last-heard table behind it)
+  // plus the heartbeat timer's (id, t, seq) identity. Restore requires a
+  // constructed-but-not-started detector with its hooks already
+  // installed (the runtime re-wires closures first).
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 

@@ -322,14 +322,6 @@ void SimNetwork::complete_delivery(const Message& msg) {
   ep->deliver(msg);
 }
 
-void SimNetwork::set_clone_tracking(bool on) {
-  clone_tracking_ = on;
-  if (!on) {
-    tracked_.clear();
-    tracked_.shrink_to_fit();
-  }
-}
-
 void SimNetwork::track_frame(sim::TimerId id, Message msg) {
   // Lazy prune: once the list doubles past the live frame count, drop
   // entries whose timer already fired, keeping the list O(in-flight).
@@ -343,24 +335,6 @@ void SimNetwork::track_frame(sim::TimerId id, Message msg) {
   tracked_.push_back({id, std::move(msg)});
 }
 
-void SimNetwork::checkpoint_state(BinaryWriter& w) const {
-  const std::size_t n = procs_.size();
-  w.u64(n);
-  for (const Proc& p : procs_) {
-    w.process_id(p.pid);
-    w.u8(p.up ? 1 : 0);
-    w.u8(p.up_set ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(p.group));
-  }
-  w.u32(static_cast<std::uint32_t>(up_count_));
-  w.u8(partitioned_ ? 1 : 0);
-  w.u64(in_flight_);
-  for (std::size_t e = 0; e < n * n; ++e) w.u8(edge_down_[e]);
-  for (std::size_t e = 0; e < n * n; ++e) w.i64(edge_delay_us_[e]);
-  for (std::size_t e = 0; e < n * n; ++e) w.f64(edge_loss_[e]);
-  for (std::size_t e = 0; e < n * n; ++e) w.i64(last_delivery_us_[e]);
-}
-
 void SimNetwork::clone_state(BinaryWriter& w) const {
   const std::size_t n = procs_.size();
   w.u64(n);
@@ -371,6 +345,7 @@ void SimNetwork::clone_state(BinaryWriter& w) const {
     w.u8(p.up_set ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(p.group));
   }
+  w.u32(static_cast<std::uint32_t>(up_count_));
   w.u8(partitioned_ ? 1 : 0);
   for (std::size_t e = 0; e < n * n; ++e) w.u8(edge_down_[e]);
   for (std::size_t e = 0; e < n * n; ++e) w.i64(edge_delay_us_[e]);
@@ -416,6 +391,8 @@ void SimNetwork::restore_clone(BinaryReader& r) {
     p.group = static_cast<int>(r.u32());
     if (p.up) ++up_count_;
   }
+  RIV_ASSERT(r.u32() == static_cast<std::uint32_t>(up_count_),
+             "clone restore: up count disagrees with process liveness");
   partitioned_ = r.u8() != 0;
   for (std::size_t e = 0; e < n * n; ++e) edge_down_[e] = r.u8();
   for (std::size_t e = 0; e < n * n; ++e) edge_delay_us_[e] = r.i64();

@@ -113,24 +113,18 @@ class SimNetwork {
   // Total frames currently in flight (for tests).
   std::size_t in_flight() const { return in_flight_; }
 
-  // Serialize the network's fault/liveness state for a checkpoint: the
-  // registered processes (registration order == dense index order, which
-  // is deterministic), liveness and partition groups, every directed-edge
-  // override matrix, and the per-pair FIFO clamps. Frames in the air are
-  // sim timer closures; the kernel checkpoint attests them as (id, t,
-  // seq) triples and in_flight_ is attested here as a count.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // While tracking is on, every frame put on the air is also remembered
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // Once tracking is on, every frame put on the air is also remembered
   // as (timer id, Message) so clone_state can serialize frames still in
   // flight with their full contents and timer identity. Off by default:
   // the normal per-frame path stays allocation- and bookkeeping-free.
-  void set_clone_tracking(bool on);
-  // Full-state serialization for the clone path: liveness, partition
-  // groups, override matrices, FIFO clamps, and every in-flight frame.
-  // Requires clone tracking to have been on since the last quiescent
-  // point (asserted: tracked live frames must equal in_flight_).
+  void set_clone_tracking() { clone_tracking_ = true; }
+  // Full-state serialization: the registered processes (registration
+  // order == dense index order, which is deterministic), liveness, the up
+  // count, partition groups, every directed-edge override matrix, the
+  // per-pair FIFO clamps, and every in-flight frame. Requires clone
+  // tracking to have been on since the last quiescent point (asserted:
+  // tracked live frames must equal in_flight_).
   void clone_state(BinaryWriter& w) const;
   // Restore into a freshly built network whose processes were registered
   // in the same deterministic order (asserted); in-flight frames are

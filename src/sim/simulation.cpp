@@ -321,7 +321,8 @@ bool Simulation::fire_next(std::int64_t cap) {
 
 bool Simulation::step() { return fire_next(kMaxTime); }
 
-void Simulation::checkpoint_state(BinaryWriter& w) const {
+void Simulation::clone_state(BinaryWriter& w) const {
+  RIV_ASSERT(due_head_ == due_.size(), "clone capture mid-batch");
   w.i64(now_.us);
   w.u64(next_seq_);
   w.u64(events_fired_);
@@ -329,8 +330,7 @@ void Simulation::checkpoint_state(BinaryWriter& w) const {
   for (std::uint64_t word : rng_.state()) w.u64(word);
   // A node is live iff the id ring still points at it and it was not
   // cancelled (fire and cancel both clear the ring entry; freed slab
-  // slots keep stale ids that no longer resolve to them). The not-yet-
-  // fired tail of the current due_ batch still satisfies this.
+  // slots keep stale ids that no longer resolve to them).
   std::vector<const Node*> live;
   live.reserve(live_count_);
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
@@ -349,16 +349,6 @@ void Simulation::checkpoint_state(BinaryWriter& w) const {
   }
 }
 
-void Simulation::clone_state(BinaryWriter& w) const {
-  RIV_ASSERT(due_head_ == due_.size(), "clone capture mid-batch");
-  w.i64(now_.us);
-  w.u64(next_seq_);
-  w.u64(events_fired_);
-  w.u64(next_id_);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(live_count_);
-}
-
 void Simulation::begin_restore(BinaryReader& r) {
   RIV_ASSERT(!in_restore_, "nested kernel restore");
   RIV_ASSERT(live_count_ == 0,
@@ -372,7 +362,12 @@ void Simulation::begin_restore(BinaryReader& r) {
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = r.u64();
   rng_.set_state(rng_state);
+  // The (id, t, seq) list attests; the owners re-create the timers.
   expected_live_ = r.u64();
+  constexpr std::uint64_t kTripleBytes = 24;
+  RIV_ASSERT(expected_live_ <= r.remaining() / kTripleBytes,
+             "clone restore: kernel timer list truncated");
+  r.skip_opaque(expected_live_ * kTripleBytes);
   restored_count_ = 0;
 
   // Wipe storage wholesale: tombstones and free lists are artifacts of

@@ -79,34 +79,31 @@ class Simulation : public Clock {
   // events/sec numerator).
   std::uint64_t events_fired() const { return events_fired_; }
 
-  // Serialize the kernel's logical state for a checkpoint: virtual time,
-  // counters, the RNG stream, and every live timer as (id, t, seq) sorted
-  // by seq. Slab layout, slot chains, free lists, the overflow/wheel
-  // split, and tombstones are storage artifacts and deliberately excluded,
-  // so two kernels that would fire the same timers in the same order
-  // always serialize identically. Callbacks are closures and cannot be
-  // serialized — see checkpoint/rivc.hpp for how restore() handles that.
-  void checkpoint_state(BinaryWriter& w) const;
-
-  // --- snapshot-clone support (DESIGN.md §16) ---------------------------
+  // --- snapshot support (DESIGN.md §16) --------------------------------
   //
-  // The clone format splits responsibility: the kernel serializes only its
-  // scalar header (time, counters, RNG, live-timer count) — per-timer
-  // (id, t, seq) triples live with the components that own them, because
-  // only the owners can rebuild the callbacks. Restore is three-phase:
-  // begin_restore() wipes every existing timer and restores the header,
-  // each owner re-creates its timers via schedule_restored() with the
-  // exact original id/t/seq, and finish_restore() asserts the restored
-  // count matches the capture — a timer owned by anything outside the
-  // restore set fails loudly instead of silently vanishing.
-
-  // Serialize the kernel scalar header. Must be called at rest (between
-  // run_until steps, never from inside a callback batch).
+  // Serialize the kernel's logical state: virtual time, counters, the RNG
+  // stream, and every live timer as (id, t, seq) sorted by seq. Slab
+  // layout, slot chains, free lists, the overflow/wheel split, and
+  // tombstones are storage artifacts and deliberately excluded, so two
+  // kernels that would fire the same timers in the same order always
+  // serialize identically. Must be called at rest (between run_until
+  // steps, never from inside a callback batch).
+  //
+  // Callbacks are closures, so the kernel cannot rebuild them: the timer
+  // list attests every live timer (RIVC checks the ones the chaos layer
+  // owns this way), and each owning component re-creates its own. Restore
+  // is three-phase: begin_restore() wipes every existing timer and
+  // restores the header, each owner re-creates its timers via
+  // schedule_restored() with the exact original id/t/seq, and
+  // finish_restore() asserts the restored count matches the list — a
+  // timer owned by anything outside the restore set fails loudly instead
+  // of silently vanishing.
   void clone_state(BinaryWriter& w) const;
 
-  // Wipe all pending timers and restore the scalar header. Requires an
-  // empty kernel (a freshly built, not-yet-started deployment): restored
-  // ids may collide with ids already handed out otherwise.
+  // Wipe all pending timers and restore the header (the live-timer count
+  // is the list's length). Requires an empty kernel (a freshly built,
+  // not-yet-started deployment): restored ids may collide with ids
+  // already handed out otherwise.
   void begin_restore(BinaryReader& r);
 
   // Re-create one live timer with its original identity. Only valid

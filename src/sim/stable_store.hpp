@@ -41,9 +41,9 @@ class StableStore {
   // Serialize every (key, value) pair in lexicographic key order. The
   // index is a hash map whose iteration order depends on insertion and
   // rehash history, so the sort here is load-bearing: two stores holding
-  // the same pairs must checkpoint byte-identically no matter how they
+  // the same pairs must snapshot byte-identically no matter how they
   // got there (pinned by CheckpointDeterminismPins.StableStoreOrder).
-  void checkpoint_state(BinaryWriter& w) const {
+  void clone_state(BinaryWriter& w) const {
     std::vector<const std::string*> keys;
     keys.reserve(data_.size());
     for (const auto& [key, value] : data_) keys.push_back(&key);
@@ -56,8 +56,7 @@ class StableStore {
     }
   }
 
-  // Snapshot-clone restore (DESIGN.md §16): the clone format reuses the
-  // checkpoint encoding, so this is its exact inverse.
+  // Snapshot restore (DESIGN.md §16): the exact inverse of clone_state.
   void restore_clone(BinaryReader& r) {
     data_.clear();
     const std::uint64_t n = r.u64();

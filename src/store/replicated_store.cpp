@@ -130,7 +130,18 @@ void ReplicatedStore::anti_entropy() {
 }
 
 void ReplicatedStore::clone_state(BinaryWriter& w) const {
-  checkpoint_state(w);
+  w.u32(write_seq_);
+  w.u64(writes_);
+  w.u64(merges_applied_);
+  w.u64(merges_ignored_);
+  w.u64(entries_.size());
+  for (const auto& [key, e] : entries_) {
+    w.str(key);
+    w.f64(e.value);
+    w.time_point(e.written_at);
+    w.u32(e.seq);
+    w.process_id(e.writer);
+  }
   TimePoint t;
   std::uint64_t seq;
   bool syncing = sync_timer_ != 0 &&

@@ -81,27 +81,12 @@ class ReplicatedStore {
   std::uint64_t merges_applied() const { return merges_applied_; }
   std::uint64_t merges_ignored() const { return merges_ignored_; }
 
-  // Serialize every replicated register and the write counters for a
-  // checkpoint (entries_ is ordered, so this is content-deterministic).
-  void checkpoint_state(BinaryWriter& w) const {
-    w.u32(write_seq_);
-    w.u64(writes_);
-    w.u64(merges_applied_);
-    w.u64(merges_ignored_);
-    w.u64(entries_.size());
-    for (const auto& [key, e] : entries_) {
-      w.str(key);
-      w.f64(e.value);
-      w.time_point(e.written_at);
-      w.u32(e.seq);
-      w.process_id(e.writer);
-    }
-  }
-
-  // --- snapshot-clone support (DESIGN.md §16) ------------------------
-  // Full state including the anti-entropy timer's (id, t, seq) identity.
-  // Restore requires a constructed-but-not-started store whose hooks are
-  // already wired (the runtime installs the closures first).
+  // --- snapshot support (DESIGN.md §16) ------------------------------
+  // Every replicated register and the write counters (entries_ is
+  // ordered, so this is content-deterministic), plus the anti-entropy
+  // timer's (id, t, seq) identity. Restore requires a
+  // constructed-but-not-started store whose hooks are already wired (the
+  // runtime installs the closures first).
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 

@@ -91,6 +91,8 @@ Fig1Deployment::Fig1Deployment(const Fig1Options& options)
       im.received_anywhere.insert(e.id);
     });
   }
+  // checkpoint_bus serializes deliveries on the air.
+  im.bus.set_clone_tracking();
 }
 
 Fig1Deployment::~Fig1Deployment() = default;
@@ -108,11 +110,11 @@ TimePoint Fig1Deployment::end_time() const {
 sim::Simulation& Fig1Deployment::sim() { return impl_->sim; }
 
 void Fig1Deployment::checkpoint_sim(BinaryWriter& w) const {
-  impl_->sim.checkpoint_state(w);
+  impl_->sim.clone_state(w);
 }
 
 void Fig1Deployment::checkpoint_bus(BinaryWriter& w) const {
-  impl_->bus.checkpoint_state(w);
+  impl_->bus.clone_state(w);
 }
 
 Fig1Result Fig1Deployment::result() const {

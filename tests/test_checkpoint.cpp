@@ -277,8 +277,8 @@ TEST(CheckpointDeterminismPins, ChunkedRunEqualsMonolithicRun) {
 }
 
 // StableStore is the one unordered container on a state-affecting path:
-// its checkpoint serialization must not depend on insertion order or
-// rehash history (the sort in checkpoint_state is load-bearing).
+// its serialization must not depend on insertion order or rehash history
+// (the sort in clone_state is load-bearing).
 TEST(CheckpointDeterminismPins, StableStoreOrder) {
   auto value = [](int i) {
     return std::vector<std::byte>{std::byte(i), std::byte(i / 7)};
@@ -296,8 +296,8 @@ TEST(CheckpointDeterminismPins, StableStoreOrder) {
   for (int i = 0; i < 64; ++i) descending.erase("churn/" + std::to_string(i));
 
   BinaryWriter wa, wb;
-  ascending.checkpoint_state(wa);
-  descending.checkpoint_state(wb);
+  ascending.clone_state(wa);
+  descending.clone_state(wb);
   EXPECT_EQ(wa.take(), wb.take());
 }
 
@@ -321,7 +321,7 @@ TEST(CheckpointDeterminismPins, TimerCancelOrderIndependence) {
     }
     sim.run_for(seconds(1));
     BinaryWriter w;
-    sim.checkpoint_state(w);
+    sim.clone_state(w);
     return w.take();
   };
   EXPECT_EQ(capture(false), capture(true));

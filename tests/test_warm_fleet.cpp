@@ -145,11 +145,51 @@ TEST(WarmFleet, FullAttestationPassesAndChangesNothing) {
   warm.homes = 8;
   warm.warm.enabled = true;
   const FleetResult base = run_fleet(warm);
-  // Byte-attest every clone against the PR 7 checkpoint surface: an
-  // honest build must pass, and attestation must not perturb results.
+  // Re-capture every clone and byte-compare it with its image: an honest
+  // build must pass, and attestation must not perturb results.
   warm.warm.attest_sample = 1.0;
   const FleetResult attested = run_fleet(warm);
   expect_equal_results(base, attested);
+}
+
+// The negative control: attestation can fail, and names where. Each clone
+// is diverged after apply, not the image — a round trip cannot see an
+// image byte that restores faithfully.
+TEST(WarmFleet, AttestationNamesFirstDivergentSection) {
+  PopulationModel model;
+  model.sim_duration = seconds(2);
+  const HomeSpec spec = sample_home(model, 7, 0);
+  auto source = build_home(spec);
+  checkpoint::enable_clone_tracking(*source);
+  source->start();
+  source->run_for(seconds(1));
+  checkpoint::WarmImage img;
+  checkpoint::capture_warm_home(*source, spec.seed, img, /*with_attest=*/true);
+
+  auto clone = [&] {
+    auto home = build_home(spec);
+    std::string err;
+    EXPECT_TRUE(checkpoint::apply_warm_home(img, *home, spec.seed, &err))
+        << err;
+    return home;
+  };
+  EXPECT_EQ(checkpoint::attest_clone(img, *clone()), "");
+
+  // A crash cancels the process's timers: the kernel's live-timer list is
+  // the first section to differ.
+  auto crashed = clone();
+  crashed->process(0).crash();
+  std::string diff = checkpoint::attest_clone(img, *crashed);
+  EXPECT_EQ(diff.rfind("section 'sim.kernel'", 0), 0u) << diff;
+
+  // A device-only change leaves every earlier section intact.
+  auto degraded = clone();
+  devices::Sensor& sensor =
+      degraded->bus().sensor(degraded->bus().sensors().front());
+  const ProcessId linked = sensor.linked_processes().front();
+  sensor.set_link_loss(linked, sensor.link_loss(linked) + 0.25);
+  diff = checkpoint::attest_clone(img, *degraded);
+  EXPECT_EQ(diff.rfind("section 'bus.devices'", 0), 0u) << diff;
 }
 
 // --- identity-mismatch rejection ------------------------------------------

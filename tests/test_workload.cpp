@@ -1,7 +1,11 @@
-// Tests for the workload module: Fig 1 trace generation, the Table 1
-// catalog, deployment harness behaviour, and placement overrides.
+// Tests for the workload module: Fig 1 trace generation and its
+// checkpointed long-run path, the Table 1 catalog, deployment harness
+// behaviour, and placement overrides.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/codec.hpp"
 #include "workload/apps.hpp"
 #include "workload/deployment.hpp"
 #include "workload/fig1.hpp"
@@ -55,6 +59,73 @@ TEST(Fig1Trace, DifferentSeedsDiffer) {
   Fig1Result ra = run_fig1_deployment(a);
   Fig1Result rb = run_fig1_deployment(b);
   EXPECT_NE(ra.rows[0].received, rb.rows[0].received);
+}
+
+// --- the checkpointed long-run path (bench_fig1_deployment) ---------------
+
+struct Fig1Sections {
+  std::vector<std::byte> sim;
+  std::vector<std::byte> bus;
+};
+
+Fig1Sections capture_fig1(const Fig1Deployment& d) {
+  BinaryWriter sim, bus;
+  d.checkpoint_sim(sim);
+  d.checkpoint_bus(bus);
+  return {sim.take(), bus.take()};
+}
+
+void expect_same_figure(const Fig1Result& a, const Fig1Result& b) {
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (std::size_t i = 0; i < a.rows.size(); ++i) {
+    EXPECT_EQ(a.rows[i].sensor, b.rows[i].sensor);
+    EXPECT_EQ(a.rows[i].emitted, b.rows[i].emitted);
+    EXPECT_EQ(a.rows[i].received, b.rows[i].received);
+  }
+  EXPECT_EQ(a.all_link_loss_fraction, b.all_link_loss_fraction);
+}
+
+TEST(Fig1Checkpoint, IndependentRunsCaptureIdenticalSections) {
+  Fig1Options options;
+  options.duration = days(2);
+  Fig1Deployment a(options), b(options);
+  a.start();
+  b.start();
+  a.run_to(TimePoint{} + days(1));
+  b.run_to(TimePoint{} + hours(7));  // a different chunking to the same day
+  b.run_to(TimePoint{} + days(1));
+  const Fig1Sections sa = capture_fig1(a);
+  const Fig1Sections sb = capture_fig1(b);
+  EXPECT_FALSE(sa.sim.empty());
+  EXPECT_FALSE(sa.bus.empty());
+  EXPECT_EQ(sa.sim, sb.sim);
+  EXPECT_EQ(sa.bus, sb.bus);
+}
+
+// Capturing mid-run is invisible, and a resumed run — rebuilt, re-executed
+// to the checkpoint, attested against the stored sections — finishes with
+// the uninterrupted run's figure.
+TEST(Fig1Checkpoint, CheckpointedRunFinishesWithUninterruptedFigure) {
+  Fig1Options options;
+  options.duration = days(2);
+  const Fig1Result uninterrupted = run_fig1_deployment(options);
+  const TimePoint day1 = TimePoint{} + days(1);
+
+  Fig1Deployment checkpointed(options);
+  checkpointed.start();
+  checkpointed.run_to(day1);
+  const Fig1Sections stored = capture_fig1(checkpointed);
+  checkpointed.run_to(checkpointed.end_time());
+  expect_same_figure(checkpointed.result(), uninterrupted);
+
+  Fig1Deployment resumed(options);
+  resumed.start();
+  resumed.run_to(day1);
+  const Fig1Sections attested = capture_fig1(resumed);
+  EXPECT_EQ(attested.sim, stored.sim);
+  EXPECT_EQ(attested.bus, stored.bus);
+  resumed.run_to(resumed.end_time());
+  expect_same_figure(resumed.result(), uninterrupted);
 }
 
 TEST(Table1Catalog, HasThirteenAppsWithPaperGuarantees) {

@@ -60,7 +60,7 @@ void usage(const char* argv0) {
       "                        (default off; requires --prefix > 0; results\n"
       "                        are bit-identical either way)\n"
       "  --attest F            byte-attest fraction F of warm clones\n"
-      "                        against the checkpoint surface (default 0)\n"
+      "                        against their images (default 0)\n"
       "  --resalt N            fold salt N ^ campaign into device RNGs at\n"
       "                        the prefix point (campaign decorrelation)\n"
       "  --regions N           region count for scoped events (default 16)\n"
