@@ -30,7 +30,9 @@ namespace riv::checkpoint {
 // incompatibly. A reader only accepts its own version: checkpoints are
 // build-coupled by design (they attest behaviour, not archive data).
 // Version 2: sections are the warm-clone blobs, metrics included.
-inline constexpr std::uint32_t kRivcVersion = 2;
+// Version 3: each proc.<pid> section carries the process's event logs
+// once, also while it is down; its stable store holds no log keys.
+inline constexpr std::uint32_t kRivcVersion = 3;
 
 struct Section {
   std::string name;
@@ -61,7 +63,7 @@ std::vector<std::byte> encode(const Snapshot& snap);
 // Decode; returns false and sets *error on any malformed input. Error
 // strings are pinned (test_checkpoint_fuzz):
 //   "not a RIVC checkpoint (bad magic)"
-//   "unsupported checkpoint version N (this build reads 2)"
+//   "unsupported checkpoint version N (this build reads 3)"
 //   "truncated checkpoint"
 //   "checkpoint footer hash mismatch"
 //   "trailing bytes after checkpoint footer"

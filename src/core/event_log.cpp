@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
 #include "common/codec.hpp"
 
 namespace riv::core {
@@ -24,21 +23,7 @@ PidSet read_pid_set(BinaryReader& r) {
 
 }  // namespace
 
-EventLog::EventLog(AppId app, sim::StableStore* store, std::size_t cap)
-    : app_(app), store_(store), cap_(cap) {}
-
-std::string EventLog::event_key(EventId id) const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "app%u/ev/%u/%010u", app_.value,
-                id.sensor.value, id.seq);
-  return buf;
-}
-
-std::string EventLog::hw_key(SensorId sensor) const {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "app%u/hw/%u", app_.value, sensor.value);
-  return buf;
-}
+EventLog::EventLog(std::size_t cap) : cap_(cap) {}
 
 bool EventLog::seen(EventId id) const {
   auto sit = streams_.find(id.sensor);
@@ -113,8 +98,7 @@ bool EventLog::append(const devices::SensorEvent& e, PidSet s, PidSet v) {
         e.emitted_at > nx->second.event.emitted_at)
       stream.monotone = false;
   }
-  persist(it->second);
-  evict(e.id.sensor, stream);
+  evict(stream);
   return true;
 }
 
@@ -124,13 +108,8 @@ void EventLog::merge_sets(EventId id, const PidSet& s, const PidSet& v) {
   auto it = sit->second.events.find(id.seq);
   if (it == sit->second.events.end()) return;
   StoredEvent& se = it->second;
-  // Re-persist only when the merge actually added knowledge; rewriting an
-  // identical record (the common duplicate-ring-message case) is a no-op
-  // for recovery and pure overhead.
-  std::size_t before = se.seen.size() + se.need.size();
   se.seen.insert(s.begin(), s.end());
   se.need.insert(v.begin(), v.end());
-  if (se.seen.size() + se.need.size() != before) persist(se);
 }
 
 const StoredEvent* EventLog::find(EventId id) const {
@@ -208,13 +187,7 @@ TimePoint EventLog::processed_watermark(SensorId sensor) const {
 
 void EventLog::advance_processed_watermark(SensorId sensor, TimePoint t) {
   TimePoint& hw = processed_hw_[sensor];
-  if (t <= hw) return;
-  hw = t;
-  if (store_ != nullptr) {
-    BinaryWriter w;
-    w.time_point(t);
-    store_->put(hw_key(sensor), w.take());
-  }
+  if (t > hw) hw = t;
 }
 
 std::size_t EventLog::size(SensorId sensor) const {
@@ -226,36 +199,17 @@ std::vector<SensorId> EventLog::sensors() const {
   std::vector<SensorId> out;
   out.reserve(streams_.size());
   for (const auto& [sensor, stream] : streams_) {
-    // A recovered first-retained marker without surviving events is
-    // bookkeeping only, not a stream.
+    // A retention floor without surviving events is bookkeeping only, not
+    // a stream.
     if (!stream.events.empty()) out.push_back(sensor);
   }
   return out;
 }
 
-void EventLog::persist(const StoredEvent& se) {
-  if (store_ == nullptr) return;
-  BinaryWriter w;
-  w.reserve(se.event.wire_size() + 2 +
-            2 * (se.seen.size() + se.need.size()));
-  devices::encode(w, se.event);
-  write_pid_set(w, se.seen);
-  write_pid_set(w, se.need);
-  store_->put(event_key(se.event.id), w.take());
-}
-
-std::string EventLog::retained_key(SensorId sensor) const {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "app%u/fr/%u", app_.value, sensor.value);
-  return buf;
-}
-
-void EventLog::evict(SensorId sensor, Stream& stream) {
+void EventLog::evict(Stream& stream) {
   bool evicted = false;
   while (stream.events.size() > cap_) {
     std::uint32_t seq = stream.events.begin()->first;
-    if (store_ != nullptr)
-      store_->erase(event_key(stream.events.begin()->second.event.id));
     stream.events.erase(stream.events.begin());
     stream.first_retained = std::max(stream.first_retained, seq + 1);
     evicted = true;
@@ -267,63 +221,27 @@ void EventLog::evict(SensorId sensor, Stream& stream) {
          stream.holes.begin()->first < stream.first_retained)
     stream.holes.erase(stream.holes.begin());
   set_prefix(stream);
-  if (store_ != nullptr) {
-    BinaryWriter w;
-    w.u32(stream.first_retained);
-    store_->put(retained_key(sensor), w.take());
-  }
 }
 
 void EventLog::recover() {
-  if (store_ == nullptr) return;
-  streams_.clear();
-  processed_hw_.clear();
-  char prefix[32];
-  std::snprintf(prefix, sizeof(prefix), "app%u/ev/", app_.value);
-  for (const std::string& key : store_->keys_with_prefix(prefix)) {
-    auto raw = store_->get(key);
-    RIV_ASSERT(raw.has_value(), "key listed but missing");
-    BinaryReader r(*raw);
-    StoredEvent se;
-    se.event = devices::decode_event(r);
-    se.seen = read_pid_set(r);
-    se.need = read_pid_set(r);
-    RIV_ASSERT(r.ok(), "corrupt stored event");
-    streams_[se.event.id.sensor].events.emplace(se.event.id.seq,
-                                                std::move(se));
-  }
-  std::snprintf(prefix, sizeof(prefix), "app%u/hw/", app_.value);
-  for (const std::string& key : store_->keys_with_prefix(prefix)) {
-    auto raw = store_->get(key);
-    BinaryReader r(*raw);
-    SensorId sensor{
-        static_cast<std::uint16_t>(std::stoul(key.substr(key.rfind('/') + 1)))};
-    processed_hw_[sensor] = r.time_point();
-  }
-  std::snprintf(prefix, sizeof(prefix), "app%u/fr/", app_.value);
-  for (const std::string& key : store_->keys_with_prefix(prefix)) {
-    auto raw = store_->get(key);
-    BinaryReader r(*raw);
-    SensorId sensor{
-        static_cast<std::uint16_t>(std::stoul(key.substr(key.rfind('/') + 1)))};
-    streams_[sensor].first_retained = r.u32();
-  }
-  // Rebuild the derived per-stream bookkeeping the fast paths rely on.
+  std::vector<std::byte> scratch;
   for (auto& [sensor, stream] : streams_) {
-    rebuild_index(stream);
+    stream.monotone = true;
     TimePoint last{};
-    for (const auto& [seq, se] : stream.events) {
-      if (se.event.emitted_at < last) {
-        stream.monotone = false;
-        break;
-      }
+    for (auto& [seq, se] : stream.events) {
+      BinaryWriter w(std::move(scratch));
+      devices::encode(w, se.event);
+      scratch = w.take();
+      BinaryReader r(scratch);
+      se.event = devices::decode_event(r);
+      if (se.event.emitted_at < last) stream.monotone = false;
       last = se.event.emitted_at;
     }
+    rebuild_index(stream);
   }
 }
 
 void EventLog::clone_state(BinaryWriter& w) const {
-  w.app_id(app_);
   w.u64(streams_.size());
   for (const auto& [sensor, stream] : streams_) {
     w.sensor_id(sensor);
@@ -352,8 +270,6 @@ void EventLog::clone_state(BinaryWriter& w) const {
 }
 
 void EventLog::restore_clone(BinaryReader& r) {
-  AppId app = r.app_id();
-  RIV_ASSERT(app == app_, "clone restore: event log app identity mismatch");
   streams_.clear();
   const std::uint64_t n_streams = r.u64();
   for (std::uint64_t i = 0; i < n_streams; ++i) {

@@ -11,21 +11,20 @@
 //   * a newly promoted logic node can replay the backlog past the gossiped
 //     processed watermark (§5, Fig 7's post-failover spike).
 //
-// Entries are written through to the process's StableStore so they survive
-// crash/recover (§3.1's crash-recovery model). The missing-run index behind
-// the summaries is derived state: never persisted or snapshotted, rebuilt
-// from the events by recover() and restore_clone().
+// The log is the process's durable record (§3.1's crash-recovery model):
+// the owning RivuletProcess keeps it across crash/recover, and recover()
+// reduces it to what a crash preserves. The missing-run index behind the
+// summaries is derived state: never snapshotted, rebuilt from the events by
+// recover() and restore_clone().
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/pid_set.hpp"
 #include "core/wire.hpp"
 #include "devices/event.hpp"
-#include "sim/stable_store.hpp"
 
 namespace riv::core {
 
@@ -37,9 +36,8 @@ struct StoredEvent {
 
 class EventLog {
  public:
-  // `store` may be null (volatile log — used by tests); `cap` bounds the
-  // number of retained events per stream.
-  EventLog(AppId app, sim::StableStore* store, std::size_t cap);
+  // `cap` bounds the number of retained events per stream.
+  explicit EventLog(std::size_t cap);
 
   bool seen(EventId id) const;
 
@@ -77,7 +75,11 @@ class EventLog {
   std::size_t size(SensorId sensor) const;
   std::vector<SensorId> sensors() const;
 
-  // Rebuild in-memory state from stable storage (crash recovery).
+  // Crash recovery: keep of each event only its wire form (devices::encode)
+  // — narrow payloads come back quantized to milli-units, the in-memory
+  // integrity fields (chain, mac) zeroed. S/V sets, retention floors and
+  // watermarks survive as they are; the hole index and the ordering flag
+  // are rebuilt from the events.
   void recover();
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
@@ -85,8 +87,8 @@ class EventLog {
   // every in-memory field (payload size, integrity trailer, so re-sends
   // from a restored log are byte-for-byte what the source would have
   // sent) and its S/V sets, and the processed watermarks. All containers
-  // here are ordered, so this is a pure function of log content. No
-  // timers here.
+  // here are ordered, so this is a pure function of log content. The
+  // owner records which app the log belongs to. No timers here.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
@@ -117,11 +119,7 @@ class EventLog {
     bool monotone{true};
   };
 
-  std::string event_key(EventId id) const;
-  std::string hw_key(SensorId sensor) const;
-  std::string retained_key(SensorId sensor) const;
-  void persist(const StoredEvent& se);
-  void evict(SensorId sensor, Stream& stream);
+  void evict(Stream& stream);
   // One past the highest held sequence (first_retained when none is held).
   static std::uint32_t end_of(const Stream& stream);
   // prefix_next from the hole index: the first hole, else the end.
@@ -129,8 +127,6 @@ class EventLog {
   // Recompute `holes` and `prefix_next` from the events (recovery, clone).
   static void rebuild_index(Stream& stream);
 
-  AppId app_;
-  sim::StableStore* store_;
   std::size_t cap_;
   std::map<SensorId, Stream> streams_;
   std::map<SensorId, TimePoint> processed_hw_;

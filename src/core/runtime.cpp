@@ -89,6 +89,7 @@ void RivuletProcess::recover() {
                 trace::Kind::kRecover);
   }
   net_->set_process_up(self_, true);
+  for (auto& [id, log] : logs_) log.recover();
   build_state();
 }
 
@@ -194,9 +195,7 @@ void RivuletProcess::build_app_state(AppState& app,
                   : placement_chain(graph, *bus_, all_,
                                     config_.placement_policy, load);
 
-  app.log = std::make_unique<EventLog>(graph.id, &store_,
-                                       config_.event_log_cap);
-  app.log->recover();
+  app.log = &logs_.try_emplace(graph.id, config_.event_log_cap).first->second;
   app.last_successor.reset();
   app.commands_seen.clear();
   app.pending_commands.clear();
@@ -271,7 +270,7 @@ RivuletProcess::StreamState RivuletProcess::make_stream(
     };
   }
   ctx.timers = timers_.get();
-  ctx.log = app.log.get();
+  ctx.log = app.log;
 
   StreamState state;
   state.edge = edge;
@@ -873,7 +872,7 @@ const GapStream* RivuletProcess::gap_stream(AppId app,
 
 EventLog* RivuletProcess::event_log(AppId app) {
   auto it = apps_.find(app);
-  return it == apps_.end() ? nullptr : it->second.log.get();
+  return it == apps_.end() ? nullptr : it->second.log;
 }
 
 std::string RivuletProcess::metric_prefix(AppId id) const {
@@ -892,6 +891,11 @@ void RivuletProcess::clone_state(BinaryWriter& w) const {
     w.u64(seqs.size());
     for (std::uint32_t s : seqs) w.u32(s);
   }
+  w.u64(logs_.size());
+  for (const auto& [id, log] : logs_) {
+    w.app_id(id);
+    log.clone_state(w);
+  }
   if (!up_) return;  // volatile state exists only while the process is up
 
   fd_->clone_state(w);
@@ -901,7 +905,6 @@ void RivuletProcess::clone_state(BinaryWriter& w) const {
     w.app_id(id);
     w.u64(app.chain.size());
     for (ProcessId p : app.chain) w.process_id(p);
-    app.log->clone_state(w);
     w.u64(app.streams.size());
     for (const auto& [sensor, stream] : app.streams) {
       w.sensor_id(sensor);
@@ -959,6 +962,16 @@ void RivuletProcess::restore_clone(BinaryReader& r) {
     // keep restore O(n) as these per-event sets grow with the prefix.
     for (std::uint64_t j = 0; j < n_seqs; ++j) seqs.insert(seqs.end(), r.u32());
   }
+  logs_.clear();
+  const std::uint64_t n_logs = r.u64();
+  for (std::uint64_t i = 0; i < n_logs; ++i) {
+    AppId id = r.app_id();
+    RIV_ASSERT(std::any_of(deployed_.begin(), deployed_.end(),
+                           [id](const auto& g) { return g->id == id; }),
+               "clone restore: event log of an undeployed app");
+    logs_.try_emplace(logs_.end(), id, config_.event_log_cap)
+        ->second.restore_clone(r);
+  }
   if (!up_) return;
 
   build_volatile_shell();
@@ -975,7 +988,6 @@ void RivuletProcess::restore_clone(BinaryReader& r) {
       RIV_ASSERT(r.process_id() == p,
                  "clone restore: placement chain mismatch");
     }
-    app.log->restore_clone(r);
     const std::uint64_t n_streams = r.u64();
     RIV_ASSERT(n_streams == app.streams.size(),
                "clone restore: stream count mismatch");

@@ -11,9 +11,11 @@
 //     backlog a newly promoted logic node replays).
 //
 // Crash/recovery (§3.1): crash() halts everything — timers, message
-// handling, device subscription. recover() rebuilds volatile state from
-// the process's StableStore (event logs, watermarks). Deployed app graphs
-// are installed software and survive crashes.
+// handling, device subscription. The per-app event logs (events, S/V sets,
+// watermarks) are the process's durable record and survive; recover()
+// reduces them to what a crash preserves (EventLog::recover) and rebuilds
+// the volatile state around them. Deployed app graphs are installed
+// software and survive crashes too.
 #pragma once
 
 #include <functional>
@@ -72,21 +74,21 @@ class RivuletProcess {
   // fresh delivery and is out of scope for the detector, see DESIGN §12).
   bool device_seq_seen(SensorId sensor, std::uint32_t seq) const;
   std::size_t device_seqs_seen_count(SensorId sensor) const;
-  sim::StableStore& store() { return store_; }
   // Replicated application state shared by every app on this process
   // (extension; trigger handlers reach it via TriggerContext::put/get).
   store::ReplicatedStore& kv();
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
   // Serialize the complete live runtime — stable store, per-origin
-  // sequence history, membership, replicated KV, every app's
-  // log/delivery/execution/actuation state, every pending timer and
-  // in-flight protocol artifact. RIVC checkpoints store this as the
-  // process's section; restore_clone() rebuilds it directly into a
-  // freshly constructed, never-started process: the volatile shell
-  // (detector, KV, streams, logic) is re-wired exactly as build_state()
-  // would, then each component restores its own data and timers. No
-  // messages are sent and no fresh timers are scheduled.
+  // sequence history, event logs (also while down: they are durable),
+  // membership, replicated KV, every app's delivery/execution/actuation
+  // state, every pending timer and in-flight protocol artifact. RIVC
+  // checkpoints store this as the process's section; restore_clone()
+  // rebuilds it directly into a freshly constructed, never-started
+  // process (event logs first, whether or not it is up): the volatile
+  // shell (detector, KV, streams, logic) is re-wired exactly as
+  // build_state() would, then each component restores its own data and
+  // timers. No messages are sent and no fresh timers are scheduled.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
@@ -108,7 +110,7 @@ class RivuletProcess {
   struct AppState {
     std::shared_ptr<const appmodel::AppGraph> graph;
     std::vector<ProcessId> chain;
-    std::unique_ptr<EventLog> log;
+    EventLog* log{nullptr};  // owned by logs_
     std::map<SensorId, StreamState> streams;
     std::unique_ptr<appmodel::LogicInstance> logic;  // non-null iff active
     std::optional<ProcessId> last_successor;
@@ -195,8 +197,12 @@ class RivuletProcess {
   Config config_;
   metrics::Registry* metrics_;
 
-  sim::StableStore store_;  // survives crashes
+  sim::StableStore store_;  // survives crashes; ReplicatedStore's keys
   std::vector<std::shared_ptr<const appmodel::AppGraph>> deployed_;
+  // Per-app event logs (survive crashes, like store_). AppState and the
+  // stream contexts point into them: map nodes never move, and logs_ is
+  // declared before apps_ so it outlives it.
+  std::map<AppId, EventLog> logs_;
   // Integrity layer (survives crashes, like store_): per-origin device
   // sequence history for replay detection, and the verify scratch buffer.
   std::map<SensorId, std::set<std::uint32_t>> device_seqs_seen_;

@@ -1,17 +1,16 @@
 // Simulated stable storage.
 //
-// The paper's crash-recovery model assumes a recovering process can report
-// the timestamp of the last event it received (the Bayou-style successor
-// sync in §4.1). That requires state surviving a crash. StableStore models
-// a tiny persistent key-value area (flash on a hub, disk on a TV): writes
-// are atomic per key and survive crash/recover; volatile process state does
-// not.
+// StableStore models a tiny persistent key-value area (flash on a hub,
+// disk on a TV): writes are atomic per key and survive crash/recover;
+// volatile process state does not. ReplicatedStore persists its entries
+// here. The per-app event logs, which a recovering process needs for the
+// Bayou-style successor sync (§4.1), are their own durable record and do
+// not pass through this store (core/event_log.hpp).
 //
-// Writes sit on the event-log hot path (every appended event persists its
-// watermark), so the index is a hash map — O(1) amortized put/get instead
-// of a red-black-tree walk per key — and put() moves both key and value.
-// keys_with_prefix() sorts its (small, recovery-time-only) result so scan
-// order stays lexicographic and deterministic like the old ordered map.
+// The index is a hash map (O(1) amortized put/get) and put() moves both
+// key and value. keys_with_prefix() sorts its (small, recovery-time-only)
+// result so scan order stays lexicographic and deterministic like an
+// ordered map.
 #pragma once
 
 #include <algorithm>

@@ -1,6 +1,6 @@
 // Tests for the replicated event log: dedup, ordering, sync summaries and
-// the hole index behind them, watermarks, bounded retention, and crash
-// recovery from stable storage.
+// the hole index behind them, watermarks, bounded retention, and what
+// crash recovery keeps.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -22,7 +22,7 @@ devices::SensorEvent ev(std::uint16_t sensor, std::uint32_t seq,
 }
 
 TEST(EventLog, AppendAndSeen) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   EXPECT_FALSE(log.seen({SensorId{1}, 1}));
   EXPECT_TRUE(log.append(ev(1, 1, 10), {ProcessId{1}}, {ProcessId{1}}));
   EXPECT_TRUE(log.seen({SensorId{1}, 1}));
@@ -30,14 +30,14 @@ TEST(EventLog, AppendAndSeen) {
 }
 
 TEST(EventLog, DuplicateAppendRejected) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   EXPECT_TRUE(log.append(ev(1, 1, 10), {}, {}));
   EXPECT_FALSE(log.append(ev(1, 1, 10), {}, {}));
   EXPECT_EQ(log.size(SensorId{1}), 1u);
 }
 
 TEST(EventLog, StreamsAreIndependent) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   log.append(ev(1, 1, 10), {}, {});
   log.append(ev(2, 1, 20), {}, {});
   EXPECT_EQ(log.size(SensorId{1}), 1u);
@@ -46,7 +46,7 @@ TEST(EventLog, StreamsAreIndependent) {
 }
 
 TEST(EventLog, SummaryEndTracksHighestSeq) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   EXPECT_EQ(log.summary(SensorId{1}).end, 1u);
   log.append(ev(1, 1, 100), {}, {});
   log.append(ev(1, 3, 300), {}, {});
@@ -55,7 +55,7 @@ TEST(EventLog, SummaryEndTracksHighestSeq) {
 }
 
 TEST(EventLog, EventsAfterReturnsOrderedSuffix) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   for (std::uint32_t i = 1; i <= 5; ++i)
     log.append(ev(1, i, 100 * i), {}, {});
   auto suffix = log.events_after(SensorId{1}, TimePoint{200});
@@ -65,7 +65,7 @@ TEST(EventLog, EventsAfterReturnsOrderedSuffix) {
 }
 
 TEST(EventLog, MergeSetsUnions) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   log.append(ev(1, 1, 10), {ProcessId{1}}, {ProcessId{1}, ProcessId{2}});
   log.merge_sets({SensorId{1}, 1}, {ProcessId{3}}, {ProcessId{4}});
   const StoredEvent* se = log.find({SensorId{1}, 1});
@@ -75,7 +75,7 @@ TEST(EventLog, MergeSetsUnions) {
 }
 
 TEST(EventLog, ProcessedWatermarkMonotonic) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   log.advance_processed_watermark(SensorId{1}, TimePoint{100});
   log.advance_processed_watermark(SensorId{1}, TimePoint{50});  // ignored
   EXPECT_EQ(log.processed_watermark(SensorId{1}), TimePoint{100});
@@ -84,24 +84,21 @@ TEST(EventLog, ProcessedWatermarkMonotonic) {
 }
 
 TEST(EventLog, CapEvictsOldestEntries) {
-  EventLog log(AppId{1}, nullptr, 3);
+  EventLog log(3);
   for (std::uint32_t i = 1; i <= 10; ++i) log.append(ev(1, i, i), {}, {});
   EXPECT_EQ(log.size(SensorId{1}), 3u);
   EXPECT_FALSE(log.seen({SensorId{1}, 1}));
   EXPECT_TRUE(log.seen({SensorId{1}, 10}));
 }
 
-TEST(EventLog, RecoversFromStableStore) {
-  sim::StableStore store;
-  {
-    EventLog log(AppId{1}, &store, 100);
-    log.append(ev(1, 1, 100), {ProcessId{1}}, {ProcessId{1}, ProcessId{2}});
-    log.append(ev(1, 2, 200), {ProcessId{1}}, {ProcessId{1}});
-    log.append(ev(2, 7, 300), {}, {});
-    log.advance_processed_watermark(SensorId{1}, TimePoint{150});
-  }  // crash: the in-memory log dies
-  EventLog recovered(AppId{1}, &store, 100);
-  recovered.recover();
+TEST(EventLog, RecoveryKeepsEventsSetsAndWatermarks) {
+  EventLog recovered(100);
+  recovered.append(ev(1, 1, 100), {ProcessId{1}},
+                   {ProcessId{1}, ProcessId{2}});
+  recovered.append(ev(1, 2, 200), {ProcessId{1}}, {ProcessId{1}});
+  recovered.append(ev(2, 7, 300), {}, {});
+  recovered.advance_processed_watermark(SensorId{1}, TimePoint{150});
+  recovered.recover();  // the process crashed and came back
   EXPECT_TRUE(recovered.seen({SensorId{1}, 1}));
   EXPECT_TRUE(recovered.seen({SensorId{1}, 2}));
   EXPECT_TRUE(recovered.seen({SensorId{2}, 7}));
@@ -113,29 +110,71 @@ TEST(EventLog, RecoversFromStableStore) {
   EXPECT_EQ(se->need.size(), 2u);
 }
 
-TEST(EventLog, RecoveryIsScopedPerApp) {
-  sim::StableStore store;
-  {
-    EventLog a(AppId{1}, &store, 100);
-    a.append(ev(1, 1, 100), {}, {});
-    EventLog b(AppId{2}, &store, 100);
-    b.append(ev(1, 9, 100), {}, {});
-  }
-  EventLog recovered(AppId{1}, &store, 100);
-  recovered.recover();
-  EXPECT_TRUE(recovered.seen({SensorId{1}, 1}));
-  EXPECT_FALSE(recovered.seen({SensorId{1}, 9}));
-}
-
-TEST(EventLog, EvictionAlsoClearsStableStore) {
-  sim::StableStore store;
-  EventLog log(AppId{1}, &store, 2);
-  for (std::uint32_t i = 1; i <= 5; ++i) log.append(ev(1, i, i), {}, {});
-  EventLog recovered(AppId{1}, &store, 2);
+TEST(EventLog, EvictedEntriesStayGoneAfterRecovery) {
+  EventLog recovered(2);
+  for (std::uint32_t i = 1; i <= 5; ++i)
+    recovered.append(ev(1, i, i), {}, {});
   recovered.recover();
   EXPECT_EQ(recovered.size(SensorId{1}), 2u);
   EXPECT_TRUE(recovered.seen({SensorId{1}, 5}));
   EXPECT_FALSE(recovered.seen({SensorId{1}, 1}));
+}
+
+// A crash keeps of each event only its wire form (devices::encode): narrow
+// payloads come back quantized to milli-units and the in-memory integrity
+// fields are gone. Everything else the log holds is unchanged.
+TEST(EventLog, RecoverKeepsOnlyTheWireForm) {
+  EventLog log(3);
+  log.append(ev(1, 1, 100), {}, {});
+  log.append(ev(1, 2, 200), {}, {});
+  devices::SensorEvent narrow = ev(1, 3, 300);
+  narrow.value = 21.23456;
+  narrow.epoch = 9;
+  narrow.poll_based = true;
+  narrow.chain = 0x1234;
+  narrow.mac = 0x5678;
+  log.append(narrow, {ProcessId{1}}, {ProcessId{1}, ProcessId{2}});
+  log.merge_sets(narrow.id, {ProcessId{3}}, {});
+  devices::SensorEvent wide = ev(1, 5, 500);
+  wide.payload_size = 16;
+  wide.value = 21.23456;
+  wide.chain = 0x9abc;
+  wide.mac = 0xdef0;
+  log.append(wide, {ProcessId{2}}, {ProcessId{2}});
+  log.append(ev(1, 6, 600), {}, {});  // over the cap: floor 3, hole {4}
+  log.advance_processed_watermark(SensorId{1}, TimePoint{250});
+
+  const PidSet narrow_seen = log.find(narrow.id)->seen;
+  const PidSet narrow_need = log.find(narrow.id)->need;
+  const wire::SyncSummary before = log.summary(SensorId{1});
+  log.recover();
+
+  const StoredEvent* n = log.find(narrow.id);
+  ASSERT_NE(n, nullptr);
+  EXPECT_DOUBLE_EQ(n->event.value, 21.235);
+  EXPECT_EQ(n->event.chain, 0u);
+  EXPECT_EQ(n->event.mac, 0u);
+  EXPECT_EQ(n->event.epoch, 9u);
+  EXPECT_TRUE(n->event.poll_based);
+  EXPECT_EQ(n->event.emitted_at, TimePoint{300});
+  EXPECT_EQ(n->event.payload_size, 4u);
+  EXPECT_EQ(n->seen, narrow_seen);
+  EXPECT_EQ(n->need, narrow_need);
+  const StoredEvent* w = log.find(wide.id);
+  ASSERT_NE(w, nullptr);
+  EXPECT_EQ(w->event.value, 21.23456);
+  EXPECT_EQ(w->event.payload_size, 16u);
+  EXPECT_EQ(w->event.chain, 0u);
+  EXPECT_EQ(w->event.mac, 0u);
+  EXPECT_EQ(w->seen, PidSet{ProcessId{2}});
+
+  EXPECT_FALSE(log.seen({SensorId{1}, 2}));  // the floor held
+  EXPECT_EQ(log.size(SensorId{1}), 3u);
+  const wire::SyncSummary after = log.summary(SensorId{1});
+  EXPECT_EQ(after.prefix, before.prefix);
+  EXPECT_EQ(after.end, before.end);
+  EXPECT_EQ(after.missing, before.missing);
+  EXPECT_EQ(log.processed_watermark(SensorId{1}), TimePoint{250});
 }
 
 }  // namespace
@@ -169,13 +208,13 @@ void expect_same_index(const EventLog& a, const EventLog& b) {
 }
 
 TEST(EventLogPrefix, EqualsHighWaterWhenContiguous) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   for (std::uint32_t i = 1; i <= 5; ++i) log.append(ev(1, i, 100 * i), {}, {});
   expect_summary(log, 6, 6, {});
 }
 
 TEST(EventLogPrefix, StopsAtFirstHole) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   log.append(ev(1, 1, 100), {}, {});
   log.append(ev(1, 2, 200), {}, {});
   log.append(ev(1, 4, 400), {}, {});  // seq 3 missing
@@ -187,14 +226,14 @@ TEST(EventLogPrefix, StopsAtFirstHole) {
 TEST(EventLogPrefix, MissingHeadReportsZero) {
   // A process that missed the stream's start holds an empty prefix and
   // reports the head as a hole, so it is re-sent like any other.
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   log.append(ev(1, 10, 1000), {}, {});
   log.append(ev(1, 11, 1100), {}, {});
   expect_summary(log, 1, 12, {{1, 10}});
 }
 
 TEST(EventLogPrefix, EvictionRaisesTheFloor) {
-  EventLog log(AppId{1}, nullptr, 3);
+  EventLog log(3);
   for (std::uint32_t i = 1; i <= 6; ++i) log.append(ev(1, i, 100 * i), {}, {});
   // Seqs 1-3 evicted by the cap: the retained floor moved to 4, so the
   // remaining 4..6 run is a valid prefix again.
@@ -202,19 +241,15 @@ TEST(EventLogPrefix, EvictionRaisesTheFloor) {
 }
 
 TEST(EventLogPrefix, FloorSurvivesRecovery) {
-  sim::StableStore store;
-  {
-    EventLog log(AppId{1}, &store, 3);
-    for (std::uint32_t i = 1; i <= 6; ++i)
-      log.append(ev(1, i, 100 * i), {}, {});
-  }
-  EventLog recovered(AppId{1}, &store, 3);
+  EventLog recovered(3);
+  for (std::uint32_t i = 1; i <= 6; ++i)
+    recovered.append(ev(1, i, 100 * i), {}, {});
   recovered.recover();
   expect_summary(recovered, 7, 7, {});
 }
 
 TEST(EventLogSummary, FillingHolesShrinksSplitsAndClosesRuns) {
-  EventLog log(AppId{1}, nullptr, 100);
+  EventLog log(100);
   log.append(ev(1, 1, 100), {}, {});
   log.append(ev(1, 10, 1000), {}, {});
   expect_summary(log, 2, 11, {{2, 10}});
@@ -230,23 +265,18 @@ TEST(EventLogSummary, FillingHolesShrinksSplitsAndClosesRuns) {
 TEST(EventLogSummary, CrashRecoveryHoleIsListedAndRebuilt) {
   // A process holds 1..4, is down while 5..7 are emitted, then ingests
   // 8..9 after recovery: 5..7 is a hole between its prefix and end.
-  sim::StableStore store;
-  {
-    EventLog log(AppId{1}, &store, 100);
-    for (std::uint32_t i = 1; i <= 4; ++i)
-      log.append(ev(1, i, 100 * i), {}, {});
-  }  // crash
-  EventLog log(AppId{1}, &store, 100);
-  log.recover();
+  EventLog log(100);
+  for (std::uint32_t i = 1; i <= 4; ++i) log.append(ev(1, i, 100 * i), {}, {});
+  log.recover();  // crash
   for (std::uint32_t i = 8; i <= 9; ++i) log.append(ev(1, i, 100 * i), {}, {});
   expect_summary(log, 5, 10, {{5, 8}});
-  EventLog again(AppId{1}, &store, 100);
-  again.recover();
+  EventLog again = log;
+  again.recover();  // a second crash rebuilds the index from the events
   expect_same_index(log, again);
 }
 
 TEST(EventLogSummary, EvictionPastFirstRetainedDropsHolesBelowTheFloor) {
-  EventLog log(AppId{1}, nullptr, 4);
+  EventLog log(4);
   for (std::uint32_t s : {1u, 3u, 5u, 7u}) log.append(ev(1, s, s), {}, {});
   expect_summary(log, 2, 8, {{2, 3}, {4, 5}, {6, 7}});
   // Over the cap: seq 1 goes, the floor moves to 2 (still a hole).
@@ -258,7 +288,7 @@ TEST(EventLogSummary, EvictionPastFirstRetainedDropsHolesBelowTheFloor) {
 }
 
 TEST(EventLogSummary, StrayBelowTheFloorLeavesTheSummaryAlone) {
-  EventLog log(AppId{1}, nullptr, 2);
+  EventLog log(2);
   for (std::uint32_t i = 1; i <= 4; ++i) log.append(ev(1, i, i), {}, {});
   expect_summary(log, 5, 5, {});
   log.append(ev(1, 6, 6), {}, {});  // evicts 3: floor 4, hole {5}
@@ -271,11 +301,11 @@ TEST(EventLogSummary, StrayBelowTheFloorLeavesTheSummaryAlone) {
 }
 
 TEST(EventLogSummary, MissingFromSendsOnlyWhatTheSummaryLacks) {
-  EventLog ours(AppId{1}, nullptr, 100);
+  EventLog ours(100);
   for (std::uint32_t i = 1; i <= 12; ++i) {
     if (i != 4) ours.append(ev(1, i, i), {}, {});  // 4 was never heard
   }
-  EventLog theirs(AppId{1}, nullptr, 100);
+  EventLog theirs(100);
   for (std::uint32_t s : {1u, 2u, 3u, 5u, 8u, 9u})
     theirs.append(ev(1, s, s), {}, {});
   // theirs lacks 4 (nobody has it), 6..7 and everything from 10 on.
@@ -292,23 +322,23 @@ TEST(EventLogSummary, MissingFromSendsOnlyWhatTheSummaryLacks) {
 }
 
 TEST(EventLogSummary, UnknownSensorAsksForEverything) {
-  EventLog ours(AppId{1}, nullptr, 100);
+  EventLog ours(100);
   for (std::uint32_t i = 1; i <= 3; ++i) ours.append(ev(1, i, i), {}, {});
-  EventLog empty(AppId{1}, nullptr, 100);
+  EventLog empty(100);
   expect_summary(empty, 1, 1, {});
   EXPECT_EQ(seqs(ours.missing_from(empty.summary(SensorId{1}))),
             (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
 TEST(EventLogSummary, RestoreCloneRebuildsTheSameIndex) {
-  EventLog log(AppId{1}, nullptr, 5);
+  EventLog log(5);
   for (std::uint32_t s : {2u, 3u, 6u, 9u, 10u, 14u, 15u})
     log.append(ev(1, s, s), {}, {});
   BinaryWriter w;
   log.clone_state(w);
   std::vector<std::byte> image = w.take();
   BinaryReader r(image);
-  EventLog restored(AppId{1}, nullptr, 5);
+  EventLog restored(5);
   restored.restore_clone(r);
   ASSERT_TRUE(r.ok());
   expect_same_index(log, restored);
@@ -325,13 +355,12 @@ TEST(EventLogSummary, RestoreCloneRebuildsTheSameIndex) {
 // exactly the sequences the summary lacks.
 TEST(EventLogSummary, IncrementalIndexMatchesContentsAndRebuilds) {
   constexpr std::uint32_t kMaxSeq = 60;
-  EventLog full(AppId{1}, nullptr, 1000);
+  EventLog full(1000);
   for (std::uint32_t s = 1; s <= kMaxSeq; ++s) full.append(ev(1, s, s), {}, {});
   Rng rng(7);
   for (int round = 0; round < 40; ++round) {
     const std::size_t cap = 2 + rng.uniform_int(12);
-    sim::StableStore store;
-    EventLog log(AppId{1}, &store, cap);
+    EventLog log(cap);
     for (int step = 0; step < 150; ++step) {
       const auto seq = static_cast<std::uint32_t>(1 + rng.uniform_int(kMaxSeq));
       log.append(ev(1, seq, seq), {}, {});
@@ -368,12 +397,12 @@ TEST(EventLogSummary, IncrementalIndexMatchesContentsAndRebuilds) {
       log.clone_state(w);
       std::vector<std::byte> image = w.take();
       BinaryReader r(image);
-      EventLog restored(AppId{1}, nullptr, cap);
+      EventLog restored(cap);
       restored.restore_clone(r);
       expect_same_index(log, restored);
       if (HasFailure()) return;
     }
-    EventLog recovered(AppId{1}, &store, cap);
+    EventLog recovered = log;
     recovered.recover();
     expect_same_index(log, recovered);
   }

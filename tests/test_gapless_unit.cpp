@@ -17,7 +17,7 @@ struct Sent {
 
 struct Harness {
   explicit Harness(std::uint16_t self_id, std::vector<std::uint16_t> view_ids)
-      : sim(1), timers(sim), log(AppId{1}, nullptr, 1000) {
+      : sim(1), timers(sim), log(1000) {
     for (std::uint16_t v : view_ids) view.insert(ProcessId{v});
 
     StreamContext ctx;
@@ -235,7 +235,7 @@ TEST(GaplessUnit, SyncAfterPermanentHoleResendsOnlyWhatSuccessorLacks) {
   }
   h.sent.clear();
   // The successor holds 1..3 and 5..8 (4 is a hole for everyone).
-  EventLog succ(AppId{1}, nullptr, 1000);
+  EventLog succ(1000);
   for (std::uint32_t i : {1u, 2u, 3u, 5u, 6u, 7u, 8u})
     succ.append(h.log.find({SensorId{1}, i})->event, {}, {});
   h.stream->sync_successor(ProcessId{3}, succ.summary(SensorId{1}));
@@ -252,7 +252,7 @@ TEST(GaplessUnit, SyncAfterPermanentHoleResendsOnlyWhatSuccessorLacks) {
   EXPECT_TRUE(h.sent.empty());
 
   // A hole only the successor has (it crashed through 6..7) is filled.
-  EventLog crashed(AppId{1}, nullptr, 1000);
+  EventLog crashed(1000);
   for (std::uint32_t i : {1u, 2u, 3u, 5u, 8u, 9u, 10u})
     crashed.append(h.log.find({SensorId{1}, i})->event, {}, {});
   h.stream->sync_successor(ProcessId{3}, crashed.summary(SensorId{1}));
@@ -269,7 +269,7 @@ TEST(GaplessUnit, SyncFillsMissedHeadButNothingBelowTheSuccessorsFloor) {
     return h.log.find({SensorId{1}, i})->event;
   };
   // A successor that missed the stream's head gets exactly the head.
-  EventLog late(AppId{1}, nullptr, 1000);
+  EventLog late(1000);
   for (std::uint32_t i = 6; i <= 8; ++i) late.append(event(i), {}, {});
   h.sent.clear();
   h.stream->sync_successor(ProcessId{3}, late.summary(SensorId{1}));
@@ -277,7 +277,7 @@ TEST(GaplessUnit, SyncFillsMissedHeadButNothingBelowTheSuccessorsFloor) {
 
   // A successor whose cap evicted past seq 5 is not handed back what it
   // evicted; only the hole above its floor is filled.
-  EventLog capped(AppId{1}, nullptr, 3);
+  EventLog capped(3);
   for (std::uint32_t i : {1u, 2u, 3u, 4u, 5u, 6u, 8u})
     capped.append(event(i), {}, {});  // holds 5, 6, 8; floor 5
   h.sent.clear();

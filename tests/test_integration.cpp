@@ -111,7 +111,7 @@ TEST(Integration, SurveillanceStreamsLargeCameraFrames) {
             emitted * 18 * 1024 * 2);
 }
 
-TEST(Integration, CrashRecoveryRestoresEventLogFromStableStore) {
+TEST(Integration, CrashRecoveryKeepsTheEventLog) {
   HomeDeployment::Options opt;
   opt.seed = 54;
   opt.n_processes = 3;
@@ -132,8 +132,58 @@ TEST(Integration, CrashRecoveryRestoresEventLogFromStableStore) {
   home.process(2).recover();
   home.run_for(seconds(1));
   core::EventLog* log_after = home.process(2).event_log(AppId{1});
-  // The recovered incarnation reloaded everything it had persisted.
+  // The recovered incarnation kept everything its log held.
   EXPECT_GE(log_after->size(SensorId{1}), events_before);
+}
+
+// A process's event logs are its durable record, one per deployed app:
+// hidden while it is down, and after recovery each app finds exactly the
+// events it held before the crash, none of the other app's.
+TEST(Integration, DownProcessHidesItsLogsAndRecoversEachAppsOwn) {
+  HomeDeployment::Options opt;
+  opt.seed = 58;
+  opt.n_processes = 3;
+  HomeDeployment home(opt);
+  home.add_sensor(sensor_of(1, devices::SensorKind::kDoor, 10.0),
+                  {home.pid(1)});
+  home.add_sensor(sensor_of(2, devices::SensorKind::kDoor, 5.0),
+                  {home.pid(1)});
+  home.add_actuator(actuator_of(1), {home.pid(0)});
+  home.add_actuator(actuator_of(2), {home.pid(0)});
+  home.deploy(workload::apps::turn_light_on_off(AppId{1}, SensorId{1},
+                                                ActuatorId{1}));
+  home.deploy(workload::apps::turn_light_on_off(AppId{2}, SensorId{2},
+                                                ActuatorId{2}));
+  home.start();
+  home.run_for(seconds(10));
+
+  core::RivuletProcess& p = home.process(2);
+  auto held = [&p](AppId app) {
+    std::vector<EventId> out;
+    for (SensorId s : p.event_log(app)->sensors()) {
+      for (const core::StoredEvent* se :
+           p.event_log(app)->events_after(s, TimePoint{-1}))
+        out.push_back(se->event.id);
+    }
+    return out;
+  };
+  const std::vector<EventId> app1 = held(AppId{1});
+  const std::vector<EventId> app2 = held(AppId{2});
+  EXPECT_GT(app1.size(), 50u);
+  EXPECT_GT(app2.size(), 25u);
+  EXPECT_EQ(p.event_log(AppId{1})->sensors(),
+            std::vector<SensorId>{SensorId{1}});
+  EXPECT_EQ(p.event_log(AppId{2})->sensors(),
+            std::vector<SensorId>{SensorId{2}});
+
+  p.crash();
+  home.run_for(seconds(5));
+  EXPECT_EQ(p.event_log(AppId{1}), nullptr);
+  EXPECT_EQ(p.event_log(AppId{2}), nullptr);
+  p.recover();
+  // Checked before any frame or device event reaches the new incarnation.
+  EXPECT_EQ(held(AppId{1}), app1);
+  EXPECT_EQ(held(AppId{2}), app2);
 }
 
 TEST(Integration, RecoveredProcessCatchesUpViaSuccessorSync) {

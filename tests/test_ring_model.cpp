@@ -108,7 +108,7 @@ Node::Node(Network& net, std::uint16_t id, int n)
     : sim(&net.sim),
       timers(net.sim),
       self{id},
-      log(AppId{1}, nullptr, 100000) {
+      log(100000) {
   for (std::uint16_t i = 1; i <= n; ++i) view.insert(ProcessId{i});
   StreamContext ctx;
   ctx.self = self;

@@ -131,14 +131,14 @@ TEST(StableStore, PutGetErase) {
 
 TEST(StableStore, PrefixScanIsSortedAndScoped) {
   StableStore store;
-  store.put("app1/ev/3", {});
-  store.put("app1/ev/1", {});
-  store.put("app1/hw/1", {});
-  store.put("app2/ev/1", {});
-  auto keys = store.keys_with_prefix("app1/ev/");
+  store.put("kv/b/3", {});
+  store.put("kv/b/1", {});
+  store.put("kv/c/1", {});
+  store.put("kx/b/1", {});
+  auto keys = store.keys_with_prefix("kv/b/");
   ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys[0], "app1/ev/1");
-  EXPECT_EQ(keys[1], "app1/ev/3");
+  EXPECT_EQ(keys[0], "kv/b/1");
+  EXPECT_EQ(keys[1], "kv/b/3");
 }
 
 TEST(StableStore, OverwriteReplacesValue) {
