@@ -2,8 +2,10 @@
 //
 // This is the repo's perf-trajectory artifact: it measures the substrate
 // every other bench and the chaos corpus run on, and writes the numbers
-// as JSON so CI can fail on regressions (--check BASELINE.json, >30%
-// drop on any events/sec metric fails).
+// as JSON so CI can fail on regressions (--check BASELINE.json: a >30%
+// drop on any events/sec metric fails, and so does chaos_flight making
+// >10% more allocations per event — a count that repeats exactly, so its
+// gate is tight).
 //
 // Scenarios:
 //   timer_churn  — raw kernel: periodic timers + cancel/reschedule churn,
@@ -30,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <new>
@@ -491,17 +492,18 @@ void append_json(std::string& out, const char* name, const Result& r,
   out += last ? "}\n" : "},\n";
 }
 
-// Pull "scenario" -> events_per_sec out of a previously written
-// BENCH_kernel.json. Minimal parser for exactly the format append_json
-// writes; returns -1 when the scenario is absent.
-double baseline_events_per_sec(const std::string& json,
-                               const std::string& scenario) {
-  std::string needle = "\"" + scenario + "\"";
-  auto at = json.find(needle);
+// Pull "scenario" -> `key` out of a previously written BENCH_kernel.json.
+// Minimal parser for exactly the format append_json writes (one object per
+// scenario, no nesting); returns -1 when the scenario or key is absent.
+double baseline_value(const std::string& json, const std::string& scenario,
+                      const std::string& key) {
+  auto at = json.find("\"" + scenario + "\"");
   if (at == std::string::npos) return -1;
-  auto key = json.find("\"events_per_sec\":", at);
-  if (key == std::string::npos) return -1;
-  return std::atof(json.c_str() + key + std::strlen("\"events_per_sec\":"));
+  const auto close = json.find('}', at);
+  const std::string needle = "\"" + key + "\":";
+  auto found = json.find(needle, at);
+  if (found == std::string::npos || found > close) return -1;
+  return std::atof(json.c_str() + found + needle.size());
 }
 
 std::string read_file(const std::string& path) {
@@ -622,7 +624,7 @@ int main(int argc, char** argv) {
         {"steady_home", steady_home.events_per_sec},
     };
     for (const auto& c : checks) {
-      double base = baseline_events_per_sec(baseline, c.name);
+      double base = baseline_value(baseline, c.name, "events_per_sec");
       if (base <= 0) {
         std::fprintf(stderr, "baseline missing scenario %s\n", c.name);
         ++failures;
@@ -632,6 +634,21 @@ int main(int argc, char** argv) {
       bool ok = ratio >= 0.7;  // fail on >30% regression
       std::printf("check %-14s %12.0f vs baseline %12.0f  (%.2fx)  %s\n",
                   c.name, c.current, base, ratio, ok ? "ok" : "REGRESSION");
+      if (!ok) ++failures;
+    }
+    // Allocations per event do not depend on the host: fail on >10% more.
+    double base_allocs =
+        baseline_value(baseline, "chaos_flight", "allocs_per_event");
+    if (base_allocs <= 0) {
+      std::fprintf(stderr, "baseline missing chaos_flight allocs_per_event\n");
+      ++failures;
+    } else {
+      double ratio = chaos_flight.allocs_per_event / base_allocs;
+      bool ok = ratio <= 1.10;
+      std::printf(
+          "check %-14s %12.3f vs baseline %12.3f  (%.2fx)  %s  allocs/event\n",
+          "chaos_flight", chaos_flight.allocs_per_event, base_allocs, ratio,
+          ok ? "ok" : "REGRESSION");
       if (!ok) ++failures;
     }
   }

@@ -59,10 +59,9 @@ void LogicInstance::periodic_fire(OpState& op, Stream& stream) {
 void LogicInstance::on_sensor_event(const devices::SensorEvent& e) {
   ++events_consumed_;
   last_cause_ = provenance_of(e.id);
-  const std::string key = sensor_key(e.id.sensor);
   for (auto& [name, op] : ops_) {
     for (Stream& stream : op.streams) {
-      if (stream.key == key) feed(op, stream, e);
+      if (stream.sensor == e.id.sensor) feed(op, stream, e);
     }
   }
 }
@@ -89,13 +88,22 @@ void LogicInstance::take_pending(OpState& op, Stream& stream) {
 }
 
 void LogicInstance::evaluate(OpState& op) {
+  // The pending windows move into `ready` and, if the combiner blocks,
+  // back out again in the same stream order: a blocked evaluation (most
+  // of them, under an AllCombiner) copies no events.
   std::vector<StreamWindow> ready;
   for (Stream& stream : op.streams) {
-    if (stream.pending) ready.push_back(*stream.pending);
+    if (!stream.pending) continue;
+    if (ready.empty()) ready.reserve(op.streams.size());
+    ready.push_back(std::move(*stream.pending));
   }
   if (ready.empty()) return;
   if (!op.combiner->should_deliver(ready, op.streams.size())) {
     ++combiner_blocked_;
+    auto back = ready.begin();
+    for (Stream& stream : op.streams) {
+      if (stream.pending) *stream.pending = std::move(*back++);
+    }
     return;
   }
   for (Stream& stream : op.streams) stream.pending.reset();

@@ -79,7 +79,7 @@ class LogicInstance {
  private:
   struct Stream {
     std::string key;  // "s:<sensor>" or "o:<operator>"
-    std::optional<SensorId> sensor;
+    std::optional<SensorId> sensor;  // sensor streams match events on this
     Window window;
     std::optional<StreamWindow> pending;
     sim::TimerId periodic_timer{0};

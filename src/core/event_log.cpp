@@ -2,28 +2,36 @@
 
 #include <algorithm>
 
+#include "common/assert.hpp"
 #include "common/codec.hpp"
 
 namespace riv::core {
-namespace {
-
-void write_pid_set(BinaryWriter& w, const PidSet& s) {
-  w.u8(static_cast<std::uint8_t>(s.size()));
-  for (ProcessId p : s) w.process_id(p);
-}
-
-PidSet read_pid_set(BinaryReader& r) {
-  PidSet out;
-  std::uint8_t n = r.u8();
-  out.reserve(n);
-  // Encoded sets are already ascending, so each insert is an append.
-  for (std::uint8_t i = 0; i < n; ++i) out.insert(r.process_id());
-  return out;
-}
-
-}  // namespace
 
 EventLog::EventLog(std::size_t cap) : cap_(cap) {}
+
+std::size_t EventLog::Stream::lower_bound(std::uint32_t seq) const {
+  if (head == events.size()) return head;
+  const std::uint32_t first = events[head].event.id.seq;
+  if (seq <= first) return head;
+  // Sequences are distinct and ascending, so seq sits at most seq - first
+  // slots past the head: exactly there when the run is dense.
+  const std::size_t guess = head + (seq - first);
+  if (guess < events.size() && events[guess].event.id.seq == seq) return guess;
+  auto it = std::lower_bound(
+      events.begin() + static_cast<std::ptrdiff_t>(head),
+      events.begin() +
+          static_cast<std::ptrdiff_t>(std::min(guess, events.size())),
+      seq, [](const StoredEvent& se, std::uint32_t s) {
+        return se.event.id.seq < s;
+      });
+  return static_cast<std::size_t>(it - events.begin());
+}
+
+std::size_t EventLog::Stream::index_of(std::uint32_t seq) const {
+  const std::size_t i = lower_bound(seq);
+  return i < events.size() && events[i].event.id.seq == seq ? i
+                                                           : events.size();
+}
 
 bool EventLog::seen(EventId id) const {
   auto sit = streams_.find(id.sensor);
@@ -31,15 +39,16 @@ bool EventLog::seen(EventId id) const {
   const Stream& stream = sit->second;
   // Everything inside the contiguous prefix is present by construction;
   // dedup checks (every ring/RB/device delivery) usually land here and
-  // skip the tree walk entirely.
+  // skip the search entirely.
   if (id.seq >= stream.first_retained && id.seq < stream.prefix_next)
     return true;
-  return stream.events.count(id.seq) != 0;
+  return stream.index_of(id.seq) != stream.events.size();
 }
 
 std::uint32_t EventLog::end_of(const Stream& stream) {
-  if (stream.events.empty()) return stream.first_retained;
-  return std::max(stream.first_retained, stream.events.rbegin()->first + 1);
+  if (stream.size() == 0) return stream.first_retained;
+  return std::max(stream.first_retained,
+                  stream.events.back().event.id.seq + 1);
 }
 
 void EventLog::set_prefix(Stream& stream) {
@@ -50,22 +59,29 @@ void EventLog::set_prefix(Stream& stream) {
 void EventLog::rebuild_index(Stream& stream) {
   stream.holes.clear();
   std::uint32_t next = stream.first_retained;
-  for (auto it = stream.events.lower_bound(next); it != stream.events.end();
-       ++it) {
-    if (it->first != next)
-      stream.holes.emplace_hint(stream.holes.end(), next, it->first);
-    next = it->first + 1;
+  for (std::size_t i = stream.lower_bound(next); i < stream.events.size();
+       ++i) {
+    const std::uint32_t seq = stream.events[i].event.id.seq;
+    if (seq != next) stream.holes.emplace_hint(stream.holes.end(), next, seq);
+    next = seq + 1;
   }
   set_prefix(stream);
 }
 
 bool EventLog::append(const devices::SensorEvent& e, PidSet s, PidSet v) {
   Stream& stream = streams_[e.id.sensor];
+  std::vector<StoredEvent>& events = stream.events;
   const std::uint32_t seq = e.id.seq;
   const std::uint32_t end = end_of(stream);
-  auto [it, inserted] =
-      stream.events.emplace(seq, StoredEvent{e, std::move(s), std::move(v)});
-  if (!inserted) return false;
+  std::size_t at = events.size();  // where the new entry lands
+  if (stream.size() == 0 || events.back().event.id.seq < seq) {
+    events.push_back(StoredEvent{e, std::move(s), std::move(v)});
+  } else {
+    at = stream.lower_bound(seq);
+    if (events[at].event.id.seq == seq) return false;
+    events.insert(events.begin() + static_cast<std::ptrdiff_t>(at),
+                  StoredEvent{e, std::move(s), std::move(v)});
+  }
   if (seq > end) {
     // Everything skipped over past the old end is a new hole.
     stream.holes.emplace_hint(stream.holes.end(), end, seq);
@@ -90,12 +106,10 @@ bool EventLog::append(const devices::SensorEvent& e, PidSet s, PidSet v) {
   if (stream.monotone) {
     // Out-of-order timestamps (only possible with fabricated events) void
     // the fast-path ordering assumption for this stream.
-    if (it != stream.events.begin() &&
-        std::prev(it)->second.event.emitted_at > e.emitted_at)
+    if (at > stream.head && events[at - 1].event.emitted_at > e.emitted_at)
       stream.monotone = false;
-    auto nx = std::next(it);
-    if (nx != stream.events.end() &&
-        e.emitted_at > nx->second.event.emitted_at)
+    if (at + 1 < events.size() &&
+        e.emitted_at > events[at + 1].event.emitted_at)
       stream.monotone = false;
   }
   evict(stream);
@@ -105,9 +119,10 @@ bool EventLog::append(const devices::SensorEvent& e, PidSet s, PidSet v) {
 void EventLog::merge_sets(EventId id, const PidSet& s, const PidSet& v) {
   auto sit = streams_.find(id.sensor);
   if (sit == streams_.end()) return;
-  auto it = sit->second.events.find(id.seq);
-  if (it == sit->second.events.end()) return;
-  StoredEvent& se = it->second;
+  Stream& stream = sit->second;
+  const std::size_t i = stream.index_of(id.seq);
+  if (i == stream.events.size()) return;
+  StoredEvent& se = stream.events[i];
   se.seen.insert(s.begin(), s.end());
   se.need.insert(v.begin(), v.end());
 }
@@ -115,8 +130,9 @@ void EventLog::merge_sets(EventId id, const PidSet& s, const PidSet& v) {
 const StoredEvent* EventLog::find(EventId id) const {
   auto sit = streams_.find(id.sensor);
   if (sit == streams_.end()) return nullptr;
-  auto it = sit->second.events.find(id.seq);
-  return it == sit->second.events.end() ? nullptr : &it->second;
+  const Stream& stream = sit->second;
+  const std::size_t i = stream.index_of(id.seq);
+  return i == stream.events.size() ? nullptr : &stream.events[i];
 }
 
 wire::SyncSummary EventLog::summary(SensorId sensor) const {
@@ -138,16 +154,17 @@ std::vector<const StoredEvent*> EventLog::missing_from(
   std::vector<const StoredEvent*> out;
   auto sit = streams_.find(theirs.sensor);
   if (sit == streams_.end()) return out;
-  const std::map<std::uint32_t, StoredEvent>& events = sit->second.events;
+  const Stream& stream = sit->second;
+  const std::vector<StoredEvent>& events = stream.events;
   // Runs are ascending and end below theirs.end, so out stays in
   // sequence order.
   for (const wire::SeqRun& run : theirs.missing) {
-    for (auto it = events.lower_bound(run.lo);
-         it != events.end() && it->first < run.hi; ++it)
-      out.push_back(&it->second);
+    for (std::size_t i = stream.lower_bound(run.lo);
+         i < events.size() && events[i].event.id.seq < run.hi; ++i)
+      out.push_back(&events[i]);
   }
-  for (auto it = events.lower_bound(theirs.end); it != events.end(); ++it)
-    out.push_back(&it->second);
+  for (std::size_t i = stream.lower_bound(theirs.end); i < events.size(); ++i)
+    out.push_back(&events[i]);
   return out;
 }
 
@@ -157,19 +174,18 @@ std::vector<const StoredEvent*> EventLog::events_after(SensorId sensor,
   auto sit = streams_.find(sensor);
   if (sit == streams_.end()) return out;
   const Stream& stream = sit->second;
+  const std::vector<StoredEvent>& events = stream.events;
   if (stream.monotone) {
     // Matching events form a suffix in sequence order, which is already
     // (emitted_at, seq)-sorted: walk back to the boundary, then emit
     // forward. O(matches) instead of a full scan plus sort.
-    auto it = stream.events.end();
-    while (it != stream.events.begin() &&
-           std::prev(it)->second.event.emitted_at > after)
-      --it;
-    for (; it != stream.events.end(); ++it) out.push_back(&it->second);
+    std::size_t i = events.size();
+    while (i > stream.head && events[i - 1].event.emitted_at > after) --i;
+    for (; i < events.size(); ++i) out.push_back(&events[i]);
     return out;
   }
-  for (const auto& [seq, se] : stream.events) {
-    if (se.event.emitted_at > after) out.push_back(&se);
+  for (std::size_t i = stream.head; i < events.size(); ++i) {
+    if (events[i].event.emitted_at > after) out.push_back(&events[i]);
   }
   std::sort(out.begin(), out.end(), [](const StoredEvent* a,
                                        const StoredEvent* b) {
@@ -192,7 +208,7 @@ void EventLog::advance_processed_watermark(SensorId sensor, TimePoint t) {
 
 std::size_t EventLog::size(SensorId sensor) const {
   auto sit = streams_.find(sensor);
-  return sit == streams_.end() ? 0 : sit->second.events.size();
+  return sit == streams_.end() ? 0 : sit->second.size();
 }
 
 std::vector<SensorId> EventLog::sensors() const {
@@ -201,20 +217,23 @@ std::vector<SensorId> EventLog::sensors() const {
   for (const auto& [sensor, stream] : streams_) {
     // A retention floor without surviving events is bookkeeping only, not
     // a stream.
-    if (!stream.events.empty()) out.push_back(sensor);
+    if (stream.size() != 0) out.push_back(sensor);
   }
   return out;
 }
 
 void EventLog::evict(Stream& stream) {
-  bool evicted = false;
-  while (stream.events.size() > cap_) {
-    std::uint32_t seq = stream.events.begin()->first;
-    stream.events.erase(stream.events.begin());
+  if (stream.size() <= cap_) return;
+  while (stream.size() > cap_) {
+    const std::uint32_t seq = stream.events[stream.head++].event.id.seq;
     stream.first_retained = std::max(stream.first_retained, seq + 1);
-    evicted = true;
   }
-  if (!evicted) return;
+  if (2 * stream.head >= stream.events.size()) {
+    stream.events.erase(stream.events.begin(),
+                        stream.events.begin() +
+                            static_cast<std::ptrdiff_t>(stream.head));
+    stream.head = 0;
+  }
   // Holes below the raised floor are no longer this log's to fill. None
   // straddles it: the floor sits just above an evicted, held sequence.
   while (!stream.holes.empty() &&
@@ -228,7 +247,8 @@ void EventLog::recover() {
   for (auto& [sensor, stream] : streams_) {
     stream.monotone = true;
     TimePoint last{};
-    for (auto& [seq, se] : stream.events) {
+    for (std::size_t i = stream.head; i < stream.events.size(); ++i) {
+      StoredEvent& se = stream.events[i];
       BinaryWriter w(std::move(scratch));
       devices::encode(w, se.event);
       scratch = w.take();
@@ -248,9 +268,10 @@ void EventLog::clone_state(BinaryWriter& w) const {
     w.u32(stream.first_retained);
     w.u32(stream.prefix_next);
     w.u8(stream.monotone ? 1 : 0);
-    w.u64(stream.events.size());
-    for (const auto& [seq, se] : stream.events) {
-      w.u32(seq);
+    w.u64(stream.size());
+    for (std::size_t i = stream.head; i < stream.events.size(); ++i) {
+      const StoredEvent& se = stream.events[i];
+      w.u32(se.event.id.seq);
       w.u32(se.event.epoch);
       w.time_point(se.event.emitted_at);
       w.u8(se.event.poll_based ? 1 : 0);
@@ -258,8 +279,8 @@ void EventLog::clone_state(BinaryWriter& w) const {
       w.u32(se.event.payload_size);
       w.u64(se.event.chain);
       w.u64(se.event.mac);
-      write_pid_set(w, se.seen);
-      write_pid_set(w, se.need);
+      wire::write_pid_set(w, se.seen);
+      wire::write_pid_set(w, se.need);
     }
   }
   w.u64(processed_hw_.size());
@@ -279,8 +300,12 @@ void EventLog::restore_clone(BinaryReader& r) {
     (void)r.u32();  // prefix_next: rebuilt with the hole index below
     stream.monotone = r.u8() != 0;
     const std::uint64_t n_events = r.u64();
+    stream.events.reserve(n_events);
     for (std::uint64_t j = 0; j < n_events; ++j) {
       std::uint32_t seq = r.u32();
+      RIV_ASSERT(
+          stream.events.empty() || stream.events.back().event.id.seq < seq,
+          "clone restore: event log out of sequence order");
       StoredEvent se;
       se.event.id = EventId{sensor, seq};
       se.event.epoch = r.u32();
@@ -290,9 +315,9 @@ void EventLog::restore_clone(BinaryReader& r) {
       se.event.payload_size = r.u32();
       se.event.chain = r.u64();
       se.event.mac = r.u64();
-      se.seen = read_pid_set(r);
-      se.need = read_pid_set(r);
-      stream.events.emplace_hint(stream.events.end(), seq, std::move(se));
+      se.seen = wire::read_pid_set(r);
+      se.need = wire::read_pid_set(r);
+      stream.events.push_back(std::move(se));
     }
     rebuild_index(stream);
   }

@@ -48,6 +48,9 @@ class EventLog {
   // Merge updated S/V knowledge about an already-stored event.
   void merge_sets(EventId id, const PidSet& s, const PidSet& v);
 
+  // find, missing_from and events_after point into the log's storage: a
+  // pointer stays valid until the log is next mutated (append, merge_sets,
+  // recover, restore_clone), so consume the results before any of those.
   const StoredEvent* find(EventId id) const;
 
   // Sync summary of `sensor`'s stream: every seq in [first_retained,
@@ -98,8 +101,14 @@ class EventLog {
   // anti-entropy period on every process, so they sit on the simulation
   // hot path (DESIGN.md §9).
   struct Stream {
-    // Ordered by sequence number (== emission order per sensor).
-    std::map<std::uint32_t, StoredEvent> events;
+    // Every retained event, sorted by sequence number (== emission order
+    // per sensor). The live entries are [head, events.size()): eviction
+    // advances head and the dead prefix is compacted away once it is half
+    // the vector, so eviction is amortized O(1). An in-order append is a
+    // push_back; a hole fill or a stray inserts in place. Lookups try the
+    // slot a dense run would put the sequence in, then binary-search.
+    std::vector<StoredEvent> events;
+    std::size_t head{0};
     // Lowest sequence this log is still expected to hold (raised only by
     // capacity eviction). The prefix and holes are measured from here, so
     // a node that missed a stream's beginning reports that head as a hole
@@ -117,6 +126,12 @@ class EventLog {
     // stamps). events_after relies on this; a fabricated out-of-order
     // append flips the flag and it falls back to a full scan.
     bool monotone{true};
+
+    std::size_t size() const { return events.size() - head; }
+    // Index of the first live entry whose sequence is >= seq.
+    std::size_t lower_bound(std::uint32_t seq) const;
+    // Index of seq's entry; events.size() when it is not held.
+    std::size_t index_of(std::uint32_t seq) const;
   };
 
   void evict(Stream& stream);

@@ -1,11 +1,15 @@
 // Unit tests for the common substrate: wire codec, RNG, time arithmetic,
-// and the shared FNV-1a hash.
+// the shared FNV-1a hash, and the process-id set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
+#include <vector>
 
 #include "common/codec.hpp"
 #include "common/hash.hpp"
+#include "common/pid_set.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
@@ -216,6 +220,50 @@ TEST(Rng, ForkedStreamsAreIndependent) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += c1.next() == c2.next();
   EXPECT_LT(same, 2);
+}
+
+// Past kInline ids the set moves to the heap; it must stay a sorted,
+// duplicate-free set with value semantics on both sides of the spill.
+TEST(PidSet, SpillsPastInlineCapacityAndStaysSorted) {
+  std::vector<std::uint16_t> ids;
+  for (std::uint16_t i = 1; i <= 12; ++i) ids.push_back(i);
+  Rng rng(5);
+  for (std::size_t i = ids.size(); i > 1; --i)
+    std::swap(ids[i - 1], ids[rng.uniform_int(i)]);
+
+  PidSet set;
+  std::set<ProcessId> ordered;
+  for (std::uint16_t id : ids) {
+    EXPECT_TRUE(set.insert(ProcessId{id}));
+    EXPECT_FALSE(set.insert(ProcessId{id}));  // duplicates are rejected
+    ordered.insert(ProcessId{id});
+    EXPECT_EQ(set.size(), ordered.size());
+    EXPECT_TRUE(std::is_sorted(set.begin(), set.end()));
+    EXPECT_TRUE(std::equal(set.begin(), set.end(), ordered.begin(),
+                           ordered.end()));
+  }
+  ASSERT_GT(set.size(), PidSet::kInline);
+  EXPECT_TRUE(set.contains(ProcessId{12}));
+  EXPECT_FALSE(set.contains(ProcessId{13}));
+  EXPECT_EQ(set, PidSet(ordered));
+
+  // A copy of a spilled set owns its own ids.
+  PidSet copy = set;
+  copy.insert(ProcessId{40});
+  EXPECT_EQ(set.size(), 12u);
+  EXPECT_FALSE(set.contains(ProcessId{40}));
+  EXPECT_EQ(copy.size(), 13u);
+  EXPECT_NE(copy, set);
+  PidSet assigned{ProcessId{2}};
+  assigned = set;
+  set.insert(ProcessId{41});
+  EXPECT_EQ(assigned, PidSet(ordered));
+
+  // A spilled set can take a small set's value, and be emptied.
+  copy = PidSet{ProcessId{1}};
+  EXPECT_EQ(copy, PidSet{ProcessId{1}});
+  copy.clear();
+  EXPECT_TRUE(copy.empty());
 }
 
 }  // namespace

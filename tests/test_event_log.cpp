@@ -1,8 +1,11 @@
 // Tests for the replicated event log: dedup, ordering, sync summaries and
-// the hole index behind them, watermarks, bounded retention, and what
-// crash recovery keeps.
+// the hole index behind them, watermarks, bounded retention, what crash
+// recovery keeps, and a randomized comparison with an ordered-map model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -405,6 +408,329 @@ TEST(EventLogSummary, IncrementalIndexMatchesContentsAndRebuilds) {
     EventLog recovered = log;
     recovered.recover();
     expect_same_index(log, recovered);
+  }
+}
+
+}  // namespace
+}  // namespace riv::core
+
+// --- differential test against the ordered-map representation ------------
+
+namespace riv::core {
+namespace {
+
+// An oracle for EventLog: one std::map per stream, the layout the log used
+// before its streams became sorted vectors. It keeps no index: summary,
+// missing_from and events_after scan the map, and image() writes the
+// clone_state layout from it.
+class MapLog {
+ public:
+  explicit MapLog(std::size_t cap) : cap_(cap) {}
+
+  bool append(const devices::SensorEvent& e, PidSet s, PidSet v) {
+    Stream& st = streams_[e.id.sensor];
+    auto [it, inserted] = st.events.emplace(e.id.seq, StoredEvent{e, s, v});
+    if (!inserted) return false;
+    // The ordering flag compares the new entry with its neighbours before
+    // eviction, a stray below the floor included.
+    if (it != st.events.begin() &&
+        std::prev(it)->second.event.emitted_at > e.emitted_at)
+      st.monotone = false;
+    if (std::next(it) != st.events.end() &&
+        e.emitted_at > std::next(it)->second.event.emitted_at)
+      st.monotone = false;
+    while (st.events.size() > cap_) {
+      st.floor = std::max(st.floor, st.events.begin()->first + 1);
+      st.events.erase(st.events.begin());
+    }
+    return true;
+  }
+
+  void merge_sets(EventId id, const PidSet& s, const PidSet& v) {
+    auto sit = streams_.find(id.sensor);
+    if (sit == streams_.end()) return;
+    auto it = sit->second.events.find(id.seq);
+    if (it == sit->second.events.end()) return;
+    it->second.seen.insert(s.begin(), s.end());
+    it->second.need.insert(v.begin(), v.end());
+  }
+
+  const StoredEvent* find(EventId id) const {
+    auto sit = streams_.find(id.sensor);
+    if (sit == streams_.end()) return nullptr;
+    auto it = sit->second.events.find(id.seq);
+    return it == sit->second.events.end() ? nullptr : &it->second;
+  }
+
+  std::size_t size(SensorId sensor) const {
+    auto sit = streams_.find(sensor);
+    return sit == streams_.end() ? 0 : sit->second.events.size();
+  }
+
+  std::vector<SensorId> sensors() const {
+    std::vector<SensorId> out;
+    for (const auto& [sensor, st] : streams_)
+      if (!st.events.empty()) out.push_back(sensor);
+    return out;
+  }
+
+  wire::SyncSummary summary(SensorId sensor) const {
+    wire::SyncSummary out;
+    out.sensor = sensor;
+    auto sit = streams_.find(sensor);
+    if (sit == streams_.end()) return out;
+    const Stream& st = sit->second;
+    std::uint32_t next = st.floor;
+    for (auto it = st.events.lower_bound(st.floor); it != st.events.end();
+         ++it) {
+      if (it->first != next) out.missing.push_back({next, it->first});
+      next = it->first + 1;
+    }
+    out.end = st.events.empty()
+                  ? st.floor
+                  : std::max(st.floor, st.events.rbegin()->first + 1);
+    out.prefix = out.missing.empty() ? out.end : out.missing.front().lo;
+    return out;
+  }
+
+  std::vector<const StoredEvent*> missing_from(
+      const wire::SyncSummary& theirs) const {
+    std::vector<const StoredEvent*> out;
+    auto sit = streams_.find(theirs.sensor);
+    if (sit == streams_.end()) return out;
+    for (const auto& [seq, se] : sit->second.events) {
+      bool lacks = seq >= theirs.end;
+      for (const wire::SeqRun& run : theirs.missing)
+        lacks = lacks || (seq >= run.lo && seq < run.hi);
+      if (lacks) out.push_back(&se);
+    }
+    return out;
+  }
+
+  std::vector<const StoredEvent*> events_after(SensorId sensor,
+                                               TimePoint after) const {
+    std::vector<const StoredEvent*> out;
+    auto sit = streams_.find(sensor);
+    if (sit == streams_.end()) return out;
+    for (const auto& [seq, se] : sit->second.events)
+      if (se.event.emitted_at > after) out.push_back(&se);
+    std::stable_sort(out.begin(), out.end(),
+                     [](const StoredEvent* a, const StoredEvent* b) {
+                       return a->event.emitted_at < b->event.emitted_at;
+                     });
+    return out;
+  }
+
+  void recover() {
+    for (auto& [sensor, st] : streams_) {
+      st.monotone = true;
+      TimePoint last{};
+      for (auto& [seq, se] : st.events) {
+        BinaryWriter w;
+        devices::encode(w, se.event);
+        std::vector<std::byte> buf = w.take();
+        BinaryReader r(buf);
+        se.event = devices::decode_event(r);
+        if (se.event.emitted_at < last) st.monotone = false;
+        last = se.event.emitted_at;
+      }
+    }
+  }
+
+  std::vector<std::byte> image() const {
+    BinaryWriter w;
+    w.u64(streams_.size());
+    for (const auto& [sensor, st] : streams_) {
+      w.sensor_id(sensor);
+      w.u32(st.floor);
+      w.u32(summary(sensor).prefix);
+      w.u8(st.monotone ? 1 : 0);
+      w.u64(st.events.size());
+      for (const auto& [seq, se] : st.events) {
+        w.u32(seq);
+        w.u32(se.event.epoch);
+        w.time_point(se.event.emitted_at);
+        w.u8(se.event.poll_based ? 1 : 0);
+        w.f64(se.event.value);
+        w.u32(se.event.payload_size);
+        w.u64(se.event.chain);
+        w.u64(se.event.mac);
+        wire::write_pid_set(w, se.seen);
+        wire::write_pid_set(w, se.need);
+      }
+    }
+    w.u64(0);  // no processed watermarks here
+    return w.take();
+  }
+
+ private:
+  struct Stream {
+    std::map<std::uint32_t, StoredEvent> events;
+    std::uint32_t floor{1};
+    bool monotone{true};
+  };
+  std::size_t cap_;
+  std::map<SensorId, Stream> streams_;
+};
+
+std::vector<std::byte> clone_bytes(const StoredEvent& se) {
+  BinaryWriter w;
+  devices::encode_clone(w, se.event);
+  wire::write_pid_set(w, se.seen);
+  wire::write_pid_set(w, se.need);
+  return w.take();
+}
+
+std::vector<std::vector<std::byte>> clone_bytes(
+    const std::vector<const StoredEvent*>& evs) {
+  std::vector<std::vector<std::byte>> out;
+  for (const StoredEvent* se : evs) out.push_back(clone_bytes(*se));
+  return out;
+}
+
+std::vector<std::byte> image_of(const EventLog& log) {
+  BinaryWriter w;
+  log.clone_state(w);
+  return w.take();
+}
+
+// A random summary of some peer's log: ascending, disjoint runs below end.
+wire::SyncSummary random_summary(Rng& rng, SensorId sensor,
+                                 std::uint32_t max_seq) {
+  wire::SyncSummary s;
+  s.sensor = sensor;
+  std::uint32_t at = 1 + static_cast<std::uint32_t>(rng.uniform_int(4));
+  while (rng.uniform() < 0.6) {
+    const auto lo = at + static_cast<std::uint32_t>(rng.uniform_int(6));
+    const auto hi = lo + 1 + static_cast<std::uint32_t>(rng.uniform_int(6));
+    s.missing.push_back({lo, hi});
+    at = hi + 1;
+  }
+  s.end = at + static_cast<std::uint32_t>(rng.uniform_int(max_seq / 2));
+  s.prefix = s.missing.empty() ? s.end : s.missing.front().lo;
+  return s;
+}
+
+PidSet random_pids(Rng& rng) {
+  PidSet out;
+  const std::uint64_t n = rng.uniform_int(11);  // some spill past kInline
+  for (std::uint64_t i = 0; i < n; ++i)
+    out.insert(ProcessId{static_cast<std::uint16_t>(1 + rng.uniform_int(12))});
+  return out;
+}
+
+TEST(EventLog, MatchesOrderedMapReference) {
+  constexpr std::uint32_t kMaxSeq = 90;
+  constexpr std::uint32_t kFarSeq = 0xffffffffu - 2;  // fabricated
+  const SensorId sensors[] = {SensorId{1}, SensorId{2}};
+  Rng rng(17);
+
+  auto expect_same = [&](const EventLog& log, const MapLog& ref,
+                         const std::string& when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(image_of(log), ref.image());
+    EXPECT_EQ(log.sensors(), ref.sensors());
+    for (SensorId sensor : sensors) {
+      EXPECT_EQ(log.size(sensor), ref.size(sensor));
+      const wire::SyncSummary a = log.summary(sensor);
+      const wire::SyncSummary b = ref.summary(sensor);
+      EXPECT_EQ(a.sensor, b.sensor);
+      EXPECT_EQ(a.prefix, b.prefix);
+      EXPECT_EQ(a.end, b.end);
+      EXPECT_EQ(a.missing, b.missing);
+      std::vector<std::uint32_t> probes;
+      for (std::uint32_t q = 0; q <= kMaxSeq + 1; ++q) probes.push_back(q);
+      probes.push_back(kFarSeq - 1);
+      probes.push_back(kFarSeq);
+      probes.push_back(kFarSeq + 1);
+      for (std::uint32_t q : probes) {
+        const EventId id{sensor, q};
+        const StoredEvent* x = log.find(id);
+        const StoredEvent* y = ref.find(id);
+        ASSERT_EQ(log.seen(id), y != nullptr) << q;
+        ASSERT_EQ(x != nullptr, y != nullptr) << q;
+        if (x != nullptr) {
+          EXPECT_EQ(clone_bytes(*x), clone_bytes(*y)) << q;
+        }
+      }
+      for (const wire::SyncSummary& theirs :
+           {random_summary(rng, sensor, kMaxSeq), b, wire::SyncSummary{}}) {
+        wire::SyncSummary t = theirs;
+        t.sensor = sensor;
+        EXPECT_EQ(clone_bytes(log.missing_from(t)),
+                  clone_bytes(ref.missing_from(t)));
+      }
+      for (std::int64_t after : {std::int64_t{-1}, std::int64_t{300},
+                                 static_cast<std::int64_t>(
+                                     rng.uniform_int(10 * kMaxSeq))}) {
+        EXPECT_EQ(clone_bytes(log.events_after(sensor, TimePoint{after})),
+                  clone_bytes(ref.events_after(sensor, TimePoint{after})));
+      }
+    }
+  };
+
+  for (std::size_t cap = 1; cap <= 16; ++cap) {
+    EventLog log(cap);
+    MapLog ref(cap);
+    std::uint32_t next[2] = {1, 1};
+    bool far_done = false;
+    for (int step = 0; step < 250; ++step) {
+      const std::size_t k = rng.uniform_int(2);
+      const SensorId sensor = sensors[k];
+      const double op = rng.uniform();
+      std::string what;
+      if (op < 0.12) {
+        // S/V knowledge about a held, evicted or never-seen event.
+        const EventId id{sensor, static_cast<std::uint32_t>(
+                                     rng.uniform_int(kMaxSeq + 2))};
+        const PidSet s = random_pids(rng);
+        const PidSet v = random_pids(rng);
+        log.merge_sets(id, s, v);
+        ref.merge_sets(id, s, v);
+        what = "merge_sets " + std::to_string(id.seq);
+      } else {
+        std::uint32_t seq;
+        if (op < 0.6) {
+          seq = std::min(next[k]++, kMaxSeq);  // in order (dup at the top)
+        } else if (op < 0.97 || far_done) {
+          // Out of order, duplicated, or a stray below the floor.
+          seq = static_cast<std::uint32_t>(rng.uniform_int(kMaxSeq + 1));
+        } else {
+          seq = kFarSeq;
+          far_done = true;
+        }
+        devices::SensorEvent e = ev(sensor.value, seq, 10 * std::int64_t{seq});
+        // Now and then a fabricated, out-of-order timestamp.
+        if (rng.uniform() < 0.04)
+          e.emitted_at = TimePoint{static_cast<std::int64_t>(
+              rng.uniform_int(10 * kMaxSeq))};
+        e.chain = rng.next();
+        const PidSet s = random_pids(rng);
+        const PidSet v = random_pids(rng);
+        EXPECT_EQ(log.append(e, s, v), ref.append(e, s, v)) << seq;
+        what = "append " + std::to_string(seq);
+      }
+      expect_same(log, ref, "cap " + std::to_string(cap) + " step " +
+                                std::to_string(step) + ": " + what);
+      if (step % 25 == 24) {
+        // Carry on from a restored clone; its image must re-capture
+        // byte-identically.
+        const std::vector<std::byte> image = image_of(log);
+        BinaryReader r(image);
+        EventLog restored(cap);
+        restored.restore_clone(r);
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(image_of(restored), image);
+        log = std::move(restored);
+        expect_same(log, ref, "after restore_clone");
+      }
+      if (step % 40 == 39) {
+        log.recover();
+        ref.recover();
+        expect_same(log, ref, "after recover");
+      }
+      if (HasFailure()) return;
+    }
   }
 }
 

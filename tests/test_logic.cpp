@@ -142,6 +142,40 @@ TEST_F(LogicFixture, FTCombinerGatesMultiStreamDelivery) {
   EXPECT_EQ(stream_counts.size(), 1u);
 }
 
+// A blocked evaluation hands the pending windows back to their streams:
+// the delivering one must see every window exactly as it was fed.
+TEST_F(LogicFixture, BlockedCombinerKeepsPendingWindowsIntact) {
+  AppBuilder app(AppId{1}, "t");
+  auto op = app.add_operator("op", std::make_unique<AllCombiner>());
+  for (std::uint16_t s = 1; s <= 3; ++s)
+    op.add_sensor(SensorId{s}, Guarantee::kGap, WindowSpec::count_window(2));
+  std::vector<std::vector<StreamWindow>> delivered;
+  op.handle_triggered_window(
+      [&](const std::vector<StreamWindow>& w, TriggerContext&) {
+        delivered.push_back(w);
+      });
+  AppGraph graph = app.build();
+  LogicInstance logic(graph, sim, callbacks());
+  logic.start();
+  for (std::uint16_t s = 1; s <= 3; ++s) {
+    logic.on_sensor_event(ev(s, 1, 10.0 * s + 1));
+    logic.on_sensor_event(ev(s, 2, 10.0 * s + 2));
+  }
+  EXPECT_EQ(logic.combiner_blocked(), 2u);
+  ASSERT_EQ(delivered.size(), 1u);
+  const std::vector<StreamWindow>& w = delivered[0];
+  ASSERT_EQ(w.size(), 3u);
+  for (std::uint16_t s = 1; s <= 3; ++s) {
+    const StreamWindow& win = w[s - 1];
+    EXPECT_EQ(win.stream, "s:" + std::to_string(s));
+    ASSERT_EQ(win.events.size(), 2u);
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(win.events[i].id, (EventId{SensorId{s}, i + 1}));
+      EXPECT_EQ(win.events[i].value, 10.0 * s + i + 1);
+    }
+  }
+}
+
 TEST_F(LogicFixture, OperatorDagPropagatesEmissions) {
   AppBuilder app(AppId{1}, "t");
   auto source = app.add_operator("source");

@@ -18,13 +18,25 @@ devices::SensorEvent sample_event(std::uint32_t payload = 4) {
   return e;
 }
 
+std::set<ProcessId> pids(std::uint16_t first, std::size_t n) {
+  std::set<ProcessId> out;
+  for (std::size_t i = 0; i < n; ++i)
+    out.insert(ProcessId{static_cast<std::uint16_t>(first + 7 * i)});
+  return out;
+}
+
 TEST(Wire, PidSetRoundTrip) {
-  BinaryWriter w;
-  std::set<ProcessId> s = {ProcessId{1}, ProcessId{5}, ProcessId{300}};
-  write_pid_set(w, s);
-  EXPECT_EQ(w.size(), 1u + 2u * 3u);
-  BinaryReader r(w.data());
-  EXPECT_EQ(read_pid_set(r), s);
+  // Inline, just past the inline capacity, and the wire's 255 maximum.
+  for (const std::set<ProcessId>& s :
+       {std::set<ProcessId>{ProcessId{1}, ProcessId{5}, ProcessId{300}},
+        pids(3, 9), pids(2, 255)}) {
+    BinaryWriter w;
+    write_pid_set(w, s);
+    EXPECT_EQ(w.size(), 1u + 2u * s.size());
+    BinaryReader r(w.data());
+    EXPECT_EQ(read_pid_set(r), s);
+    EXPECT_TRUE(r.at_end());
+  }
 }
 
 TEST(Wire, EmptyPidSet) {
@@ -35,20 +47,25 @@ TEST(Wire, EmptyPidSet) {
 }
 
 TEST(Wire, RingPayloadRoundTrip) {
-  RingPayload p;
-  p.app = AppId{7};
-  p.sensor = SensorId{3};
-  p.seen = {ProcessId{1}, ProcessId{2}};
-  p.need = {ProcessId{1}, ProcessId{2}, ProcessId{3}};
-  p.event = sample_event();
-  std::vector<std::byte> buf = encode(p);
-  RingPayload d = decode_ring(buf);
-  EXPECT_EQ(d.app, p.app);
-  EXPECT_EQ(d.sensor, p.sensor);
-  EXPECT_EQ(d.seen, p.seen);
-  EXPECT_EQ(d.need, p.need);
-  EXPECT_EQ(d.event.id, p.event.id);
-  EXPECT_EQ(d.event.epoch, p.event.epoch);
+  // A V of 9 members is past PidSet's inline capacity.
+  for (const PidSet& need :
+       {PidSet{ProcessId{1}, ProcessId{2}, ProcessId{3}}, PidSet(pids(1, 9))}) {
+    RingPayload p;
+    p.app = AppId{7};
+    p.sensor = SensorId{3};
+    p.seen = {ProcessId{1}, ProcessId{2}};
+    p.need = need;
+    p.event = sample_event();
+    std::vector<std::byte> buf = encode(p);
+    EXPECT_EQ(buf.size(), 2u + 2u + 5u + 1u + 2u * need.size() + 27u);
+    RingPayload d = decode_ring(buf);
+    EXPECT_EQ(d.app, p.app);
+    EXPECT_EQ(d.sensor, p.sensor);
+    EXPECT_EQ(d.seen, p.seen);
+    EXPECT_EQ(d.need, p.need);
+    EXPECT_EQ(d.event.id, p.event.id);
+    EXPECT_EQ(d.event.epoch, p.event.epoch);
+  }
 }
 
 TEST(Wire, RingPayloadSizeFormula) {
