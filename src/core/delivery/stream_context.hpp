@@ -31,7 +31,9 @@ struct StreamContext {
 
   // Live queries answered by the runtime.
   std::function<const std::set<ProcessId>&()> view;
-  std::function<std::vector<ProcessId>()> chain;  // app placement order
+  // App placement order, as a reference to the runtime's vector: Gap
+  // streams ask for it on every device event.
+  std::function<const std::vector<ProcessId>&()> chain;
   std::function<bool()> logic_active_here;
 
   // Actions performed by the runtime.

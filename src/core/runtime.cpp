@@ -143,8 +143,7 @@ void RivuletProcess::build_volatile_shell() {
 
   store::ReplicatedStore::Hooks kv_hooks;
   kv_hooks.self = self_;
-  kv_hooks.send = [this](ProcessId dst, bool is_sync,
-                         std::vector<std::byte> payload) {
+  kv_hooks.send = [this](ProcessId dst, bool is_sync, net::Payload payload) {
     net_->endpoint(self_).send(
         dst, is_sync ? net::MsgType::kStoreSync : net::MsgType::kStorePut,
         std::move(payload));
@@ -237,13 +236,14 @@ RivuletProcess::StreamState RivuletProcess::make_stream(
   ctx.in_range_processes = std::move(in_range);
 
   ctx.view = [this]() -> const std::set<ProcessId>& { return fd_->view(); };
-  ctx.chain = [&app] { return app.chain; };
+  ctx.chain = [&app]() -> const std::vector<ProcessId>& {
+    return app.chain;
+  };
   ctx.logic_active_here = [&app] { return app.logic != nullptr; };
   ctx.deliver = [this, app_id, &app](const devices::SensorEvent& e) {
     if (app.logic) deliver_to_logic(app_id, app, e);
   };
-  ctx.send = [this](ProcessId dst, net::MsgType type,
-                    std::vector<std::byte> payload) {
+  ctx.send = [this](ProcessId dst, net::MsgType type, net::Payload payload) {
     net_->endpoint(self_).send(dst, type, std::move(payload));
   };
   SensorId sensor = edge.sensor;

@@ -204,7 +204,7 @@ HomeOutcome run_one_home(const FleetOptions& opt, const CampaignPlan& campaign,
       });
 
   if (sampled) {
-    const trace::Analysis an = trace::analyze(flight->records());
+    const trace::Analysis an = trace::analyze(*flight);
     apply_provenance(health, an);
     for (int s = 1; s < trace::kStageCount; ++s)
       shard.obs.leg[static_cast<std::size_t>(s)].merge(

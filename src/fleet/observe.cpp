@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 
 #include "common/hash.hpp"
@@ -42,7 +43,7 @@ std::string leg_name(int stage) {
 // execution diverges from a healthy one. Deployment teardown emits a
 // kCrash per process at the very end of the trace — normal shutdown, so
 // crashes at the final instant don't count.
-bool divergent(const trace::Record& r, std::int64_t end_us) {
+bool divergent(const trace::RecordView& r, std::int64_t end_us) {
   switch (r.kind) {
     case trace::Kind::kCrash:
       return r.at.us < end_us;
@@ -218,8 +219,7 @@ TriageReport triage_home(const FleetOptions& opt, std::uint64_t index,
   HomeRun run = run_home(opt, index, /*traced=*/true,
                          opt.observe.flight_mask);
   TriageReport rep;
-  const std::vector<trace::Record> records = run.flight->records();
-  const trace::Analysis an = trace::analyze(records, topt.analyze);
+  const trace::Analysis an = trace::analyze(*run.flight, topt.analyze);
 
   rep.health = score_home(opt.observe.slo, index, run.outcome, run.metrics);
   apply_provenance(rep.health, an);
@@ -242,13 +242,17 @@ TriageReport triage_home(const FleetOptions& opt, std::uint64_t index,
     }
   }
 
-  const std::int64_t end_us =
-      records.empty() ? 0 : records.back().at.us;
-  for (const trace::Record& rec : records) {
-    if (!divergent(rec, end_us)) continue;
-    rep.first_divergence = trace::to_string(rec);
-    rep.first_divergence_us = rec.at.us;
-    break;
+  std::int64_t end_us = 0;
+  run.flight->scan([&](const trace::RecordView& v) { end_us = v.at.us; });
+  std::optional<trace::RecordView> first;
+  run.flight->scan([&](const trace::RecordView& v) {
+    if (!first && divergent(v, end_us)) first = v;
+  });
+  if (first) {
+    rep.first_divergence = trace::to_string(trace::Record{
+        first->at, first->process, first->component, first->kind,
+        first->prov, first->detail()});
+    rep.first_divergence_us = first->at.us;
   }
 
   if (!topt.trace_dir.empty()) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <string_view>
 #include <tuple>
 #include <utility>
@@ -130,18 +129,101 @@ int Analysis::stages_present() const {
   return n;
 }
 
-Analysis analyze(const std::vector<Record>& records,
-                 const AnalyzeOptions& opt) {
-  Analysis a;
-  a.n_records = records.size();
+namespace {
 
-  std::map<ProvenanceId, Chain> chains;
-  std::map<ProvenanceId, std::int64_t> last_seen;
+// What the analysis reads besides a record's header, per record source. A
+// Record carries rendered text, so its app id is parsed out of `detail`
+// as it always was; a RecordView reads the typed field. Fault records need
+// their text either way (FaultSpan::what), so a view renders it into
+// `buf`.
+std::uint32_t app_of(const Record& r) {
+  return static_cast<std::uint32_t>(parse_u64(detail_value(r.detail, "app")));
+}
+std::uint32_t app_of(const RecordView& v) {
+  return static_cast<std::uint32_t>(v.u64(Key::kApp).value_or(0));
+}
+std::string_view text_of(const Record& r, std::string&) { return r.detail; }
+std::string_view text_of(const RecordView& v, std::string& buf) {
+  buf.clear();
+  v.render_detail(buf);
+  return buf;
+}
+
+// Chains in first-seen order behind an open-addressing hash index keyed
+// by provenance id (linear probing, load at most one half).
+class ChainIndex {
+ public:
+  ChainIndex() : slots_(256, kEmpty) {}
+
+  Chain& operator[](ProvenanceId id) {
+    std::size_t i = probe(id);
+    if (slots_[i] != kEmpty) return chains_[slots_[i]];
+    if (2 * (chains_.size() + 1) > slots_.size()) {
+      grow();
+      i = probe(id);
+    }
+    slots_[i] = static_cast<std::uint32_t>(chains_.size());
+    Chain& c = chains_.emplace_back();
+    c.id = id;
+    return c;
+  }
+
+  // The chains, sorted by id; the index is spent.
+  std::vector<Chain> take_sorted() {
+    std::sort(chains_.begin(), chains_.end(),
+              [](const Chain& x, const Chain& y) { return x.id < y.id; });
+    return std::move(chains_);
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  std::size_t probe(ProvenanceId id) const {
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(id.origin) << 32) | id.seq;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(
+                        (key * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+    while (slots_[i] != kEmpty && chains_[slots_[i]].id != id)
+      i = (i + 1) & mask;
+    return i;
+  }
+  void grow() {
+    slots_.assign(2 * slots_.size(), kEmpty);
+    for (std::uint32_t c = 0; c < chains_.size(); ++c)
+      slots_[probe(chains_[c].id)] = c;
+  }
+
+  std::vector<Chain> chains_;
+  std::vector<std::uint32_t> slots_;  // chain index, or kEmpty
+};
+
+// The one analysis core. `for_each(visit)` calls `visit` on every record
+// in trace order; records are Records or RecordViews.
+template <typename ForEach>
+Analysis analyze_core(std::size_t n_records, ForEach&& for_each,
+                      const AnalyzeOptions& opt) {
+  Analysis a;
+  a.n_records = n_records;
+
+  ChainIndex index;
 
   // Promotion epochs: failover legitimately re-delivers an event to the
   // newly promoted logic node, so duplicate detection is scoped to one
   // (process, app) promotion epoch.
-  std::map<std::pair<std::uint16_t, std::uint32_t>, std::uint32_t> epoch;
+  struct Epoch {
+    std::uint16_t process;
+    std::uint32_t app;
+    std::uint32_t n;
+  };
+  std::vector<Epoch> epochs;  // a handful: processes x apps
+  auto epoch = [&epochs](std::uint16_t process, std::uint32_t app)
+      -> std::uint32_t& {
+    for (Epoch& e : epochs)
+      if (e.process == process && e.app == app) return e.n;
+    epochs.push_back({process, app, 0});
+    return epochs.back().n;
+  };
   struct DeliverKey {
     ProvenanceId id;
     std::uint16_t process;
@@ -149,35 +231,35 @@ Analysis analyze(const std::vector<Record>& records,
     std::uint32_t epoch;
     auto operator<=>(const DeliverKey&) const = default;
   };
-  std::map<DeliverKey, std::uint32_t> deliver_counts;
+  std::vector<DeliverKey> deliveries;
 
-  std::set<std::uint16_t> down;  // processes crashed and not yet recovered
+  std::vector<std::uint16_t> down;  // processes crashed and not yet recovered
+  std::string text;                 // a fault record's rendered detail
 
-  for (const Record& r : records) {
+  for_each([&](const auto& r) {
     a.trace_end_us = std::max(a.trace_end_us, r.at.us);
 
     switch (r.kind) {
-      case Kind::kPromote: {
-        std::uint32_t app = static_cast<std::uint32_t>(
-            parse_u64(detail_value(r.detail, "app")));
-        ++epoch[{r.process.value, app}];
+      case Kind::kPromote:
+        ++epoch(r.process.value, app_of(r));
         break;
-      }
       case Kind::kCrash:
-        down.insert(r.process.value);
+        if (std::find(down.begin(), down.end(), r.process.value) == down.end())
+          down.push_back(r.process.value);
         break;
       case Kind::kRecover:
-        down.erase(r.process.value);
+        down.erase(std::remove(down.begin(), down.end(), r.process.value),
+                   down.end());
         break;
       case Kind::kFault: {
-        std::string_view id = detail_value(r.detail, "id");
+        const std::string_view detail = text_of(r, text);
+        std::string_view id = detail_value(detail, "id");
         if (!id.empty()) {
           FaultSpan f;
           f.fault_id = static_cast<int>(parse_u64(id));
           f.at_us = r.at.us;
-          std::size_t sp = r.detail.find(' ');
-          f.what = sp == std::string::npos ? std::string{}
-                                          : r.detail.substr(sp + 1);
+          std::size_t sp = detail.find(' ');
+          if (sp != std::string_view::npos) f.what = detail.substr(sp + 1);
           a.faults.push_back(std::move(f));
         }
         break;
@@ -186,46 +268,46 @@ Analysis analyze(const std::vector<Record>& records,
         break;
     }
 
-    if (!r.prov.valid()) continue;
+    if (!r.prov.valid()) return;
     Stage s = stage_of(r.kind);
-    if (static_cast<int>(s) < 0) continue;
+    if (static_cast<int>(s) < 0) return;
 
-    Chain& c = chains[r.prov];
-    c.id = r.prov;
+    Chain& c = index[r.prov];
     std::size_t si = static_cast<std::size_t>(s);
     if (c.first_us[si] < 0) c.first_us[si] = r.at.us;
     ++c.count[si];
-    last_seen[r.prov] = std::max(last_seen[r.prov], r.at.us);
+    c.last_seen_us = std::max(c.last_seen_us, r.at.us);
 
-    if (s == Stage::kIngested) {
-      if (std::find(c.ingest_processes.begin(), c.ingest_processes.end(),
-                    r.process) == c.ingest_processes.end())
-        c.ingest_processes.push_back(r.process);
-    }
+    if (s == Stage::kIngested) c.ingest_processes.insert(r.process);
     if (s == Stage::kDelivered) {
-      std::uint32_t app = static_cast<std::uint32_t>(
-          parse_u64(detail_value(r.detail, "app")));
-      DeliverKey key{r.prov, r.process.value, app,
-                     epoch[{r.process.value, app}]};
-      ++deliver_counts[key];
+      const std::uint32_t app = app_of(r);
+      deliveries.push_back(
+          {r.prov, r.process.value, app, epoch(r.process.value, app)});
     }
-  }
+  });
 
+  const std::vector<Chain> chains = index.take_sorted();
   a.n_chains = chains.size();
 
-  for (const auto& [key, n] : deliver_counts) {
-    if (n <= 1) continue;
-    Duplicate d;
-    d.id = key.id;
-    d.process = ProcessId{key.process};
-    d.app = key.app;
-    d.deliveries = n;
-    a.duplicates.push_back(d);
+  std::sort(deliveries.begin(), deliveries.end());
+  for (std::size_t i = 0; i < deliveries.size();) {
+    std::size_t j = i + 1;
+    while (j < deliveries.size() && deliveries[j] == deliveries[i]) ++j;
+    if (j - i > 1) {
+      Duplicate d;
+      d.id = deliveries[i].id;
+      d.process = ProcessId{deliveries[i].process};
+      d.app = deliveries[i].app;
+      d.deliveries = static_cast<std::uint32_t>(j - i);
+      a.duplicates.push_back(d);
+    }
+    i = j;
   }
 
   // Per-chain derivations: stage coverage, leg latencies, e2e, ordering,
   // orphan classification.
-  for (const auto& [id, c] : chains) {
+  for (const Chain& c : chains) {
+    const ProvenanceId id = c.id;
     for (int i = 0; i < kStageCount; ++i)
       if (c.first_us[static_cast<std::size_t>(i)] >= 0)
         ++a.stage_chains[static_cast<std::size_t>(i)];
@@ -262,15 +344,14 @@ Analysis analyze(const std::vector<Record>& records,
     if (c.reached(Stage::kIngested) && !c.reached(Stage::kDelivered)) {
       Orphan o;
       o.id = id;
-      auto it = last_seen.find(id);
-      o.last_activity_us = it == last_seen.end() ? c.last_activity_us()
-                                                 : it->second;
+      o.last_activity_us = c.last_seen_us;
       if (o.last_activity_us >= a.trace_end_us - opt.grace.us) {
         o.reason = "in_flight_at_end";
       } else {
         bool all_down = !c.ingest_processes.empty();
         for (ProcessId p : c.ingest_processes)
-          if (down.count(p.value) == 0) all_down = false;
+          if (std::find(down.begin(), down.end(), p.value) == down.end())
+            all_down = false;
         o.reason = all_down ? "crashed_host" : "unexplained";
       }
       a.orphans.push_back(std::move(o));
@@ -282,13 +363,13 @@ Analysis analyze(const std::vector<Record>& records,
   std::int64_t threshold =
       a.e2e_delivery.percentile(opt.tail_quantile).us;
   if (!a.e2e_delivery.empty()) {
-    for (const auto& [id, c] : chains) {
+    for (const Chain& c : chains) {
       if (!c.reached(Stage::kGenerated) || !c.reached(Stage::kDelivered))
         continue;
       std::int64_t e2e = c.at(Stage::kDelivered) - c.at(Stage::kGenerated);
       if (e2e < threshold) continue;
       TailEvent t;
-      t.id = id;
+      t.id = c.id;
       t.e2e_us = e2e;
       std::int64_t lo = c.at(Stage::kGenerated) - opt.fault_window.us;
       std::int64_t hi = c.last_activity_us();
@@ -304,6 +385,23 @@ Analysis analyze(const std::vector<Record>& records,
   }
 
   return a;
+}
+
+}  // namespace
+
+Analysis analyze(const std::vector<Record>& records,
+                 const AnalyzeOptions& opt) {
+  return analyze_core(
+      records.size(),
+      [&records](auto&& visit) {
+        for (const Record& r : records) visit(r);
+      },
+      opt);
+}
+
+Analysis analyze(const Recorder& rec, const AnalyzeOptions& opt) {
+  return analyze_core(
+      rec.size(), [&rec](auto&& visit) { rec.scan(visit); }, opt);
 }
 
 std::string render(const Analysis& a) {

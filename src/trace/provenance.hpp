@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/pid_set.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 #include "metrics/metrics.hpp"
@@ -58,9 +59,11 @@ struct Chain {
   ProvenanceId id{};
   std::array<std::int64_t, kStageCount> first_us{};
   std::array<std::uint32_t, kStageCount> count{};
+  // Latest record of any stage: the orphan's last activity.
+  std::int64_t last_seen_us{0};
   // Every process that ingested the event (orphan classification needs to
   // know whether all of them died).
-  std::vector<ProcessId> ingest_processes;
+  PidSet ingest_processes;
 
   Chain() { first_us.fill(-1); }
   bool reached(Stage s) const {
@@ -152,9 +155,15 @@ struct Analysis {
   int stages_present() const;  // stages reached by at least one chain
 };
 
-// Reconstruct chains and derive the full report from a decoded trace.
+// Reconstruct chains and derive the full report. Both overloads run the
+// same analysis: the first over rendered Records, parsing `app=` and
+// `id=` out of each detail; the second over the recorder's packed records
+// in place (Recorder::scan), reading the typed app field and rendering
+// text only for fault records. On any trace made by the emit sites the
+// two reports are identical.
 Analysis analyze(const std::vector<Record>& records,
                  const AnalyzeOptions& opt = {});
+Analysis analyze(const Recorder& rec, const AnalyzeOptions& opt = {});
 
 // Human-readable report (multi-line, aligned).
 std::string render(const Analysis& a);

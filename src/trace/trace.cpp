@@ -1,5 +1,6 @@
 #include "trace/trace.hpp"
 
+#include <charconv>
 #include <fstream>
 
 namespace riv::trace {
@@ -135,52 +136,53 @@ struct PackedReader {
   }
 };
 
-void append_u64(std::string& out, std::uint64_t v) { out += std::to_string(v); }
-
-// Render one field's value in the canonical v2 textual form.
-bool render_value(PackedReader& r, VType type, std::string& out) {
+// Read one field's value, handing its canonical v2 rendering to `emit`
+// piece by piece (a char, a decimal number or a string_view). Returns
+// false on a malformed value. Stepping over a value and rendering it are
+// this one function with a different `emit`, so every value the scan
+// accepts renders.
+template <typename Emit>
+bool read_value(PackedReader& r, VType type, const Emit& emit) {
   switch (type) {
     case VType::kU64:
-      append_u64(out, r.varint());
+      emit(r.varint());
       return r.ok();
     case VType::kI64:
-      out += std::to_string(unzigzag(r.varint()));
+      emit(unzigzag(r.varint()));
       return r.ok();
     case VType::kPid:
-      out += 'p';
-      append_u64(out, r.varint());
+      emit('p');
+      emit(r.varint());
       return r.ok();
     case VType::kStr: {
       std::uint64_t n = r.varint();
       if (!r.ok() || n > r.remaining()) return false;
-      out += r.str(static_cast<std::size_t>(n));
-      return r.ok();
+      emit(r.str(static_cast<std::size_t>(n)));
+      return true;
     }
-    case VType::kEvent: {
-      out += 's';
-      append_u64(out, r.varint());
-      out += '#';
-      append_u64(out, r.varint());
+    case VType::kEvent:
+      emit('s');
+      emit(r.varint());
+      emit('#');
+      emit(r.varint());
       return r.ok();
-    }
-    case VType::kCmd: {
-      out += 'p';
-      append_u64(out, r.varint());
-      out += '!';
-      append_u64(out, r.varint());
+    case VType::kCmd:
+      emit('p');
+      emit(r.varint());
+      emit('!');
+      emit(r.varint());
       return r.ok();
-    }
     case VType::kAct:
-      out += 'a';
-      append_u64(out, r.varint());
+      emit('a');
+      emit(r.varint());
       return r.ok();
     case VType::kView: {
       std::uint64_t n = r.varint();
       if (!r.ok() || n > r.remaining()) return false;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        if (i != 0) out += '+';
-        out += 'p';
-        append_u64(out, r.varint());
+      for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+        if (i != 0) emit('+');
+        emit('p');
+        emit(r.varint());
       }
       return r.ok();
     }
@@ -188,10 +190,54 @@ bool render_value(PackedReader& r, VType type, std::string& out) {
   return false;
 }
 
-// Decode one packed record. Returns false on any structural problem
-// (bad flags/kind/key, truncation, over-long varint). `last_time` is the
-// delta base, updated on success.
-bool decode_one(PackedReader& r, TimePoint& last_time, Record& out) {
+// The `emit` that steps over a value.
+constexpr auto kSkip = [](auto) {};
+
+// The `emit` that renders a value into `out`.
+struct Render {
+  std::string& out;
+  void operator()(char c) const { out += c; }
+  void operator()(std::string_view text) const { out += text; }
+  template <typename T>
+  void operator()(T v) const {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+  }
+};
+
+}  // namespace
+
+// --- RecordView -----------------------------------------------------------
+// A view's fields were validated by read_record, so these walks cannot
+// fail; they still go through the bounds-checked reader.
+
+std::optional<std::uint64_t> RecordView::u64(Key key) const {
+  assert(detail_impl::type_of(key) == VType::kU64);
+  PackedReader r{fields_, end_};
+  for (std::uint8_t i = 0; i < nfields_ && r.ok(); ++i) {
+    std::uint8_t k = r.u8();
+    if (k == static_cast<std::uint8_t>(key)) return r.varint();
+    if (!read_value(r, kKeyTable[k].type, kSkip)) break;
+  }
+  return std::nullopt;
+}
+
+void RecordView::render_detail(std::string& out) const {
+  PackedReader r{fields_, end_};
+  for (std::uint8_t i = 0; i < nfields_ && r.ok(); ++i) {
+    const KeyInfo& info = kKeyTable[r.u8()];
+    if (i != 0) out += ' ';
+    if (info.name[0] != '\0') {
+      out += info.name;
+      out += '=';
+    }
+    read_value(r, info.type, Render{out});
+  }
+}
+
+bool Recorder::read_record(const std::byte*& p, const std::byte* end,
+                           TimePoint& last, RecordView& out) {
+  PackedReader r{p, end};
   std::uint8_t flags = r.u8();
   if (!r.ok()) return false;
   std::uint8_t comp = flags & kFlagComponentMask;
@@ -204,8 +250,12 @@ bool decode_one(PackedReader& r, TimePoint& last_time, Record& out) {
   out.kind = static_cast<Kind>(kind);
   std::int64_t t = unzigzag(r.varint());
   if (!r.ok()) return false;
-  out.at.us = (flags & kFlagAbsTime) != 0 ? t : last_time.us + t;
-  last_time = out.at;
+  // Wrapping add: a corrupt delta must not be signed overflow.
+  out.at.us = (flags & kFlagAbsTime) != 0
+                  ? t
+                  : static_cast<std::int64_t>(
+                        static_cast<std::uint64_t>(last.us) +
+                        static_cast<std::uint64_t>(t));
   out.process.value = static_cast<std::uint16_t>(r.varint());
   if (!r.ok()) return false;
   if ((flags & kFlagProv) != 0) {
@@ -215,24 +265,19 @@ bool decode_one(PackedReader& r, TimePoint& last_time, Record& out) {
   } else {
     out.prov = ProvenanceId{};
   }
-  std::uint8_t nfields = r.u8();
+  out.nfields_ = r.u8();
   if (!r.ok()) return false;
-  out.detail.clear();
-  for (std::uint8_t i = 0; i < nfields; ++i) {
+  out.fields_ = r.p;
+  for (std::uint8_t i = 0; i < out.nfields_; ++i) {
     std::uint8_t key = r.u8();
     if (!r.ok() || key >= kKeyCount) return false;
-    const KeyInfo& info = kKeyTable[key];
-    if (i != 0) out.detail += ' ';
-    if (info.name[0] != '\0') {
-      out.detail += info.name;
-      out.detail += '=';
-    }
-    if (!render_value(r, info.type, out.detail)) return false;
+    if (!read_value(r, kKeyTable[key].type, kSkip)) return false;
   }
+  out.end_ = r.p;
+  last = out.at;
+  p = r.p;
   return true;
 }
-
-}  // namespace
 
 // --- Recorder -------------------------------------------------------------
 
@@ -374,15 +419,12 @@ void Recorder::append(const Record& r) {
 std::vector<Record> Recorder::records() const {
   std::vector<Record> out;
   out.reserve(retained_records_);
-  TimePoint last{};
-  for (const Chunk& c : chunks_) {
-    PackedReader r{c.data.get(), c.data.get() + c.used};
-    for (std::uint32_t i = 0; i < c.n_records; ++i) {
-      Record rec;
-      if (!decode_one(r, last, rec)) return out;  // cannot happen: we wrote it
-      out.push_back(std::move(rec));
-    }
-  }
+  std::string detail;  // rendered here, then copied into its Record once
+  scan([&](const RecordView& v) {
+    detail.clear();
+    v.render_detail(detail);
+    out.push_back(Record{v.at, v.process, v.component, v.kind, v.prov, detail});
+  });
   return out;
 }
 
@@ -442,10 +484,10 @@ bool Recorder::decode(const std::vector<std::byte>& buf, Recorder* out,
   }
   const std::byte* payload_begin = r.p;
   // Structurally walk every record up to the footer marker, validating
-  // flags / kinds / keys / bounds as we go.
+  // flags / kinds / keys / bounds as we go; nothing is rendered.
   std::uint64_t walked = 0;
   TimePoint last{};
-  Record scratch_rec;
+  RecordView view;
   while (true) {
     if (r.remaining() == 0) {
       if (error) *error = "truncated: missing footer";
@@ -455,7 +497,7 @@ bool Recorder::decode(const std::vector<std::byte>& buf, Recorder* out,
       ++r.p;
       break;
     }
-    if (!decode_one(r, last, scratch_rec)) {
+    if (!read_record(r.p, r.end, last, view)) {
       if (error)
         *error = "malformed record " + std::to_string(walked);
       return false;

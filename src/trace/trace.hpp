@@ -17,9 +17,12 @@
 // append-only byte arena owned by the Recorder — no detail-string
 // formatting and no per-record allocation on the hot path. The rolling
 // FNV-1a determinism hash is folded over the packed bytes as they are
-// written. Reading the trace back (records(), trace_diff, trace_analyze)
-// decodes lazily, rendering each record's fields into the same canonical
-// "key=value key=value" detail string the v2 recorder stored eagerly.
+// written. Reading the trace back goes through one bounds-checked scan
+// that decodes each record's header and leaves its fields packed
+// (RecordView); provenance analysis reads typed fields straight from it,
+// and records() (trace_diff, goldens, the audit) renders each record's
+// fields into the same canonical "key=value key=value" detail string the
+// v2 recorder stored eagerly.
 //
 // Recording is scoped, not global configuration: installing a Recorder via
 // trace::Scope makes it the current sink; with no recorder installed every
@@ -37,6 +40,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -93,11 +97,11 @@ enum class Kind : std::uint8_t {
 inline constexpr int kKindCount = 23;
 const char* to_string(Kind k);
 
-// The decoded view of one record. The packed arena is the source of
-// truth; a Record is materialised on demand by records()/decode, with
-// `detail` rendered from the typed fields in the canonical
-// "key=value key=value" form (identical to what v2 stored eagerly), so
-// diffing, provenance analysis and goldens keep their exact semantics.
+// The rendered form of one record. The packed arena is the source of
+// truth; a Record is materialised on demand by records(), with `detail`
+// rendered from the typed fields in the canonical "key=value key=value"
+// form (identical to what v2 stored eagerly), so diffing, the audit and
+// goldens keep their exact semantics.
 struct Record {
   TimePoint at{};
   ProcessId process{};  // ProcessId{0} = no single process (global event)
@@ -116,6 +120,37 @@ struct Record {
 
 // One-line rendering: "t=12345us p2 net/send type=ring_event ...".
 std::string to_string(const Record& r);
+
+// One record as Recorder::scan sees it: the header decoded, the fields
+// left packed where they lie. It points into the recorder's chunks, so it
+// is valid until the next append to that recorder (or its move or
+// destruction); copy out what must outlive that.
+class RecordView {
+ public:
+  TimePoint at{};
+  ProcessId process{};
+  Component component{Component::kSim};
+  Kind kind{Kind::kMark};
+  ProvenanceId prov{};
+
+  // The first field under `key`, which must be a kU64 key; nullopt when
+  // the record has none. Bare kText fields are not parsed, so a record
+  // appended from a hand-built Record answers nullopt for every key.
+  std::optional<std::uint64_t> u64(Key key) const;
+  // Append the canonical detail (Record::detail) to `out`.
+  void render_detail(std::string& out) const;
+  std::string detail() const {
+    std::string out;
+    render_detail(out);
+    return out;
+  }
+
+ private:
+  friend class Recorder;
+  const std::byte* fields_{nullptr};  // first packed field
+  const std::byte* end_{nullptr};     // one past the last packed field
+  std::uint8_t nfields_{0};
+};
 
 inline constexpr std::uint32_t component_bit(Component c) {
   return 1u << static_cast<std::uint32_t>(c);
@@ -254,8 +289,27 @@ class Recorder {
   // it decodes back to an equal Record.
   void append(const Record& r);
 
-  // Decode every retained record out of the arena. By value: each call
-  // re-renders from the packed bytes (tools call this once).
+  // Visit every retained record in append order as a RecordView: headers
+  // are decoded, fields stay packed and nothing is rendered or allocated.
+  // `f` must not append to this recorder.
+  template <typename F>
+  void scan(F&& f) const {
+    RecordView v;
+    TimePoint last{};
+    for (const Chunk& c : chunks_) {
+      const std::byte* p = c.data.get();
+      const std::byte* end = p + c.used;
+      for (std::uint32_t i = 0; i < c.n_records; ++i) {
+        // Cannot fail: append() wrote these bytes, or decode() checked them.
+        if (!read_record(p, end, last, v)) return;
+        f(static_cast<const RecordView&>(v));
+      }
+    }
+  }
+
+  // Decode every retained record out of the arena: scan() plus rendering.
+  // By value: each call re-renders from the packed bytes (tools call this
+  // once).
   std::vector<Record> records() const;
 
   // Retained record count (== records().size()).
@@ -323,6 +377,14 @@ class Recorder {
   // Worst-case packed header: flags + kind + time varint + process
   // varint + prov (2 varints) + nfields.
   static constexpr std::size_t kMaxHeaderBytes = 1 + 1 + 10 + 10 + 20 + 1;
+
+  // The one header decoder, shared by scan(), records() and decode():
+  // reads the record at `p` (never past `end`), validates its header and
+  // the shape of every field without rendering, fills `out` and advances
+  // `p` past it. `last` is the delta-time base, updated on success.
+  // Returns false on a malformed or truncated record.
+  static bool read_record(const std::byte*& p, const std::byte* end,
+                          TimePoint& last, RecordView& out);
 
   // -- scratch writers (fields section only; header is written by commit)
   void scratch_reserve(std::size_t extra) {

@@ -34,8 +34,9 @@ struct Harness {
       ctx.in_range_processes.push_back(ProcessId{v});
     }
     ctx.view = [this]() -> const std::set<ProcessId>& { return view; };
-    ctx.chain = [this] {
-      return std::vector<ProcessId>(view.begin(), view.end());
+    ctx.chain = [this]() -> const std::vector<ProcessId>& {
+      chain.assign(view.begin(), view.end());
+      return chain;
     };
     ctx.logic_active_here = [] { return true; };
     ctx.deliver = [this](const devices::SensorEvent& e) {
@@ -70,6 +71,7 @@ struct Harness {
   sim::ProcessTimers timers;
   EventLog log;
   std::set<ProcessId> view;
+  std::vector<ProcessId> chain;  // the view in order, what ctx.chain returns
   std::vector<EventId> delivered;
   std::vector<Sent> sent;
   std::unique_ptr<GaplessStream> stream;

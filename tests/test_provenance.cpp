@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "fleet/campaign.hpp"
+#include "fleet/fleet.hpp"
 #include "trace/provenance.hpp"
 #include "trace/trace.hpp"
 #include "workload/apps.hpp"
@@ -115,6 +117,29 @@ TEST(ProvenanceAnalyze, ClassifiesOrphans) {
                         Kind::kRecover, ProvenanceId{}, ""));
   Analysis b = analyze(records, opt);
   EXPECT_EQ(b.unexplained_orphans(), 2u);
+}
+
+// Chains are indexed by hash and sorted once at the end: whatever order
+// events first appear in, each id is one chain and orphans come out in
+// id order. 3,000 ids force the index to grow past its first table.
+TEST(ProvenanceAnalyze, ChainsComeOutInIdOrderWhateverTheTraceOrder) {
+  std::vector<Record> records;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    const ProvenanceId id{static_cast<std::uint16_t>(1 + i % 5),
+                          (i * 7919u) % 3001u};
+    for (std::uint16_t p : {1, 2})
+      records.push_back(rec(1000 + i, p, Component::kDelivery, Kind::kIngest,
+                            id, "app=1 src=device"));
+  }
+  records.push_back(rec(seconds(60).us, 0, Component::kChaos, Kind::kMark,
+                        ProvenanceId{}, "end"));
+
+  const Analysis a = analyze(records);
+  EXPECT_EQ(a.n_chains, 3000u);
+  ASSERT_EQ(a.orphans.size(), 3000u);
+  for (std::size_t i = 1; i < a.orphans.size(); ++i)
+    EXPECT_LT(a.orphans[i - 1].id, a.orphans[i].id) << i;
+  for (const Orphan& o : a.orphans) EXPECT_EQ(o.reason, "unexplained");
 }
 
 TEST(ProvenanceAnalyze, DetectsDuplicatesWithinOnePromotionEpoch) {
@@ -293,6 +318,79 @@ TEST(ProvenanceLive, ChaosGoldenPassesCheck) {
   EXPECT_FALSE(a.faults.empty());
   CheckResult cr = check(a);
   EXPECT_TRUE(cr.ok) << (cr.problems.empty() ? "" : cr.problems[0]);
+}
+
+// The packed overload reads typed fields where the Record overload parses
+// rendered text; on every trace the emit sites make, the two reports must
+// be byte-identical. The fleet homes run under a WiFi outage and a power
+// blip, so promote, crash, recover and fault records all occur.
+TEST(Provenance, PackedAnalysisMatchesRecordAnalysis) {
+  auto expect_same = [](const Recorder& rec, const std::string& what) {
+    for (const AnalyzeOptions& opt :
+         {AnalyzeOptions{}, AnalyzeOptions{seconds_f(0.5), 0.9, seconds(2)}}) {
+      const Analysis packed = analyze(rec, opt);
+      const Analysis rendered = analyze(rec.records(), opt);
+      EXPECT_EQ(render(packed), render(rendered)) << what;
+      EXPECT_EQ(render_json(packed), render_json(rendered)) << what;
+    }
+  };
+
+  for (const char* golden :
+       {"gapless_ring", "gap_chain", "failover", "chaos_flight"}) {
+    Recorder rec;
+    std::string err;
+    ASSERT_TRUE(Recorder::load(std::string(RIV_TRACE_GOLDEN_DIR) + "/" +
+                                   golden + ".rivtrace",
+                               &rec, &err))
+        << err;
+    expect_same(rec, golden);
+  }
+
+  // A typed trace whose report depends on the app field: two apps are fed
+  // the same event, and app 3 twice within one promotion epoch.
+  Recorder typed;
+  const ProvenanceId ev{1, 1};
+  const EventId id{SensorId{1}, 1};
+  typed.append(TimePoint{0}, ProcessId{1}, Component::kRuntime,
+               Kind::kPromote, fu(Key::kApp, 3));
+  typed.append(TimePoint{5}, ProcessId{0}, Component::kDevice, Kind::kEmit,
+               ev, fe(Key::kEvent, id));
+  for (std::uint64_t app : {3, 4, 3})
+    typed.append(TimePoint{10}, ProcessId{1}, Component::kRuntime,
+                 Kind::kDeliver, ev, fu(Key::kApp, app), fe(Key::kEvent, id));
+  typed.append(TimePoint{20}, ProcessId{0}, Component::kChaos, Kind::kFault,
+               fu(Key::kFaultId, 9), fs(Key::kText, "partition p1|p2"));
+  expect_same(typed, "typed");
+  const Analysis a = analyze(typed);
+  ASSERT_EQ(a.duplicates.size(), 1u);
+  EXPECT_EQ(a.duplicates[0].app, 3u);
+  ASSERT_EQ(a.faults.size(), 1u);
+  EXPECT_EQ(a.faults[0].what, "partition p1|p2");
+
+  fleet::FleetOptions opt;
+  opt.seed = 7;
+  opt.population.sim_duration = seconds(8);
+  fleet::CampaignEvent wifi;
+  wifi.kind = fleet::CampaignFault::kWifiOutage;
+  wifi.at = seconds(1);
+  wifi.duration = seconds(2);
+  wifi.fraction = 0.5;
+  fleet::CampaignEvent power = wifi;
+  power.kind = fleet::CampaignFault::kPowerBlip;
+  power.at = seconds(4);
+  opt.campaign.events = {wifi, power};
+
+  std::array<std::size_t, kKindCount> kinds{};
+  for (std::uint64_t index = 0; index < 64; ++index) {
+    const fleet::HomeRun run = fleet::run_home(opt, index, /*traced=*/true);
+    run.flight->scan([&](const RecordView& v) {
+      ++kinds[static_cast<std::size_t>(v.kind)];
+    });
+    expect_same(*run.flight, "fleet home " + std::to_string(index));
+  }
+  for (Kind k : {Kind::kPromote, Kind::kDeliver, Kind::kCrash, Kind::kRecover,
+                 Kind::kFault})
+    EXPECT_GT(kinds[static_cast<std::size_t>(k)], 0u) << to_string(k);
 }
 
 }  // namespace

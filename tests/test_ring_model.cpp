@@ -26,6 +26,7 @@ struct Node {
   ProcessId self;
   EventLog log;
   std::set<ProcessId> view;
+  std::vector<ProcessId> chain;  // the view in order, what ctx.chain returns
   std::vector<EventId> delivered;
   std::unique_ptr<GaplessStream> stream;
   bool silenced{false};  // drops everything addressed to it
@@ -124,8 +125,9 @@ Node::Node(Network& net, std::uint16_t id, int n)
     ctx.in_range_processes.push_back(ProcessId{i});
   }
   ctx.view = [this]() -> const std::set<ProcessId>& { return view; };
-  ctx.chain = [this] {
-    return std::vector<ProcessId>(view.begin(), view.end());
+  ctx.chain = [this]() -> const std::vector<ProcessId>& {
+    chain.assign(view.begin(), view.end());
+    return chain;
   };
   ctx.logic_active_here = [] { return true; };
   ctx.deliver = [this](const devices::SensorEvent& e) {

@@ -190,5 +190,32 @@ TEST(ReplicatedStore, PartitionedWritesMergeLww) {
     EXPECT_EQ(home.process(i).kv().get("count").value_or(-2), v0);
 }
 
+// A put pushes one encoded entry to every visible peer. The runtime's
+// send hook must hand that Payload to the transport as is, so every
+// frame of the fan-out carries the same buffer rather than a copy each.
+TEST(ReplicatedStore, PutFanOutSharesOnePayloadBuffer) {
+  workload::HomeDeployment::Options opt;
+  opt.seed = 84;
+  opt.n_processes = 3;
+  workload::HomeDeployment home(opt);
+  home.add_sensor(door_sensor(), home.processes());
+  home.add_actuator(light(), home.processes());
+  home.deploy(counting_app());
+  home.start();
+  home.run_for(seconds(5));  // membership views converge
+
+  std::vector<const std::byte*> put_buffers;
+  home.net().set_interposer([&put_buffers](net::Message& msg) {
+    if (msg.type == net::MsgType::kStorePut)
+      put_buffers.push_back(msg.payload.bytes().data());
+    return 1;
+  });
+  home.process(0).kv().put("shared", 1.0);
+  home.net().set_interposer(nullptr);
+
+  ASSERT_EQ(put_buffers.size(), 2u);  // one frame per peer
+  EXPECT_EQ(put_buffers[0], put_buffers[1]);
+}
+
 }  // namespace
 }  // namespace riv

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "trace/diff.hpp"
 #include "trace/trace.hpp"
 
@@ -332,6 +334,153 @@ TEST(TraceRecorderTest, StreamingSinkMatchesInMemoryEncoding) {
   EXPECT_EQ(back.records(), memory.records());
   EXPECT_EQ(back.hash(), memory.hash());
   std::remove(path.c_str());
+}
+
+// Append record `i` of a mixed typed trace (every value type, with and
+// without provenance) and return the Record it must decode to, its
+// detail spelled out independently of the renderer.
+Record append_mixed(Recorder& rec, int i) {
+  const TimePoint at{1000 + 7 * i};
+  const auto n = static_cast<std::uint32_t>(i);
+  const std::string s = std::to_string(i);
+  switch (i % 4) {
+    case 0:
+      rec.append(at, ProcessId{1}, Component::kDelivery, Kind::kIngest,
+                 ProvenanceId{1, n}, fu(Key::kApp, 2),
+                 fe(Key::kEvent, EventId{SensorId{1}, n}),
+                 fs(Key::kSrcName, "ring"));
+      return record(at.us, 1, Component::kDelivery, Kind::kIngest,
+                    "app=2 event=s1#" + s + " src=ring", ProvenanceId{1, n});
+    case 1: {
+      std::vector<ProcessId> view{ProcessId{2}, ProcessId{300}};
+      rec.append(at, ProcessId{2}, Component::kNet, Kind::kSend,
+                 fs(Key::kType, "ring_event"), fp(Key::kSrc, ProcessId{2}),
+                 fv(Key::kView, view),
+                 fc(Key::kCmd, CommandId{ProcessId{2}, n}),
+                 fa(Key::kActuator, ActuatorId{4}));
+      return record(at.us, 2, Component::kNet, Kind::kSend,
+                    "type=ring_event src=p2 view=p2+p300 cmd=p2!" + s +
+                        " actuator=a4");
+    }
+    case 2:
+      rec.append(at, ProcessId{0}, Component::kChaos, Kind::kFault,
+                 fu(Key::kFaultId, n), fs(Key::kText, "crash p2"),
+                 fi(Key::kExtraUs, -i));
+      return record(at.us, 0, Component::kChaos, Kind::kFault,
+                    "id=" + s + " crash p2 extra_us=" + std::to_string(-i));
+    default:
+      rec.append(at, ProcessId{3}, Component::kRuntime, Kind::kCrash);
+      return record(at.us, 3, Component::kRuntime, Kind::kCrash, "");
+  }
+}
+
+// The scan visits exactly the retained records, with the headers and
+// rendered details records() produces and that the emit calls imply;
+// typed lookup finds the app field only where one was written.
+void expect_scan_matches(const Recorder& rec,
+                         const std::vector<Record>& expected) {
+  const std::vector<Record> rs = rec.records();
+  ASSERT_EQ(rs, expected);
+  std::size_t i = 0;
+  rec.scan([&](const RecordView& v) {
+    ASSERT_LT(i, expected.size());
+    const Record& want = expected[i++];
+    EXPECT_EQ(v.at, want.at);
+    EXPECT_EQ(v.process, want.process);
+    EXPECT_EQ(v.component, want.component);
+    EXPECT_EQ(v.kind, want.kind);
+    EXPECT_EQ(v.prov, want.prov);
+    EXPECT_EQ(v.detail(), want.detail);
+    EXPECT_EQ(v.u64(Key::kApp),
+              v.kind == Kind::kIngest ? std::optional<std::uint64_t>(2)
+                                      : std::nullopt);
+  });
+  EXPECT_EQ(i, rec.size());
+}
+
+TEST(Trace, ScanMatchesRecords) {
+  // Past a chunk boundary: records keep decoding in the second chunk,
+  // whose first record carries an absolute time.
+  Recorder big;
+  std::vector<Record> expected;
+  for (int i = 0; i < 12000; ++i) expected.push_back(append_mixed(big, i));
+  ASSERT_GT(big.payload_bytes(), 2u * 64 * 1024);
+  expect_scan_matches(big, expected);
+
+  // Ring mode after front chunks were dropped: the scan starts at the
+  // first retained chunk.
+  Recorder ring;
+  ring.set_ring_limit(64 * 1024);
+  std::vector<Record> all;
+  for (int i = 0; i < 40000; ++i) all.push_back(append_mixed(ring, i));
+  ASSERT_GT(ring.dropped_records(), 0u);
+  expect_scan_matches(
+      ring, std::vector<Record>(all.end() - static_cast<std::ptrdiff_t>(
+                                                ring.size()),
+                                all.end()));
+
+  // Read back from a file: one verbatim chunk, then appends after it.
+  std::string path = testing::TempDir() + "/riv_trace_scan.rivtrace";
+  std::string err;
+  ASSERT_TRUE(big.save(path, &err)) << err;
+  Recorder loaded;
+  ASSERT_TRUE(Recorder::load(path, &loaded, &err)) << err;
+  std::remove(path.c_str());
+  expect_scan_matches(loaded, expected);
+  expected.push_back(append_mixed(loaded, 12000));
+  expect_scan_matches(loaded, expected);
+}
+
+// decode() walks records through the scan's header decoder without
+// rendering; it must still refuse every malformed record, with the same
+// message, even when the footer's count and hash agree with the bytes.
+TEST(Trace, DecodeRejectsMalformedRecordsBehindAValidFooter) {
+  auto sealed = [](std::vector<std::uint8_t> payload, std::uint64_t count) {
+    std::vector<std::byte> buf;
+    for (char c : kMagic) buf.push_back(static_cast<std::byte>(c));
+    for (int i = 0; i < 4; ++i)
+      buf.push_back(static_cast<std::byte>((kFormatVersion >> (8 * i)) & 0xff));
+    hash::Fnv1aStream h;
+    h.put(payload.data(), payload.size());
+    for (std::uint8_t b : payload) buf.push_back(static_cast<std::byte>(b));
+    buf.push_back(static_cast<std::byte>(kFooterMarker));
+    for (std::uint64_t v : {count, h.value()})
+      for (int i = 0; i < 8; ++i)
+        buf.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+    return buf;
+  };
+  const auto timer = static_cast<std::uint8_t>(Key::kTimer);
+  const auto text = static_cast<std::uint8_t>(Key::kText);
+  const auto view = static_cast<std::uint8_t>(Key::kView);
+  // flags (abs time, sim), kind, time, process, nfields, then fields.
+  const std::vector<std::uint8_t> good = {0x10, 0, 0, 1, 1, timer, 5};
+
+  Recorder out;
+  std::string err;
+  ASSERT_TRUE(Recorder::decode(sealed(good, 1), &out, &err)) << err;
+  EXPECT_EQ(out.records()[0].detail, "timer=5");
+
+  const std::vector<std::vector<std::uint8_t>> bad = {
+      {0x30, 0, 0, 1, 1, timer, 5},                // unknown flag bit
+      {0x17, 0, 0, 1, 1, timer, 5},                // component 7
+      {0x10, kKindCount, 0, 1, 1, timer, 5},       // kind out of range
+      {0x10, 0, 0, 1, 1, kKeyCount + 5, 5},        // key out of range
+      {0x10, 0, 0, 1, 1, text, 100, 'a'},          // string past the end
+      {0x10, 0, 0, 1, 1, view, 100, 1, 2},         // view past the end
+      {0x10, 0, 0, 1, 2, timer, 5},                // missing field
+      {0x10, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+       0x01, 1, 0},                                // over-long time varint
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    ASSERT_FALSE(Recorder::decode(sealed(bad[i], 1), &out, &err)) << i;
+    EXPECT_EQ(err, "malformed record 0") << i;
+    // The same record after a good one is record 1.
+    std::vector<std::uint8_t> two = good;
+    two.insert(two.end(), bad[i].begin(), bad[i].end());
+    two[good.size()] &= 0xEF;  // a delta time after the first record
+    ASSERT_FALSE(Recorder::decode(sealed(two, 2), &out, &err)) << i;
+    EXPECT_EQ(err, "malformed record 1") << i;
+  }
 }
 
 TEST(TraceDiffTest, IdenticalTracesDiffClean) {

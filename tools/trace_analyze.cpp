@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  riv::trace::Analysis a = riv::trace::analyze(rec.records(), opt);
+  riv::trace::Analysis a = riv::trace::analyze(rec, opt);
 
   if (check_only) {
     riv::trace::CheckResult res = riv::trace::check(a);
