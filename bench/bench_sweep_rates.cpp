@@ -5,23 +5,23 @@
 // Grid: rates {1, 10, 50} ev/s x sizes {4 B, 1 KB, 20 KB} at 30% loss,
 // 5 processes, 3 receiving, receiver farthest from the app process.
 //
-// --fork K runs the grid fork-per-seed: every cell gets K seed
+// --fork K runs the grid as warm-prefix branches: every cell gets K seed
 // replicates (mean delivered-% is reported), and each cell's replicates
 // share ONE warm deployment — the home is built and run to the 90 s warm
-// point once, then fork(2) copies it K times; each child salts the
-// device RNG streams (HomeBus::perturb) and finishes the run. The
-// from-scratch leg re-executes the identical protocol without fork
-// (re-running the 90 s warm-up K times per cell), every replicate is
-// checked bit-identical between the two legs, and both wall-clocks are
-// printed: the speed-up is eliminated warm-up work, not parallelism, so
-// it holds even on one core. EXPERIMENTS.md records the before/after.
+// point once, captured as a WarmImage, and cloned K times; each clone
+// salts the device RNG streams (HomeBus::perturb) and finishes the run.
+// The from-scratch leg re-executes the identical protocol without
+// clones (re-running the 90 s warm-up K times per cell), every replicate
+// is checked bit-identical between the two legs, and both wall-clocks
+// are printed: the speed-up is eliminated warm-up work, not parallelism,
+// so it holds even on one core. EXPERIMENTS.md records the before/after.
 #include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "checkpoint/fork.hpp"
+#include "checkpoint/clone.hpp"
 
 namespace riv::bench {
 namespace {
@@ -64,10 +64,10 @@ double delivered_pct(appmodel::Guarantee g, double rate,
   return harvest_pct(*home);
 }
 
-// One replicate of the fork-mode protocol, from scratch: warm 80 s,
-// perturb with the replicate salt, finish the last 20 s. A forked child
-// that perturbs the same warm state with the same salt must produce this
-// exact number — that equality is checked per replicate.
+// One replicate of the --fork protocol, from scratch: warm 90 s, perturb
+// with the replicate salt, finish the last 10 s. A clone that perturbs
+// the same warm state with the same salt must produce this exact number
+// — that equality is checked per replicate.
 double replicate_pct_fresh(const ScenarioOptions& opt, std::uint64_t salt) {
   auto home = make_scenario(opt);
   home->start();
@@ -93,10 +93,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fork") == 0 && i + 1 < argc)
       replicates = std::atoi(argv[i + 1]);
-  }
-  if (replicates > 0 && !riv::checkpoint::fork_supported()) {
-    std::fprintf(stderr, "--fork needs fork(2); running serial\n");
-    replicates = 0;
   }
   print_header(
       "Sweep (§8.3 claim): Gap/Gapless delivery under 30% loss is "
@@ -128,10 +124,11 @@ int main(int argc, char** argv) {
     }
     const double fresh_wall = wall_now() - t0;
 
-    // Leg 2 — forked: warm once per cell, fork K divergent children.
+    // Leg 2 — cloned: warm once per cell, clone K divergent replicates.
     seed = 1500;
     std::size_t cell = 0, mismatches = 0;
     t0 = wall_now();
+    riv::checkpoint::WarmImage img;
     for (double rate : rates) {
       for (int s = 0; s < 3; ++s) {
         double mean[2] = {0, 0};
@@ -139,26 +136,35 @@ int main(int argc, char** argv) {
         for (auto g : {riv::appmodel::Guarantee::kGap,
                        riv::appmodel::Guarantee::kGapless}) {
           ScenarioOptions opt = cell_options(g, rate, sizes[s], seed++);
-          auto home = make_scenario(opt);
-          home->start();
-          home->run_for(riv::seconds(kWarmS));
-          std::vector<riv::checkpoint::ForkResult> reps =
-              riv::checkpoint::fork_sweep(k, 1, [&home](std::size_t r) {
-                home->bus().perturb(0x5eed0000 + r);
-                home->run_for(riv::seconds(kTailS));
-                return fmt_pct(harvest_pct(*home));
+          {
+            auto home = make_scenario(opt);
+            riv::checkpoint::enable_clone_tracking(*home);
+            home->start();
+            home->run_for(riv::seconds(kWarmS));
+            riv::checkpoint::capture_warm_home(*home, opt.seed, img,
+                                               /*with_attest=*/false);
+          }
+          std::vector<std::string> reps = parallel_map<std::string>(
+              1, k, [&opt, &img](std::size_t r) {
+                auto clone = make_scenario(opt);
+                std::string err;
+                if (!riv::checkpoint::apply_warm_home(img, *clone, opt.seed,
+                                                      &err))
+                  return "apply failed: " + err;
+                clone->bus().perturb(0x5eed0000 + r);
+                clone->run_for(riv::seconds(kTailS));
+                return fmt_pct(harvest_pct(*clone));
               });
           double sum = 0;
           for (std::size_t r = 0; r < k; ++r) {
-            if (!reps[r].ok || reps[r].payload != fresh[cell][r]) {
+            if (reps[r] != fresh[cell][r]) {
               ++mismatches;
               std::fprintf(stderr,
                            "replicate mismatch cell %zu rep %zu: "
-                           "forked '%s' vs fresh '%s'\n",
-                           cell, r, reps[r].payload.c_str(),
-                           fresh[cell][r].c_str());
+                           "cloned '%s' vs fresh '%s'\n",
+                           cell, r, reps[r].c_str(), fresh[cell][r].c_str());
             }
-            sum += std::atof(reps[r].payload.c_str());
+            sum += std::atof(reps[r].c_str());
           }
           mean[leg++] = sum / static_cast<double>(k);
           ++cell;
@@ -167,16 +173,16 @@ int main(int argc, char** argv) {
                     mean[0], mean[1]);
       }
     }
-    const double forked_wall = wall_now() - t0;
-    std::printf("\nfork-per-seed: 18 cells x %zu replicates "
+    const double cloned_wall = wall_now() - t0;
+    std::printf("\nwarm-prefix clones: 18 cells x %zu replicates "
                 "(%llds warm + %llds tail)\n",
                 k, static_cast<long long>(kWarmS),
                 static_cast<long long>(kTailS));
-    std::printf("from-scratch %.2f s   forked (shared warm-up) %.2f s   "
+    std::printf("from-scratch %.2f s   cloned (shared warm-up) %.2f s   "
                 "speed-up %.2fx\n",
-                fresh_wall, forked_wall,
-                forked_wall > 0 ? fresh_wall / forked_wall : 0.0);
-    std::printf("replicate equality (forked vs from-scratch): %s "
+                fresh_wall, cloned_wall,
+                cloned_wall > 0 ? fresh_wall / cloned_wall : 0.0);
+    std::printf("replicate equality (cloned vs from-scratch): %s "
                 "(%zu/%zu identical)\n",
                 mismatches == 0 ? "ok" : "FAILED",
                 18 * k - mismatches, 18 * k);

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "trace/trace.hpp"
 
 namespace riv::appmodel {

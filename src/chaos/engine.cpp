@@ -5,6 +5,7 @@
 
 #include "chaos/injector.hpp"
 #include "common/assert.hpp"
+#include "common/codec.hpp"
 #include "workload/apps.hpp"
 #include "workload/deployment.hpp"
 
@@ -27,13 +28,11 @@ struct ChaosSession::Impl {
   std::optional<workload::HomeDeployment> home;
   std::optional<InvariantChecker> checker;
   std::optional<FaultInjector> injector;
+  bool plan_armed{false};
 };
 
-ChaosSession::ChaosSession(EngineOptions options,
-                           std::vector<std::unique_ptr<Invariant>> extra)
-    : impl_(std::make_unique<Impl>()) {
+void ChaosSession::build(std::vector<std::unique_ptr<Invariant>> extra) {
   Impl& im = *impl_;
-  im.options = std::move(options);
   const ScenarioOptions& sc = im.options.scenario;
   RIV_ASSERT(sc.n_processes >= 1, "scenario needs at least one process");
 
@@ -128,7 +127,18 @@ ChaosSession::ChaosSession(EngineOptions options,
   im.injector.emplace(home, im.trace);
   im.injector->set_integrity_armed(im.defense);
   im.end = home.sim().now() + im.plan_opt.horizon + seconds(1);
-  if (!im.options.defer_plan) arm_plan(sc.seed);
+}
+
+ChaosSession::ChaosSession(EngineOptions options,
+                           std::vector<std::unique_ptr<Invariant>> extra)
+    : impl_(std::make_unique<Impl>()) {
+  Impl& im = *impl_;
+  im.options = std::move(options);
+  build(std::move(extra));
+  workload::HomeDeployment& home = *im.home;
+  // Timer order is load-bearing (ids and seqs are in every capture and
+  // golden): plan actions, metric snapshots, the home, then the checker.
+  if (!im.options.defer_plan) arm_plan(im.options.scenario.seed);
 
   // --- start --------------------------------------------------------------
   if (im.options.metrics_period.us > 0)
@@ -141,9 +151,39 @@ ChaosSession::ChaosSession(EngineOptions options,
   im.checker->start(im.options.check_interval);
 }
 
+ChaosSession::ChaosSession(EngineOptions options,
+                           const std::vector<std::byte>& state,
+                           const HomeRestore& restore_home)
+    : impl_(std::make_unique<Impl>()) {
+  Impl& im = *impl_;
+  im.options = std::move(options);
+  BinaryReader r(state);
+  RIV_ASSERT(r.u8() == 0,
+             "session clone: the source has an armed fault plan, whose "
+             "action timers only re-execution rebuilds");
+  build({});
+  workload::HomeDeployment& home = *im.home;
+  // The clone can be captured again, like any session.
+  home.net().set_clone_tracking();
+  home.bus().set_clone_tracking();
+  restore_home(home, [&im, &r] {
+    im.checker->restore_clone(r, im.options.check_interval);
+  });
+  // The blob ends with the injector's cursors, which an unarmed plan
+  // leaves at their construction-time values: this injector's own.
+  BinaryWriter own;
+  im.injector->clone_state(own);
+  const std::vector<std::byte> rest(
+      state.end() - static_cast<std::ptrdiff_t>(r.remaining()), state.end());
+  RIV_ASSERT(r.ok() && rest == own.data(),
+             "session clone: malformed session blob");
+}
+
 ChaosSession::~ChaosSession() = default;
 
 workload::HomeDeployment& ChaosSession::home() { return *impl_->home; }
+
+const EngineOptions& ChaosSession::options() const { return impl_->options; }
 
 TimePoint ChaosSession::run_end() const { return impl_->end; }
 
@@ -168,7 +208,10 @@ void ChaosSession::arm_plan(std::uint64_t plan_seed, Duration offset) {
       },
       offset);
   im.end = im.home->sim().now() + im.plan_opt.horizon + seconds(1);
+  im.plan_armed = true;
 }
+
+bool ChaosSession::plan_armed() const { return impl_->plan_armed; }
 
 void ChaosSession::finish(ChaosResult& result) {
   Impl& im = *impl_;
@@ -234,8 +277,11 @@ std::shared_ptr<riv::trace::Recorder> ChaosSession::flight() const {
 
 const TraceRecorder& ChaosSession::fault_trace() const { return impl_->trace; }
 
-void ChaosSession::checkpoint_state(BinaryWriter& w) const {
-  impl_->injector->checkpoint_state(w);
+void ChaosSession::clone_state(BinaryWriter& w) const {
+  const Impl& im = *impl_;
+  w.u8(im.plan_armed ? 1 : 0);
+  im.checker->clone_state(w);
+  im.injector->clone_state(w);
 }
 
 ChaosEngine::ChaosEngine(EngineOptions options)

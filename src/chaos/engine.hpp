@@ -9,6 +9,8 @@
 // the full fault trace, and the trace's determinism hash.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,10 +72,11 @@ struct EngineOptions {
   // their emissions whenever Byzantine chaos is on, so the attacker model
   // is identical in both modes; only the verification differs.
   bool byzantine_defense{true};
-  // Fork-per-seed sweeps: build the deployment but generate/arm NO fault
-  // plan. The caller warms the home up, then calls
-  // ChaosSession::arm_plan(seed, offset) — typically once per forked
-  // child — so many divergent fault schedules share one warm-up prefix.
+  // Warm-prefix sweeps: build the deployment but generate/arm NO fault
+  // plan. The caller warms the home up, clones the session
+  // (checkpoint::capture_session / clone_session), then calls
+  // ChaosSession::arm_plan(seed, offset) once per clone, so many
+  // divergent fault schedules share one warm-up prefix.
   bool defer_plan{false};
 };
 
@@ -130,14 +133,28 @@ class ChaosEngine {
 // to the monolithic run it replaced (test_checkpoint pins this).
 class ChaosSession {
  public:
+  // Restores the home's state into the freshly built deployment — in
+  // practice checkpoint::apply_warm_home, which riv_chaos cannot link —
+  // calling `restore_owned_timers` inside the kernel's restore window.
+  using HomeRestore = std::function<void(
+      workload::HomeDeployment& home,
+      const std::function<void()>& restore_owned_timers)>;
+
   explicit ChaosSession(EngineOptions options,
                         std::vector<std::unique_ptr<Invariant>> extra = {});
+  // Clone constructor: build the same session without starting it, then
+  // restore `state` (a clone_state blob) and the home. Aborts on a blob
+  // captured with a plan armed: the plan's action timers are closures
+  // that only re-execution rebuilds (checkpoint::clone_session).
+  ChaosSession(EngineOptions options, const std::vector<std::byte>& state,
+               const HomeRestore& restore_home);
   ~ChaosSession();
   ChaosSession(const ChaosSession&) = delete;
   ChaosSession& operator=(const ChaosSession&) = delete;
 
   // The deployment under test (checkpoint capture reads it).
   workload::HomeDeployment& home();
+  const EngineOptions& options() const;
 
   // Virtual end of the scheduled run: plan horizon + 1s of settle time,
   // measured from the moment the plan was armed.
@@ -153,10 +170,12 @@ class ChaosSession {
   void finish(ChaosResult& result);
 
   // defer_plan mode: generate the plan for `plan_seed` and arm it with
-  // every action shifted by `offset`. Fork-per-seed sweeps call this once
-  // per forked child after a shared fault-free warm-up, so divergent
-  // schedules reuse one warm prefix.
+  // every action shifted by `offset`. Warm-prefix sweeps call this once
+  // per clone of a shared fault-free warm-up, so divergent schedules
+  // reuse one warm prefix. Once armed, the session can no longer be
+  // cloned (see the clone constructor).
   void arm_plan(std::uint64_t plan_seed, Duration offset = {});
+  bool plan_armed() const;
 
   // The flight recorder (null unless EngineOptions::flight was set).
   std::shared_ptr<riv::trace::Recorder> flight() const;
@@ -164,12 +183,19 @@ class ChaosSession {
   // The human-readable fault trace accumulated so far.
   const TraceRecorder& fault_trace() const;
 
-  // Serialize the injector's fault-plan cursors — the "chaos.injector"
-  // checkpoint section, the one RIVC section with no clone counterpart.
-  void checkpoint_state(BinaryWriter& w) const;
+  // Serialize the session's own state next to the home's image: whether
+  // a plan is armed, the checker's state and tick timer, and the
+  // injector's fault-plan cursors. Always writes — a RIVC capture
+  // ("chaos.session") happens mid-run with the plan armed.
+  void clone_state(BinaryWriter& w) const;
 
  private:
   struct Impl;
+  // Everything both constructors share: the flight recorder, the
+  // standard home (built, not started), the plan options, the checker
+  // and the injector. No timer exists yet when this returns.
+  void build(std::vector<std::unique_ptr<Invariant>> extra);
+
   std::unique_ptr<Impl> impl_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/codec.hpp"
 #include "trace/trace.hpp"
 
 namespace riv::chaos {
@@ -19,7 +20,7 @@ void FaultInjector::arm(const FaultPlan& plan, QuiesceHook on_quiesce_end,
   bool any_corrupt = false;
   for (const FaultAction& action : plan.actions) {
     any_corrupt |= action.kind == FaultKind::kCorruptBegin;
-    // Fork-per-seed sweeps arm a plan after a shared warm-up; `offset`
+    // Warm-prefix sweeps arm a plan after a shared warm-up; `offset`
     // shifts the whole schedule so plan times stay relative to arming.
     FaultAction shifted = action;
     shifted.at = shifted.at + offset;
@@ -29,6 +30,25 @@ void FaultInjector::arm(const FaultPlan& plan, QuiesceHook on_quiesce_end,
   if (any_corrupt) {
     home_->net().set_interposer(
         [this](net::Message& msg) { return interpose(msg); });
+  }
+}
+
+void FaultInjector::clone_state(BinaryWriter& w) const {
+  w.u64(seq_);
+  w.u64(injected_);
+  w.u64(noops_);
+  w.u64(attacks_);
+  w.u8(integrity_ ? 1 : 0);
+  for (std::uint64_t word : byz_rng_.state()) w.u64(word);
+  w.time_point(window_start_);
+  w.u8(corrupt_pid_.has_value() ? 1 : 0);
+  if (corrupt_pid_.has_value()) w.process_id(*corrupt_pid_);
+  w.u64(corrupt_fault_id_);
+  w.u64(base_link_loss_.size());
+  for (const auto& [link, loss] : base_link_loss_) {
+    w.sensor_id(link.first);
+    w.process_id(link.second);
+    w.f64(loss);
   }
 }
 

@@ -47,9 +47,11 @@ class FaultInjector {
   void set_integrity_armed(bool armed) { integrity_ = armed; }
 
   // Schedule every action of `plan`, each shifted by `offset` (zero for a
-  // normal run; fork-per-seed sweeps arm after a shared warm-up). Call
-  // once, before or after HomeDeployment::start(), but before running the
-  // simulation past the first shifted action.
+  // normal run; warm-prefix sweeps arm each clone after a shared
+  // warm-up). Call once, before or after HomeDeployment::start(), but
+  // before running the simulation past the first shifted action. The
+  // action timers are closures over the plan, so no snapshot restores
+  // an armed injector: only re-execution rebuilds them.
   void arm(const FaultPlan& plan, QuiesceHook on_quiesce_end = {},
            Duration offset = {});
 
@@ -61,27 +63,12 @@ class FaultInjector {
   // interposer mutate/dup/drop events) — each emitted a kByzantine marker.
   std::size_t attacks() const { return attacks_; }
 
-  // Serialize the injector's plan cursors — action sequence, applied/noop
-  // split, attack randomness stream, quiescence window, link-loss
-  // baselines, corrupt-window state — for a checkpoint.
-  void checkpoint_state(BinaryWriter& w) const {
-    w.u64(seq_);
-    w.u64(injected_);
-    w.u64(noops_);
-    w.u64(attacks_);
-    w.u8(integrity_ ? 1 : 0);
-    for (std::uint64_t word : byz_rng_.state()) w.u64(word);
-    w.time_point(window_start_);
-    w.u8(corrupt_pid_.has_value() ? 1 : 0);
-    if (corrupt_pid_.has_value()) w.process_id(*corrupt_pid_);
-    w.u64(corrupt_fault_id_);
-    w.u64(base_link_loss_.size());
-    for (const auto& [link, loss] : base_link_loss_) {
-      w.sensor_id(link.first);
-      w.process_id(link.second);
-      w.f64(loss);
-    }
-  }
+  // Snapshot state (DESIGN.md §13): the plan cursors — action sequence,
+  // applied/noop split, attack randomness stream, quiescence window,
+  // link-loss baselines, corrupt-window state. Until arm() they hold
+  // their construction-time values, so an unarmed clone has nothing to
+  // restore.
+  void clone_state(BinaryWriter& w) const;
 
  private:
   void apply(const FaultAction& action);

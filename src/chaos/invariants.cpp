@@ -4,6 +4,9 @@
 #include <cstdint>
 #include <functional>
 
+#include "common/assert.hpp"
+#include "common/codec.hpp"
+
 namespace riv::chaos {
 
 std::string to_string(const Violation& v) {
@@ -50,6 +53,14 @@ void NoDuplicateDelivery::check(const CheckContext& ctx,
                        " duplicate event(s) fed to a logic instance"});
     reported_ = dups;
   }
+}
+
+void NoDuplicateDelivery::clone_state(BinaryWriter& w) const {
+  w.u64(reported_);
+}
+
+void NoDuplicateDelivery::restore_clone(BinaryReader& r) {
+  reported_ = r.u64();
 }
 
 void NoOverDelivery::check(const CheckContext& ctx,
@@ -170,6 +181,23 @@ void NoForgedActuation::check(const CheckContext& ctx,
   }
 }
 
+void NoForgedActuation::clone_state(BinaryWriter& w) const {
+  w.u64(scanned_.size());
+  for (const auto& [aid, cursor] : scanned_) {
+    w.actuator_id(aid);
+    w.u64(cursor);
+  }
+}
+
+void NoForgedActuation::restore_clone(BinaryReader& r) {
+  scanned_.clear();
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+    const ActuatorId aid = r.actuator_id();
+    scanned_[aid] = r.u64();
+  }
+}
+
 void NoOriginSeqRegression::check(const CheckContext& ctx,
                                   std::vector<Violation>& out) const {
   workload::HomeDeployment& home = *ctx.home;
@@ -211,7 +239,7 @@ CheckContext InvariantChecker::context(TimePoint cutoff, bool final_check) {
   return ctx;
 }
 
-void InvariantChecker::start(Duration interval) {
+void InvariantChecker::make_tick(Duration interval) {
   alive_ = std::make_shared<bool>(true);
   std::shared_ptr<bool> alive = alive_;
   sim::Simulation& sim = home_->sim();
@@ -221,9 +249,60 @@ void InvariantChecker::start(Duration interval) {
   tick_ = [this, alive, interval, &sim] {
     if (!*alive) return;
     check_continuous();
-    sim.schedule_after(interval, tick_);
+    tick_id_ = sim.schedule_after(interval, tick_);
   };
-  sim.schedule_after(interval, tick_);
+}
+
+void InvariantChecker::start(Duration interval) {
+  make_tick(interval);
+  tick_id_ = home_->sim().schedule_after(interval, tick_);
+}
+
+void InvariantChecker::clone_state(BinaryWriter& w) const {
+  w.u64(checks_run_);
+  w.u64(violations_.size());
+  for (const Violation& v : violations_) {
+    w.str(v.invariant);
+    w.time_point(v.at);
+    w.str(v.detail);
+  }
+  w.u32(static_cast<std::uint32_t>(invariants_.size()));
+  for (const auto& inv : invariants_) inv->clone_state(w);
+  TimePoint t{};
+  std::uint64_t seq = 0;
+  const bool ticking =
+      tick_id_ != 0 && home_->sim().timer_info(tick_id_, &t, &seq);
+  RIV_ASSERT(ticking == static_cast<bool>(alive_),
+             "checker capture: a started checker must have a pending tick");
+  w.u8(ticking ? 1 : 0);
+  if (ticking) {
+    w.u64(tick_id_);
+    w.time_point(t);
+    w.u64(seq);
+  }
+}
+
+void InvariantChecker::restore_clone(BinaryReader& r, Duration interval) {
+  checks_run_ = static_cast<std::size_t>(r.u64());
+  violations_.clear();
+  const std::uint64_t n_violations = r.u64();
+  for (std::uint64_t i = 0; i < n_violations && r.ok(); ++i) {
+    Violation v;
+    v.invariant = r.str();
+    v.at = r.time_point();
+    v.detail = r.str();
+    violations_.push_back(std::move(v));
+  }
+  RIV_ASSERT(r.u32() == invariants_.size(),
+             "checker restore: the invariant set differs from the source's");
+  for (const auto& inv : invariants_) inv->restore_clone(r);
+  if (r.u8() != 0) {
+    const sim::TimerId id = r.u64();
+    const TimePoint t = r.time_point();
+    const std::uint64_t seq = r.u64();
+    make_tick(interval);
+    tick_id_ = home_->sim().schedule_restored(id, t, seq, tick_);
+  }
 }
 
 void InvariantChecker::check_continuous() {

@@ -27,6 +27,11 @@
 #include "chaos/trace.hpp"
 #include "workload/deployment.hpp"
 
+namespace riv {
+class BinaryReader;
+class BinaryWriter;
+}  // namespace riv
+
 namespace riv::chaos {
 
 struct Violation {
@@ -58,6 +63,10 @@ class Invariant {
   virtual bool continuous() const = 0;
   virtual void check(const CheckContext& ctx,
                      std::vector<Violation>& out) const = 0;
+  // Snapshot-clone state (DESIGN.md §13): the cursors a stateful
+  // invariant keeps between checks. Stateless invariants write nothing.
+  virtual void clone_state(BinaryWriter& /*w*/) const {}
+  virtual void restore_clone(BinaryReader& /*r*/) {}
 };
 
 // §4.2 "no duplicates to the app": no single logic-instance epoch is ever
@@ -74,6 +83,8 @@ class NoDuplicateDelivery : public Invariant {
   bool continuous() const override { return true; }
   void check(const CheckContext& ctx,
              std::vector<Violation>& out) const override;
+  void clone_state(BinaryWriter& w) const override;
+  void restore_clone(BinaryReader& r) override;
 
  private:
   // The metric is cumulative; report each duplicate once, not per tick.
@@ -137,6 +148,8 @@ class NoForgedActuation : public Invariant {
   bool continuous() const override { return true; }
   void check(const CheckContext& ctx,
              std::vector<Violation>& out) const override;
+  void clone_state(BinaryWriter& w) const override;
+  void restore_clone(BinaryReader& r) override;
 
  private:
   // Actuator histories are append-only; remember how far we scanned.
@@ -179,8 +192,21 @@ class InvariantChecker {
   const std::vector<Violation>& violations() const { return violations_; }
   std::size_t checks_run() const { return checks_run_; }
 
+  // Snapshot-clone state: checks run, violations so far, each
+  // invariant's cursors, and the periodic tick's (id, t, seq) when
+  // started. Must be called at rest, like Simulation::clone_state.
+  void clone_state(BinaryWriter& w) const;
+  // Restore into a checker with the same invariants, inside the
+  // kernel's restore window (the tick is re-created with its original
+  // identity via schedule_restored). `interval` is the tick period the
+  // source was started with.
+  void restore_clone(BinaryReader& r, Duration interval);
+
  private:
   CheckContext context(TimePoint cutoff, bool final_check);
+  // Build the periodic tick closure; start() and restore_clone() then
+  // schedule it fresh or with its captured identity.
+  void make_tick(Duration interval);
 
   workload::HomeDeployment* home_;
   AppId app_;
@@ -191,6 +217,8 @@ class InvariantChecker {
   // Lets the periodic timer lambda outlive `this` harmlessly.
   std::shared_ptr<bool> alive_;
   std::function<void()> tick_;
+  // The pending tick (0 until started).
+  sim::TimerId tick_id_{0};
 };
 
 }  // namespace riv::chaos

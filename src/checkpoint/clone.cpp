@@ -13,8 +13,7 @@ namespace {
 // Registry clone codec. Counters and histograms are the
 // registry_fingerprint surface, so they round-trip exactly: histograms as
 // sparse (index, count) pairs — a fleet home touches a handful of the
-// ~600 buckets — plus the exact count/sum/min/max words. Series
-// round-trip point-for-point.
+// ~600 buckets — plus the exact count/sum/min/max words.
 void encode_registry(BinaryWriter& w, const metrics::Registry& reg) {
   const auto& counters = reg.counters();
   w.u64(counters.size());
@@ -43,16 +42,6 @@ void encode_registry(BinaryWriter& w, const metrics::Registry& reg) {
     w.i64(h.min_raw());
     w.i64(h.max().us);
   }
-  const auto& series = reg.all_series();
-  w.u64(series.size());
-  for (const auto& [name, s] : series) {
-    w.str(name);
-    w.u64(s.points().size());
-    for (const auto& p : s.points()) {
-      w.time_point(p.t);
-      w.f64(p.v);
-    }
-  }
 }
 
 void decode_registry(BinaryReader& r, metrics::Registry& reg) {
@@ -79,15 +68,6 @@ void decode_registry(BinaryReader& r, metrics::Registry& reg) {
     const std::int64_t max = r.i64();
     reg.latency(name).mutable_hist().restore(buckets, overflow, count, sum,
                                              min, max);
-  }
-  const std::uint64_t n_series = r.u64();
-  for (std::uint64_t i = 0; i < n_series; ++i) {
-    metrics::TimeSeries& s = reg.series(r.str());
-    const std::uint64_t n_points = r.u64();
-    for (std::uint64_t j = 0; j < n_points; ++j) {
-      TimePoint t = r.time_point();
-      s.append(t, r.f64());
-    }
   }
 }
 
@@ -175,7 +155,8 @@ std::vector<Section> image_sections(WarmImage img,
 }
 
 bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
-                     std::uint64_t seed, std::string* error) {
+                     std::uint64_t seed, std::string* error,
+                     const std::function<void()>& restore_owned_timers) {
   // Deployment-level identity gate: rejected cleanly, before any restore
   // call touches the target. (Deeper structural divergence with matching
   // counts is a build/scenario bug and trips component asserts instead.)
@@ -234,6 +215,7 @@ bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
     target.process(p).restore_clone(r);
     RIV_ASSERT(r.ok() && r.remaining() == 0, "clone restore: process blob");
   }
+  if (restore_owned_timers) restore_owned_timers();
   target.sim().finish_restore();
   if (error) error->clear();
   return true;
@@ -252,6 +234,35 @@ std::string attest_clone(const WarmImage& img,
   cur.at = recaptured.at;
   cur.sections = image_sections(std::move(recaptured), clone);
   return diff_snapshots(ref, cur);
+}
+
+void capture_session(chaos::ChaosSession& session, SessionImage& out) {
+  RIV_ASSERT(!session.plan_armed(),
+             "capture_session: the session has an armed fault plan, whose "
+             "action timers only re-execution rebuilds");
+  RIV_ASSERT(session.options().metrics_period.us == 0,
+             "capture_session: metric snapshots are on, and their timer has "
+             "no owner in the image");
+  RIV_ASSERT(session.flight() == nullptr,
+             "capture_session: a clone cannot carry the flight-trace prefix");
+  out.options = session.options();
+  capture_warm_home(session.home(), out.options.scenario.seed, out.home,
+                    /*with_attest=*/false);
+  BinaryWriter w(std::move(out.session));
+  session.clone_state(w);
+  out.session = w.take();
+}
+
+std::unique_ptr<chaos::ChaosSession> clone_session(const SessionImage& img) {
+  return std::make_unique<chaos::ChaosSession>(
+      img.options, img.session,
+      [&img](workload::HomeDeployment& home,
+             const std::function<void()>& restore_owned_timers) {
+        std::string err;
+        RIV_ASSERT(apply_warm_home(img.home, home, img.options.scenario.seed,
+                                   &err, restore_owned_timers),
+                   err.c_str());
+      });
 }
 
 }  // namespace riv::checkpoint

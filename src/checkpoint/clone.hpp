@@ -11,7 +11,15 @@
 //
 // The same blobs are the sections of a RIVC checkpoint (image_sections),
 // which restores by attested re-execution instead (checkpoint/scenario.hpp)
-// because chaos sessions own timers no component can rebuild.
+// because a chaos session captured mid-run has an armed fault plan whose
+// action timers no component can rebuild.
+//
+// A chaos session with no plan armed clones too (capture_session /
+// clone_session): its blob carries the invariant checker's state and
+// tick timer, the one timer the session owns before a plan is armed,
+// and the injector's (still construction-time) cursors. Warm-prefix
+// sweeps (chaos_run --fork-sweep, bench_kernel) clone one warmed session
+// per plan seed and run the tails over parallel_map.
 //
 // Correctness is attested by *sampling*: attest_clone() re-captures the
 // restored clone and diffs it against the image section by section (the
@@ -27,9 +35,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "chaos/engine.hpp"
 #include "checkpoint/rivc.hpp"
 #include "common/time.hpp"
 
@@ -81,9 +92,12 @@ std::vector<Section> image_sections(WarmImage img,
 // the target's state machine mid-way) when the deployment-level identity
 // differs: seed, process count, or sensor count. Deeper structural
 // mismatches (diverged builder calls with matching counts) fail hard via
-// component-level identity asserts.
+// component-level identity asserts. `restore_owned_timers`, when set,
+// runs just before the kernel's restore window closes: timer owners
+// outside the home (a chaos session's checker) re-create theirs there.
 bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
-                     std::uint64_t seed, std::string* error);
+                     std::uint64_t seed, std::string* error,
+                     const std::function<void()>& restore_owned_timers = {});
 
 // Sampled background attestation: re-capture the restored clone (before
 // it runs) and diff it against the image section by section. Returns ""
@@ -91,5 +105,24 @@ bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
 // Requires an image captured with with_attest=true.
 std::string attest_clone(const WarmImage& img,
                          workload::HomeDeployment& clone);
+
+// A warmed chaos session, held in memory: the options it was built from,
+// the image of its home, and its own clone_state blob.
+struct SessionImage {
+  chaos::EngineOptions options;
+  WarmImage home;
+  std::vector<std::byte> session;
+};
+
+// Capture `session` at rest. Aborts unless the session can be cloned:
+// no fault plan armed (its action timers are closures), no metric
+// snapshots (the deployment's snapshot timer has no owner in the image)
+// and no flight recorder (a clone cannot carry the trace prefix).
+void capture_session(chaos::ChaosSession& session, SessionImage& out);
+
+// Build a fresh session from the image's options and restore the image
+// into it: the clone continues exactly where the source stood. Clones of
+// one image are independent, so they may run on different threads.
+std::unique_ptr<chaos::ChaosSession> clone_session(const SessionImage& img);
 
 }  // namespace riv::checkpoint

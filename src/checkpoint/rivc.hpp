@@ -5,7 +5,7 @@
 // (record count + rolling hash), and a list of named state sections —
 // each an opaque byte payload: the blobs of a warm-clone image
 // (checkpoint/clone.hpp image_sections), plus scenario extras such as
-// "chaos.injector". The file ends with an FNV-1a footer over every
+// "chaos.session". The file ends with an FNV-1a footer over every
 // preceding byte, so corruption anywhere is detected before a single
 // field is trusted.
 //
@@ -32,7 +32,9 @@ namespace riv::checkpoint {
 // Version 2: sections are the warm-clone blobs, metrics included.
 // Version 3: each proc.<pid> section carries the process's event logs
 // once, also while it is down; its stable store holds no log keys.
-inline constexpr std::uint32_t kRivcVersion = 3;
+// Version 4: "chaos.session" (injector cursors + checker state) replaces
+// the injector-only chaos section; registries carry no time series.
+inline constexpr std::uint32_t kRivcVersion = 4;
 
 struct Section {
   std::string name;
@@ -63,7 +65,7 @@ std::vector<std::byte> encode(const Snapshot& snap);
 // Decode; returns false and sets *error on any malformed input. Error
 // strings are pinned (test_checkpoint_fuzz):
 //   "not a RIVC checkpoint (bad magic)"
-//   "unsupported checkpoint version N (this build reads 3)"
+//   "unsupported checkpoint version N (this build reads 4)"
 //   "truncated checkpoint"
 //   "checkpoint footer hash mismatch"
 //   "trailing bytes after checkpoint footer"

@@ -173,8 +173,8 @@ class ChaosScenario final : public Scenario {
  protected:
   void extra_sections(Snapshot& snap) override {
     BinaryWriter w;
-    session_->checkpoint_state(w);
-    snap.sections.push_back({"chaos.injector", w.take()});
+    session_->clone_state(w);
+    snap.sections.push_back({"chaos.session", w.take()});
   }
 
  private:

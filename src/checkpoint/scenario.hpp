@@ -9,10 +9,11 @@
 // a clone capture requires.
 //
 // restore() is re-execution + attestation, not deserialization: a chaos
-// session owns injector and checker timers that no component can
-// rebuild, so the only faithful way back to a mid-run state is to rebuild
-// the scenario from its identity, run it deterministically to the
-// snapshot time, and then byte-compare a fresh capture against the
+// session captured mid-run has an armed fault plan whose action timers
+// are closures no section can rebuild, and the flight trace's prefix is
+// part of the contract, so the only faithful way back to a mid-run state
+// is to rebuild the scenario from its identity, run it deterministically
+// to the snapshot time, and then byte-compare a fresh capture against the
 // stored sections. A match
 // proves "restored ≡ uninterrupted" for every captured layer; a mismatch
 // names the first divergent section and byte. The restored scenario is
@@ -69,7 +70,7 @@ class Scenario {
   // Serialize the current logical state into a snapshot: scenario
   // identity + virtual time + flight-trace position + one section per
   // layer ("sim.kernel", "metrics", "net.wifi", "bus.devices",
-  // "proc.<pid>", plus scenario extras such as "chaos.injector").
+  // "proc.<pid>", plus scenario extras such as "chaos.session").
   Snapshot capture();
 
  protected:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "trace/trace.hpp"
 
 namespace riv::core {

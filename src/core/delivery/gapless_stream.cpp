@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "trace/trace.hpp"
 
 namespace riv::core {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "core/exec/placement.hpp"
 #include "core/wire.hpp"
 #include "trace/trace.hpp"
@@ -510,8 +509,6 @@ void RivuletProcess::make_logic(AppId id, AppState& app) {
 }
 
 void RivuletProcess::promote(AppId id, AppState& app) {
-  RIV_INFO("exec", to_string(self_) << " promotes logic for app "
-                                    << app.graph->name);
   if (trace::active(trace::Component::kRuntime)) {
     trace::emit(sim_->now(), self_, trace::Component::kRuntime,
                 trace::Kind::kPromote, trace::fu(trace::Key::kApp, id.value));
@@ -529,8 +526,6 @@ void RivuletProcess::promote(AppId id, AppState& app) {
 }
 
 void RivuletProcess::demote(AppId id, AppState& app) {
-  RIV_INFO("exec", to_string(self_) << " demotes logic for app "
-                                    << app.graph->name);
   if (trace::active(trace::Component::kRuntime)) {
     trace::emit(sim_->now(), self_, trace::Component::kRuntime,
                 trace::Kind::kDemote, trace::fu(trace::Key::kApp, id.value));
@@ -599,12 +594,9 @@ void RivuletProcess::deliver_to_logic(AppId id, AppState& app,
     const std::string prefix = metric_prefix(id);
     app.m_delivered = &metrics_->counter(prefix + ".delivered");
     app.m_delay = &metrics_->latency(prefix + ".delay");
-    app.m_delivered_ts = &metrics_->series(prefix + ".delivered_ts");
   }
   app.m_delivered->add(1);
   app.m_delay->record(sim_->now() - e.emitted_at);
-  app.m_delivered_ts->append(sim_->now(),
-                             static_cast<double>(app.m_delivered->value()));
 
   auto sit = app.streams.find(e.id.sensor);
   if (sit != app.streams.end() && sit->second.gapless)

@@ -124,7 +124,6 @@ class RivuletProcess {
     metrics::Counter* m_delivered{nullptr};
     metrics::Counter* m_dup_instance{nullptr};
     metrics::LatencyRecorder* m_delay{nullptr};
-    metrics::TimeSeries* m_delivered_ts{nullptr};
     // Events fed to the CURRENT logic instance (cleared on promotion).
     // Feeding one instance the same event twice is a delivery-service bug
     // for both guarantees (§4.2 Gap dedup; Gapless log-exact dedup), so

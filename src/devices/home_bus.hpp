@@ -83,9 +83,9 @@ class HomeBus {
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
-  // Fork-divergence lever: salt every sensor's RNG stream (and the
-  // kernel's) so a forked copy of a warm home diverges deterministically
-  // — see Sensor::perturb.
+  // Divergence lever: salt every sensor's RNG stream (and the kernel's)
+  // so a clone of a warm home diverges deterministically — see
+  // Sensor::perturb.
   void perturb(std::uint64_t salt);
 
  private:

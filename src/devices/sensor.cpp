@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 #include "trace/trace.hpp"
 
 namespace riv::devices {

@@ -161,11 +161,11 @@ class Sensor {
   // timers are re-created via ProcessTimers::restore_at.
   void restore_clone(BinaryReader& r);
 
-  // Fork-divergence lever: replace the RNG stream with a salted child
-  // stream. Two forked copies of a warm deployment perturbed with
-  // different salts diverge from here on (loss draws, jitter, emission
-  // gaps) while sharing the identical warm-up — the replicate axis of
-  // fork-per-seed sweeps. Deterministic: same salt, same continuation.
+  // Divergence lever: replace the RNG stream with a salted child stream.
+  // Two clones of a warm deployment perturbed with different salts
+  // diverge from here on (loss draws, jitter, emission gaps) while
+  // sharing the identical warm-up — the replicate axis of warm-prefix
+  // sweeps. Deterministic: same salt, same continuation.
   void perturb(std::uint64_t salt) { rng_ = rng_.fork(salt); }
 
  private:

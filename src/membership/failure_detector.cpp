@@ -1,6 +1,5 @@
 #include "membership/failure_detector.hpp"
 
-#include "common/log.hpp"
 #include "trace/trace.hpp"
 
 namespace riv::membership {
@@ -122,8 +121,6 @@ void FailureDetector::recompute_view() {
     view_flat_ = scratch_;
     view_.clear();
     view_.insert(scratch_.begin(), scratch_.end());
-    RIV_DEBUG("membership", riv::to_string(self_) << " view size "
-                                                  << view_.size());
     if (trace::active(trace::Component::kMembership)) {
       // view_flat_ is sorted, so packing it matches the set's rendering.
       trace::emit(now, self_, trace::Component::kMembership,

@@ -1,30 +1,6 @@
 #include "metrics/metrics.hpp"
 
-#include <iterator>
-
 namespace riv::metrics {
-
-std::vector<TimeSeries::Point> TimeSeries::binned_last(Duration bin,
-                                                       TimePoint end) const {
-  std::vector<Point> out;
-  double last = 0.0;
-  std::size_t i = 0;
-  for (TimePoint t{bin.us}; t <= end; t = t + bin) {
-    while (i < points_.size() && points_[i].t <= t) last = points_[i++].v;
-    out.push_back({t, last});
-  }
-  return out;
-}
-
-void TimeSeries::merge_from(const TimeSeries& other) {
-  if (other.points_.empty()) return;
-  std::vector<Point> merged;
-  merged.reserve(points_.size() + other.points_.size());
-  std::merge(points_.begin(), points_.end(), other.points_.begin(),
-             other.points_.end(), std::back_inserter(merged),
-             [](const Point& a, const Point& b) { return a.t < b.t; });
-  points_ = std::move(merged);
-}
 
 std::uint64_t Registry::counter_sum(const std::string& prefix) const {
   std::uint64_t total = 0;
@@ -32,15 +8,6 @@ std::uint64_t Registry::counter_sum(const std::string& prefix) const {
     if (name.rfind(prefix, 0) == 0) total += counter.value();
   }
   return total;
-}
-
-void Registry::merge_from(const Registry& other) {
-  for (const auto& [name, counter] : other.counters_)
-    counters_[name].add(counter.value());
-  for (const auto& [name, lat] : other.latencies_)
-    latencies_[name].merge(lat);
-  for (const auto& [name, ts] : other.series_)
-    series_[name].merge_from(ts);
 }
 
 void Registry::merge_scalars_from(const Registry& other) {
@@ -53,7 +20,6 @@ void Registry::merge_scalars_from(const Registry& other) {
 void Registry::reset() {
   counters_.clear();
   latencies_.clear();
-  series_.clear();
 }
 
 void SnapshotTimeline::capture(TimePoint at, ProcessId process,

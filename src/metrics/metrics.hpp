@@ -1,9 +1,10 @@
 // Measurement infrastructure for the evaluation harness.
 //
 // Every experiment in bench/ reads its numbers from these recorders rather
-// than from analytic formulas: the transport charges bytes into a Counter,
-// the runtime records per-event delivery latency into a LatencyRecorder,
-// and timeline experiments (Fig 7) append to a TimeSeries.
+// than from analytic formulas: the transport charges bytes into a Counter
+// and the runtime records per-event delivery latency into a
+// LatencyRecorder. Timelines (Fig 7) read cumulative counters between
+// chunked runs.
 #pragma once
 
 #include <algorithm>
@@ -210,34 +211,12 @@ class ExactLatencyRecorder {
   std::vector<Duration> samples_;
 };
 
-// Ordered (time, value) samples; used for timeline plots (Fig 7).
-class TimeSeries {
- public:
-  void append(TimePoint t, double v) { points_.push_back({t, v}); }
-  struct Point {
-    TimePoint t;
-    double v;
-  };
-  const std::vector<Point>& points() const { return points_; }
-
-  // Re-bucket into fixed-width bins; each bin reports the last sample value
-  // (suitable for cumulative counters).
-  std::vector<Point> binned_last(Duration bin, TimePoint end) const;
-
-  // Time-ordered merge of another (itself time-ordered) series.
-  void merge_from(const TimeSeries& other);
-
- private:
-  std::vector<Point> points_;
-};
-
 // Named metric registry shared by one experiment. Counters are created on
 // first use; names follow "component.metric" (e.g. "net.bytes.ring_event").
 class Registry {
  public:
   Counter& counter(const std::string& name) { return counters_[name]; }
   LatencyRecorder& latency(const std::string& name) { return latencies_[name]; }
-  TimeSeries& series(const std::string& name) { return series_[name]; }
 
   std::uint64_t counter_value(const std::string& name) const {
     auto it = counters_.find(name);
@@ -251,24 +230,14 @@ class Registry {
   const std::map<std::string, LatencyRecorder>& latencies() const {
     return latencies_;
   }
-  const std::map<std::string, TimeSeries>& all_series() const {
-    return series_;
-  }
 
   // Fold another registry into this one: counters add, latency histograms
-  // merge bucket-wise, series interleave in time order. The basis of the
-  // deployment-wide aggregate view over per-process registries.
-  void merge_from(const Registry& other);
-
-  // Counters + latency histograms only, skipping time series. Integer
-  // adds and bucket-wise histogram adds are exactly associative and
-  // commutative, so the result is bit-identical no matter what order (or
-  // tree shape) registries are folded in — the property fleet-scale
-  // aggregation leans on when worker threads merge shard results, and
-  // test_metrics pins over 1k randomized registries. (Full merge_from is
-  // order-invariant only up to time-ordered series tie interleave, and a
-  // million homes' worth of per-delivery series points would dwarf the
-  // scalar state anyway.)
+  // merge bucket-wise. Integer adds and bucket-wise histogram adds are
+  // exactly associative and commutative, so the result is bit-identical
+  // no matter what order (or tree shape) registries are folded in — the
+  // property the deployment-wide aggregate view and fleet-scale
+  // aggregation lean on, and test_metrics pins over 1k randomized
+  // registries.
   void merge_scalars_from(const Registry& other);
 
   void reset();
@@ -276,7 +245,6 @@ class Registry {
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, LatencyRecorder> latencies_;
-  std::map<std::string, TimeSeries> series_;
 };
 
 // Periodic virtual-time snapshots of cumulative counter values: one row

@@ -4,7 +4,6 @@
 
 #include "common/assert.hpp"
 #include "common/codec.hpp"
-#include "common/log.hpp"
 #include "trace/trace.hpp"
 
 namespace riv::net {

@@ -117,8 +117,8 @@ void HomeDeployment::start() {
 
 metrics::Registry& HomeDeployment::metrics() {
   merged_.reset();
-  merged_.merge_from(shared_metrics_);
-  for (auto& reg : proc_metrics_) merged_.merge_from(*reg);
+  merged_.merge_scalars_from(shared_metrics_);
+  for (auto& reg : proc_metrics_) merged_.merge_scalars_from(*reg);
   return merged_;
 }
 

@@ -1,15 +1,16 @@
-// Checkpoint/fork & time-travel replay, proven correct by differential
-// testing.
+// Checkpoint, session clones & time-travel replay, proven correct by
+// differential testing.
 //
 // The correctness contract is "restored ≡ uninterrupted, byte-for-byte,
 // traces and hashes included", and every test here is a differential:
 //
 //   * each blessed golden scenario is run with a mid-run checkpoint, the
-//     checkpoint is restored in a forked fresh process, and the restored
-//     run's complete trace must be byte-identical to the blessed golden
-//     file (same FNV-1a footer);
-//   * fork-per-seed chaos sweeps must produce, per seed, exactly the
-//     fault trace a from-scratch run of that seed produces;
+//     first run is torn down, the checkpoint is restored from its file,
+//     and the restored run's complete trace must be byte-identical to
+//     the blessed golden file (same FNV-1a footer);
+//   * warm-prefix sweeps over session clones must produce, per seed,
+//     exactly the fault trace a from-scratch run of that seed produces,
+//     and a clone must re-capture exactly as its source captured;
 //   * capture must be a pure function of logical state, pinned against
 //     the known sources of incidental divergence (StableStore hash-map
 //     iteration, timer cancel order, chunked-vs-monolithic runs).
@@ -21,9 +22,10 @@
 #include <vector>
 
 #include "chaos/engine.hpp"
-#include "checkpoint/fork.hpp"
+#include "checkpoint/clone.hpp"
 #include "checkpoint/rivc.hpp"
 #include "checkpoint/scenario.hpp"
+#include "common/parallel.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stable_store.hpp"
 #include "trace/trace.hpp"
@@ -62,8 +64,8 @@ std::string chaos_fingerprint(const chaos::ChaosResult& r) {
 }
 
 // One golden scenario end-to-end: checkpoint mid-run, prove the
-// checkpoint changed nothing, then restore from the file in a forked
-// fresh process and prove the restored run reproduces the blessed golden
+// checkpoint changed nothing, tear that run down, then restore from the
+// file and prove the restored run reproduces the blessed golden
 // byte-for-byte.
 void check_golden_scenario(const std::string& name) {
   SCOPED_TRACE(name);
@@ -74,50 +76,41 @@ void check_golden_scenario(const std::string& name) {
   const std::size_t golden_records = golden.size();
 
   // --- checkpointed run: capture mid-run, then keep going ---------------
-  std::unique_ptr<checkpoint::Scenario> sc =
-      checkpoint::make_golden_scenario(name);
-  ASSERT_NE(sc, nullptr);
-  sc->start();
-  sc->run_to(mid_time(name));
-  checkpoint::Snapshot snap = sc->capture();
-  EXPECT_EQ(snap.at, mid_time(name));
-  EXPECT_FALSE(snap.sections.empty());
-
   const std::string rivc_path =
       ::testing::TempDir() + "ckpt_" + name + ".rivc";
-  ASSERT_TRUE(checkpoint::save(snap, rivc_path, &err)) << err;
+  {
+    std::unique_ptr<checkpoint::Scenario> sc =
+        checkpoint::make_golden_scenario(name);
+    ASSERT_NE(sc, nullptr);
+    sc->start();
+    sc->run_to(mid_time(name));
+    checkpoint::Snapshot snap = sc->capture();
+    EXPECT_EQ(snap.at, mid_time(name));
+    EXPECT_FALSE(snap.sections.empty());
+    ASSERT_TRUE(checkpoint::save(snap, rivc_path, &err)) << err;
 
-  sc->run_to(sc->end_time());
-  sc->finish();
-  // Capturing a checkpoint must be invisible: the interrupted run's full
-  // trace still matches the blessed golden exactly.
-  EXPECT_EQ(sc->recorder()->hash(), golden_hash);
-  EXPECT_EQ(sc->recorder()->size(), golden_records);
+    sc->run_to(sc->end_time());
+    sc->finish();
+    // Capturing a checkpoint must be invisible: the interrupted run's
+    // full trace still matches the blessed golden exactly.
+    EXPECT_EQ(sc->recorder()->hash(), golden_hash);
+    EXPECT_EQ(sc->recorder()->size(), golden_records);
+  }
 
-  // --- restore in a fresh process ---------------------------------------
-  if (!checkpoint::fork_supported()) return;
-  const std::string trace_path = rivc_path + ".trace";
-  checkpoint::ForkResult child =
-      checkpoint::fork_run([&rivc_path, &trace_path]() -> std::string {
-        checkpoint::Snapshot loaded;
-        std::string cerr;
-        if (!checkpoint::load(rivc_path, &loaded, &cerr))
-          return "load failed: " + cerr;
-        checkpoint::RestoreReport rep = checkpoint::restore(loaded);
-        if (!rep.ok) return "restore failed: " + rep.error;
-        rep.scenario->run_to(rep.scenario->end_time());
-        rep.scenario->finish();
-        std::shared_ptr<trace::Recorder> rec = rep.scenario->recorder();
-        if (!rec->save(trace_path, &cerr)) return "save failed: " + cerr;
-        return "hash=" + rec->digest() +
-               " records=" + std::to_string(rec->size());
-      });
-  ASSERT_TRUE(child.ok) << child.payload;
-  EXPECT_EQ(child.payload,
-            "hash=" + golden.digest() +
-                " records=" + std::to_string(golden_records));
+  // --- restore from the file alone --------------------------------------
+  checkpoint::Snapshot loaded;
+  ASSERT_TRUE(checkpoint::load(rivc_path, &loaded, &err)) << err;
+  checkpoint::RestoreReport rep = checkpoint::restore(loaded);
+  ASSERT_TRUE(rep.ok) << rep.error;
+  rep.scenario->run_to(rep.scenario->end_time());
+  rep.scenario->finish();
+  std::shared_ptr<trace::Recorder> rec = rep.scenario->recorder();
+  EXPECT_EQ(rec->digest(), golden.digest());
+  EXPECT_EQ(rec->size(), golden_records);
   // The restored run's saved trace is byte-identical to the blessed
   // golden file — identical records, chunking, and FNV-1a footer.
+  const std::string trace_path = rivc_path + ".trace";
+  ASSERT_TRUE(rec->save(trace_path, &err)) << err;
   const std::string restored_bytes = read_file(trace_path);
   ASSERT_FALSE(restored_bytes.empty());
   EXPECT_EQ(restored_bytes, read_file(golden_path(name)))
@@ -154,11 +147,11 @@ TEST(CheckpointGolden, TamperedSectionFailsAttestation) {
   EXPECT_NE(rep.error.find("proc.1"), std::string::npos) << rep.error;
 }
 
-// fork-per-seed ≡ fresh-per-seed: N seeds run as forked children off one
-// shared warm-up must produce exactly the fault traces and outcomes of N
-// independent from-scratch runs arming the same plans at the same time.
-TEST(CheckpointFork, ForkPerSeedMatchesFreshRuns) {
-  if (!checkpoint::fork_supported()) GTEST_SKIP() << "no fork(2)";
+// clone-per-seed ≡ fresh-per-seed: N seeds run as clones of one shared
+// warm-up, on two worker threads, must produce exactly the fault traces
+// and outcomes of N independent from-scratch runs arming the same plans
+// at the same time.
+TEST(CheckpointClone, ClonePerSeedMatchesFreshRuns) {
   const Duration warmup = seconds(2);
   const std::vector<std::uint64_t> seeds = {101, 202, 303};
   auto make_options = [] {
@@ -181,22 +174,110 @@ TEST(CheckpointFork, ForkPerSeedMatchesFreshRuns) {
     fresh.push_back(chaos_fingerprint(r));
   }
 
-  chaos::ChaosSession shared(make_options());
-  shared.run_to(TimePoint{} + warmup);
-  std::vector<checkpoint::ForkResult> forked = checkpoint::fork_sweep(
-      seeds.size(), 2, [&shared, &seeds](std::size_t i) {
-        shared.arm_plan(seeds[i], seconds(2));
-        shared.run_to(shared.run_end());
+  checkpoint::SessionImage img;
+  {
+    chaos::ChaosSession shared(make_options());
+    shared.run_to(TimePoint{} + warmup);
+    checkpoint::capture_session(shared, img);
+  }
+  std::vector<std::string> cloned = parallel_map<std::string>(
+      2, seeds.size(), [&img, &seeds, warmup](std::size_t i) {
+        std::unique_ptr<chaos::ChaosSession> s =
+            checkpoint::clone_session(img);
+        s->arm_plan(seeds[i], warmup);
+        s->run_to(s->run_end());
         chaos::ChaosResult r;
-        shared.finish(r);
+        s->finish(r);
         return chaos_fingerprint(r);
       });
 
-  ASSERT_EQ(forked.size(), seeds.size());
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    ASSERT_TRUE(forked[i].ok) << "seed " << seeds[i];
-    EXPECT_EQ(forked[i].payload, fresh[i]) << "seed " << seeds[i];
+  ASSERT_EQ(cloned.size(), seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i)
+    EXPECT_EQ(cloned[i], fresh[i]) << "seed " << seeds[i];
+}
+
+// A clone re-captured before it runs equals its source byte for byte:
+// the home's image (the kernel's timer list included, so the checker's
+// restored tick has its original identity) and the session blob
+// (injector cursors, checks run, invariant cursors, tick). The session
+// is Byzantine-defended, so the stateful NoForgedActuation cursor and
+// the integrity layer's device state are part of the round trip.
+TEST(CheckpointClone, SessionCloneRecapturesIdentically) {
+  chaos::EngineOptions opt;
+  opt.scenario.seed = 5;
+  opt.plan.spoof_events = true;
+  opt.plan.replay_events = true;
+  opt.defer_plan = true;
+  chaos::ChaosSession source(opt);
+  source.run_to(TimePoint{} + milliseconds(4300));  // eight checker ticks
+
+  checkpoint::SessionImage img;
+  checkpoint::capture_session(source, img);
+  std::unique_ptr<chaos::ChaosSession> clone = checkpoint::clone_session(img);
+  EXPECT_FALSE(clone->plan_armed());
+  checkpoint::SessionImage again;
+  checkpoint::capture_session(*clone, again);
+
+  auto image_diff = [&](const checkpoint::SessionImage& x,
+                        const checkpoint::SessionImage& y) {
+    checkpoint::Snapshot a;
+    a.at = x.home.at;
+    a.sections = checkpoint::image_sections(x.home, source.home());
+    a.sections.push_back({"chaos.session", x.session});
+    checkpoint::Snapshot b;
+    b.at = y.home.at;
+    b.sections = checkpoint::image_sections(y.home, clone->home());
+    b.sections.push_back({"chaos.session", y.session});
+    return checkpoint::diff_snapshots(a, b);
+  };
+  EXPECT_EQ(image_diff(img, again), "");
+
+  // The clone runs on exactly like its source.
+  source.run_to(TimePoint{} + seconds(8));
+  clone->run_to(TimePoint{} + seconds(8));
+  checkpoint::SessionImage src_later, clone_later;
+  checkpoint::capture_session(source, src_later);
+  checkpoint::capture_session(*clone, clone_later);
+  EXPECT_EQ(image_diff(src_later, clone_later), "");
+}
+
+// Only a session with no plan armed can be cloned; capturing one with a
+// plan armed is a programming error and names the plan.
+TEST(CheckpointCloneDeathTest, CapturingAnArmedSessionAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        chaos::EngineOptions opt;
+        opt.scenario.n_processes = 3;
+        opt.plan.horizon = seconds(4);
+        chaos::ChaosSession armed(opt);
+        armed.run_to(TimePoint{} + seconds(1));
+        checkpoint::SessionImage img;
+        checkpoint::capture_session(armed, img);
+      },
+      "armed fault plan");
+}
+
+// The clone constructor checks the blob itself: one that records an
+// armed plan is rejected, and so is one whose injector cursors are not
+// those of an unarmed plan.
+TEST(CheckpointCloneDeathTest, CloningAnArmedOrTamperedBlobAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  chaos::EngineOptions opt;
+  opt.scenario.n_processes = 3;
+  opt.defer_plan = true;
+  checkpoint::SessionImage img;
+  {
+    chaos::ChaosSession warm(opt);
+    warm.run_to(TimePoint{} + seconds(2));
+    checkpoint::capture_session(warm, img);
   }
+  checkpoint::SessionImage armed = img;
+  armed.session.front() = std::byte{1};
+  EXPECT_DEATH(checkpoint::clone_session(armed), "armed fault plan");
+  checkpoint::SessionImage tampered = img;
+  tampered.session.back() ^= std::byte{1};
+  EXPECT_DEATH(checkpoint::clone_session(tampered), "malformed session blob");
 }
 
 TEST(CheckpointRivc, EncodeDecodeRoundTrips) {

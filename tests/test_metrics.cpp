@@ -143,75 +143,6 @@ TEST(Histogram, MergeIntoEmptyAndEmptyIntoFull) {
   EXPECT_EQ(a.max(), Duration{123});
 }
 
-TEST(TimeSeries, BinnedLastHoldsPriorValue) {
-  TimeSeries s;
-  s.append(TimePoint{seconds(1).us}, 10);
-  s.append(TimePoint{seconds(1).us + 1}, 11);
-  s.append(TimePoint{seconds(3).us}, 30);
-  auto bins = s.binned_last(seconds(1), TimePoint{seconds(4).us});
-  ASSERT_EQ(bins.size(), 4u);
-  EXPECT_EQ(bins[0].v, 10);  // t=1: the 1s+1us sample is after the bin
-  EXPECT_EQ(bins[1].v, 11);  // t=2: holds the latest
-  EXPECT_EQ(bins[2].v, 30);  // t=3
-  EXPECT_EQ(bins[3].v, 30);  // t=4: holds
-}
-
-TEST(TimeSeries, EmptySeriesBinsToZero) {
-  TimeSeries s;
-  auto bins = s.binned_last(seconds(1), TimePoint{seconds(2).us});
-  ASSERT_EQ(bins.size(), 2u);
-  EXPECT_EQ(bins[0].v, 0.0);
-}
-
-TEST(TimeSeries, SampleExactlyOnBinBoundaryLandsInThatBin) {
-  TimeSeries s;
-  s.append(TimePoint{seconds(1).us}, 7);
-  s.append(TimePoint{seconds(2).us}, 8);
-  auto bins = s.binned_last(seconds(1), TimePoint{seconds(2).us});
-  ASSERT_EQ(bins.size(), 2u);
-  EXPECT_EQ(bins[0].v, 7);  // t=1s sample is <= the 1s bin edge
-  EXPECT_EQ(bins[1].v, 8);
-}
-
-TEST(TimeSeries, EndBeforeFirstBinYieldsNothing) {
-  TimeSeries s;
-  s.append(TimePoint{10}, 1);
-  auto bins = s.binned_last(seconds(1), TimePoint{seconds(1).us - 1});
-  EXPECT_TRUE(bins.empty());
-  EXPECT_TRUE(s.binned_last(seconds(1), TimePoint{}).empty());
-}
-
-TEST(TimeSeries, EndBeforeFirstSampleHoldsZero) {
-  TimeSeries s;
-  s.append(TimePoint{seconds(10).us}, 99);
-  auto bins = s.binned_last(seconds(1), TimePoint{seconds(3).us});
-  ASSERT_EQ(bins.size(), 3u);
-  for (const auto& b : bins) EXPECT_EQ(b.v, 0.0);
-}
-
-TEST(TimeSeries, EndNotAMultipleOfBinTruncates) {
-  TimeSeries s;
-  s.append(TimePoint{seconds(1).us}, 5);
-  auto bins =
-      s.binned_last(seconds(1), TimePoint{seconds(2).us + 500'000});
-  // Bins land at 1s and 2s; the half-open remainder gets no bin.
-  ASSERT_EQ(bins.size(), 2u);
-  EXPECT_EQ(bins[1].t.us, seconds(2).us);
-  EXPECT_EQ(bins[1].v, 5);
-}
-
-TEST(TimeSeries, MergeFromInterleavesInTimeOrder) {
-  TimeSeries a, b;
-  a.append(TimePoint{10}, 1);
-  a.append(TimePoint{30}, 3);
-  b.append(TimePoint{20}, 2);
-  a.merge_from(b);
-  ASSERT_EQ(a.points().size(), 3u);
-  EXPECT_EQ(a.points()[0].v, 1);
-  EXPECT_EQ(a.points()[1].v, 2);
-  EXPECT_EQ(a.points()[2].v, 3);
-}
-
 TEST(Registry, MergeFromAggregatesAllKinds) {
   Registry a, b;
   a.counter("c").add(1);
@@ -219,13 +150,11 @@ TEST(Registry, MergeFromAggregatesAllKinds) {
   b.counter("only_b").add(7);
   a.latency("l").record(milliseconds(1));
   b.latency("l").record(milliseconds(3));
-  b.series("s").append(TimePoint{5}, 1.0);
-  a.merge_from(b);
+  a.merge_scalars_from(b);
   EXPECT_EQ(a.counter_value("c"), 3u);
   EXPECT_EQ(a.counter_value("only_b"), 7u);
   EXPECT_EQ(a.latency("l").count(), 2u);
   EXPECT_EQ(a.latency("l").max(), milliseconds(3));
-  EXPECT_EQ(a.series("s").points().size(), 1u);
 }
 
 TEST(SnapshotTimeline, CaptureAndCsv) {
@@ -335,24 +264,15 @@ TEST(Registry, MergeScalarsOrderInvariantOver1kRandomRegistries) {
     tree.merge_scalars_from(shard);
   }
   expect_scalars_equal(forward, tree);
-
-  // And it skipped the series by design.
-  Registry with_series;
-  with_series.series("s").append(TimePoint{1}, 1.0);
-  Registry sink;
-  sink.merge_scalars_from(with_series);
-  EXPECT_TRUE(sink.all_series().empty());
 }
 
 TEST(Registry, ResetClearsEverything) {
   Registry reg;
   reg.counter("c").add(5);
   reg.latency("l").record(milliseconds(1));
-  reg.series("s").append(TimePoint{1}, 1.0);
   reg.reset();
   EXPECT_EQ(reg.counter_value("c"), 0u);
   EXPECT_TRUE(reg.latency("l").empty());
-  EXPECT_TRUE(reg.series("s").points().empty());
 }
 
 }  // namespace

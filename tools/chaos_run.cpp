@@ -26,10 +26,10 @@
 #include <vector>
 
 #include "chaos/engine.hpp"
-#include "checkpoint/fork.hpp"
-#include "common/parallel.hpp"
+#include "checkpoint/clone.hpp"
 #include "checkpoint/rivc.hpp"
 #include "checkpoint/scenario.hpp"
+#include "common/parallel.hpp"
 
 namespace {
 
@@ -77,10 +77,10 @@ struct CliOptions {
   // Resume mode: load a .rivc file, restore (attested re-execution),
   // run the remaining virtual time, report the outcome.
   std::string from_checkpoint;
-  // Fork-per-seed sweep: warm ONE session (workload seed = first seed)
-  // to this many virtual seconds, then fork(2) a child per seed that
-  // arms that seed's fault plan against the shared in-memory state.
-  // < 0 means off.
+  // Warm-prefix sweep: warm ONE session (workload seed = first seed) to
+  // this many virtual seconds, then clone it once per seed; each clone
+  // arms that seed's fault plan from the shared warm state. < 0 means
+  // off.
   std::int64_t fork_warmup_s{-1};
 };
 
@@ -127,10 +127,10 @@ void usage(const char* argv0) {
       "                        remaining virtual time, report the outcome;\n"
       "                        all scenario flags are read from the file\n"
       "  --fork-sweep W        warm one session W virtual seconds, then\n"
-      "                        fork(2) a child per seed that arms that\n"
-      "                        seed's fault plan against the shared state\n"
-      "                        (workload seed = first seed; --jobs children\n"
-      "                        in flight)\n"
+      "                        clone it per seed; each clone arms that\n"
+      "                        seed's fault plan from the shared state\n"
+      "                        (workload seed = first seed; clones run on\n"
+      "                        --jobs threads)\n"
       "  --quiet               only print failures and the final summary\n",
       argv0);
 }
@@ -481,34 +481,39 @@ int run_from_checkpoint(const CliOptions& cli) {
   return report_outcome(report, o) ? 1 : 0;
 }
 
-// --fork-sweep W: one warm-up shared by every seed, then fork(2)-per-seed
-// divergence. The workload seed is seeds[0]; each child arms seed i's
-// fault plan at the fork point, so the sweep varies the fault schedule
-// over an identical in-memory warm state (test_checkpoint proves each
-// child's outcome equals a fresh run of the same configuration).
-int run_fork_sweep(const CliOptions& cli) {
-  if (!checkpoint::fork_supported()) {
-    std::fprintf(stderr, "--fork-sweep needs fork(2); unsupported here\n");
-    return 2;
-  }
+// --fork-sweep W: one warm-up shared by every seed, then an in-process
+// clone per seed. The workload seed is seeds[0]; each clone arms seed
+// i's fault plan at the warm point, so the sweep varies the fault
+// schedule over an identical warm state (test_checkpoint proves each
+// clone's outcome equals a fresh run of the same configuration). The
+// warm session records no flight trace and no metric snapshots: neither
+// can be cloned, and the sweep's output never used them.
+int run_clone_sweep(const CliOptions& cli) {
   chaos::EngineOptions opt = build_engine_options(cli, cli.seeds[0]);
   opt.defer_plan = true;
+  opt.flight = false;
+  opt.metrics_period = {};
   const Duration warmup = seconds(cli.fork_warmup_s);
-  chaos::ChaosSession warm(std::move(opt));
-  warm.run_to(TimePoint{} + warmup);
+  checkpoint::SessionImage img;
+  {
+    chaos::ChaosSession warm(std::move(opt));
+    warm.run_to(TimePoint{} + warmup);
+    checkpoint::capture_session(warm, img);
+  }
   if (!cli.quiet)
-    std::printf("fork-sweep: workload seed %llu warmed to %llds; forking "
+    std::printf("fork-sweep: workload seed %llu warmed to %llds; cloning "
                 "%zu plan seeds (%d jobs)\n",
                 static_cast<unsigned long long>(cli.seeds[0]),
                 static_cast<long long>(cli.fork_warmup_s),
                 cli.seeds.size(), cli.jobs);
-  std::vector<checkpoint::ForkResult> results = checkpoint::fork_sweep(
-      cli.seeds.size(), static_cast<std::size_t>(cli.jobs),
-      [&cli, &warm, warmup](std::size_t i) {
-        warm.arm_plan(cli.seeds[i], warmup);
-        warm.run_to(warm.run_end());
+  std::vector<std::string> lines = parallel_map<std::string>(
+      cli.jobs, cli.seeds.size(), [&cli, &img, warmup](std::size_t i) {
+        std::unique_ptr<chaos::ChaosSession> s =
+            checkpoint::clone_session(img);
+        s->arm_plan(cli.seeds[i], warmup);
+        s->run_to(s->run_end());
         chaos::ChaosResult r;
-        warm.finish(r);
+        s->finish(r);
         std::string line =
             "seed " + std::to_string(cli.seeds[i]) +
             (r.ok() ? ": ok" : ": FAIL") +
@@ -527,16 +532,9 @@ int run_fork_sweep(const CliOptions& cli) {
         return line;
       });
   std::uint64_t failures = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const checkpoint::ForkResult& fr = results[i];
-    const bool failed = !fr.ok ||
-                        fr.payload.find(": FAIL") != std::string::npos;
-    if (!fr.ok) {
-      std::printf("seed %llu: FAIL (forked child died, status %d)\n",
-                  static_cast<unsigned long long>(cli.seeds[i]), fr.status);
-    } else if (!cli.quiet || failed) {
-      std::printf("%s\n", fr.payload.c_str());
-    }
+  for (const std::string& line : lines) {
+    const bool failed = line.find(": FAIL") != std::string::npos;
+    if (!cli.quiet || failed) std::printf("%s\n", line.c_str());
     if (failed) ++failures;
   }
   std::printf("%llu/%llu seeds clean\n",
@@ -651,7 +649,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!cli.from_checkpoint.empty()) return run_from_checkpoint(cli);
-  if (cli.fork_warmup_s >= 0) return run_fork_sweep(cli);
+  if (cli.fork_warmup_s >= 0) return run_clone_sweep(cli);
 
   const std::vector<std::uint64_t>& seeds = cli.seeds;
 
