@@ -2,10 +2,12 @@
 //
 // This is the repo's perf-trajectory artifact: it measures the substrate
 // every other bench and the chaos corpus run on, and writes the numbers
-// as JSON so CI can fail on regressions (--check BASELINE.json: a >30%
-// drop on any events/sec metric fails, and so does chaos_flight making
-// >10% more allocations per event — a count that repeats exactly, so its
-// gate is tight).
+// as JSON so CI can fail on regressions (--check BASELINE.json: a median
+// events/sec more than 30% below the baseline fails, and so does
+// chaos_flight making >10% more allocations per event — a count that
+// repeats exactly, so its gate is tight). Each gated events/sec is the
+// median of kRepeats timed repeats that each loop the scenario for at
+// least kMinRepeatWall of wall time; one 4 ms run reads host noise.
 //
 // Scenarios:
 //   timer_churn  — raw kernel: periodic timers + cancel/reschedule churn,
@@ -26,7 +28,8 @@
 //                  (--jobs N); verifies per-seed fault-trace hashes are
 //                  bit-identical to the serial run.
 //
-//   bench_kernel [--jobs N] [--check BASELINE.json] [--json PATH] [--out DIR]
+//   bench_kernel [--jobs N] [--check BENCH_kernel.json] [--json PATH]
+//                [--out DIR]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -77,9 +80,11 @@ double now_wall() {
 }
 
 struct Result {
-  double events_per_sec{0};
-  double wall_s{0};
-  std::uint64_t events{0};
+  double events_per_sec{0};  // median repeat (gated scenarios)
+  double events_per_sec_min{-1};  // < 0 = not repeated
+  double events_per_sec_max{-1};
+  double wall_s{0};             // timed wall time, all repeats
+  std::uint64_t events{0};      // events in one run of the scenario
   double allocs_per_event{-1};       // < 0 = not measured
   double wall_s_per_sim_hour{-1};    // < 0 = not measured
   std::uint64_t records{0};          // trace records (traced scenarios)
@@ -87,11 +92,46 @@ struct Result {
   double allocs_per_record{-1};      // < 0 = not measured
 };
 
+// --- repeats ---------------------------------------------------------------
+constexpr int kRepeats = 5;
+constexpr double kMinRepeatWall = 0.1;
+
+// One run of a scenario: the events it fired and the wall time it took
+// (the timed part only).
+struct Run {
+  std::uint64_t events;
+  double wall_s;
+};
+
+// Fill r's events/s spread: kRepeats repeats, each looping `run_once`
+// until kMinRepeatWall of timed wall has passed; the repeat's rate is its
+// events over its wall time. Every run fires the same events (r.events).
+template <typename RunOnce>
+void measure_rate(RunOnce&& run_once, Result& r) {
+  std::vector<double> rates;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    std::uint64_t events = 0;
+    double wall = 0;
+    while (wall < kMinRepeatWall) {
+      const Run run = run_once();
+      r.events = run.events;
+      events += run.events;
+      wall += run.wall_s;
+    }
+    rates.push_back(static_cast<double>(events) / wall);
+    r.wall_s += wall;
+  }
+  std::sort(rates.begin(), rates.end());
+  r.events_per_sec = rates[kRepeats / 2];
+  r.events_per_sec_min = rates.front();
+  r.events_per_sec_max = rates.back();
+}
+
 // --- timer_churn ---------------------------------------------------------
 // 64 periodic timers (keep-alive pattern) plus a churn timer per period
 // that is scheduled and then cancelled before firing (retransmit pattern):
 // the cancel-heavy steady state the wheel's tombstones are built for.
-Result bench_timer_churn() {
+Run run_timer_churn() {
   constexpr int kPeriodic = 64;
   constexpr std::uint64_t kTargetFires = 2'000'000;
   sim::Simulation sim(1);
@@ -113,11 +153,12 @@ Result bench_timer_churn() {
   double t0 = now_wall();
   while (fires < kTargetFires && sim.step()) {
   }
-  double wall = now_wall() - t0;
+  return {sim.events_fired(), now_wall() - t0};
+}
+
+Result bench_timer_churn() {
   Result r;
-  r.events = sim.events_fired();
-  r.wall_s = wall;
-  r.events_per_sec = static_cast<double>(r.events) / wall;
+  measure_rate(run_timer_churn, r);
   return r;
 }
 
@@ -132,30 +173,25 @@ chaos::ChaosResult run_chaos(std::uint64_t seed, std::int64_t horizon_s) {
 
 Result bench_chaos_flight() {
   constexpr std::int64_t kHorizonS = 60;
-  constexpr int kIters = 5;
-  // Warm-up run keeps one-time setup costs out of the measurement; each
-  // timed iteration is the identical deterministic run, so best-of-N
-  // isolates the kernel from scheduler noise.
+  // Warm-up run keeps one-time setup costs out of the measurement.
   run_chaos(7, 2);
   Result r;
-  double best = 0;
-  for (int it = 0; it < kIters; ++it) {
-    std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
-    double t0 = now_wall();
-    chaos::ChaosResult res = run_chaos(7, kHorizonS);
-    double wall = now_wall() - t0;
-    std::uint64_t allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - allocs0;
-    if (!res.ok())
-      std::fprintf(stderr,
-                   "warning: chaos_flight run reported a violation\n");
-    r.events = res.sim_events;
-    r.wall_s += wall;
-    best = std::max(best, static_cast<double>(res.sim_events) / wall);
-    r.allocs_per_event =
-        static_cast<double>(allocs) / static_cast<double>(res.sim_events);
-  }
-  r.events_per_sec = best;
+  // The run is deterministic, so one run's allocation count is exact.
+  std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  chaos::ChaosResult res = run_chaos(7, kHorizonS);
+  std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  if (!res.ok())
+    std::fprintf(stderr, "warning: chaos_flight run reported a violation\n");
+  r.allocs_per_event =
+      static_cast<double>(allocs) / static_cast<double>(res.sim_events);
+  measure_rate(
+      [] {
+        double t0 = now_wall();
+        chaos::ChaosResult run = run_chaos(7, kHorizonS);
+        return Run{run.sim_events, now_wall() - t0};
+      },
+      r);
   return r;
 }
 
@@ -178,55 +214,53 @@ chaos::ChaosResult run_chaos_traced(std::uint64_t seed,
 
 Result bench_traced_flight() {
   constexpr std::int64_t kHorizonS = 60;
-  constexpr int kIters = 3;
   run_chaos_traced(7, 2);  // warm-up
   std::uint64_t untraced0 = g_alloc_count.load(std::memory_order_relaxed);
   run_chaos(7, kHorizonS);
   std::uint64_t untraced_allocs =
       g_alloc_count.load(std::memory_order_relaxed) - untraced0;
   Result r;
-  double best = 0;
-  for (int it = 0; it < kIters; ++it) {
-    std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
-    double t0 = now_wall();
-    chaos::ChaosResult res = run_chaos_traced(7, kHorizonS);
-    double wall = now_wall() - t0;
-    std::uint64_t allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - allocs0;
-    if (!res.ok())
-      std::fprintf(stderr,
-                   "warning: traced_flight run reported a violation\n");
-    r.events = res.sim_events;
-    r.wall_s += wall;
-    best = std::max(best, static_cast<double>(res.sim_events) / wall);
-    r.records = res.flight->size();
-    r.bytes_per_record =
-        static_cast<double>(res.flight->payload_bytes()) /
-        static_cast<double>(r.records);
-    double overhead =
-        allocs > untraced_allocs
-            ? static_cast<double>(allocs - untraced_allocs)
-            : 0.0;
-    r.allocs_per_record = overhead / static_cast<double>(r.records);
-  }
-  r.events_per_sec = best;
+  std::uint64_t allocs0 = g_alloc_count.load(std::memory_order_relaxed);
+  chaos::ChaosResult res = run_chaos_traced(7, kHorizonS);
+  std::uint64_t allocs =
+      g_alloc_count.load(std::memory_order_relaxed) - allocs0;
+  if (!res.ok())
+    std::fprintf(stderr, "warning: traced_flight run reported a violation\n");
+  r.records = res.flight->size();
+  r.bytes_per_record = static_cast<double>(res.flight->payload_bytes()) /
+                       static_cast<double>(r.records);
+  double overhead = allocs > untraced_allocs
+                        ? static_cast<double>(allocs - untraced_allocs)
+                        : 0.0;
+  r.allocs_per_record = overhead / static_cast<double>(r.records);
+  measure_rate(
+      [] {
+        double t0 = now_wall();
+        chaos::ChaosResult run = run_chaos_traced(7, kHorizonS);
+        return Run{run.sim_events, now_wall() - t0};
+      },
+      r);
   return r;
 }
 
 // --- steady_home ---------------------------------------------------------
-Result bench_steady_home() {
+Run run_steady_home() {
   constexpr std::int64_t kSimMinutes = 10;
   ScenarioOptions opt;  // 5 processes, 10 Hz, gapless
   auto home = make_scenario(opt);
   home->start();
   double t0 = now_wall();
   home->run_for(minutes(kSimMinutes));
-  double wall = now_wall() - t0;
+  return {home->sim().events_fired(), now_wall() - t0};
+}
+
+Result bench_steady_home() {
+  constexpr double kSimHoursPerRun = 10.0 / 60.0;
   Result r;
-  r.events = home->sim().events_fired();
-  r.wall_s = wall;
-  r.events_per_sec = static_cast<double>(r.events) / wall;
-  r.wall_s_per_sim_hour = wall * (60.0 / static_cast<double>(kSimMinutes));
+  measure_rate(run_steady_home, r);
+  // Reported at the median rate, so it reads as steadily as the gate.
+  r.wall_s_per_sim_hour =
+      static_cast<double>(r.events) / r.events_per_sec / kSimHoursPerRun;
   return r;
 }
 
@@ -435,6 +469,9 @@ void print_result(const char* name, const Result& r) {
   std::printf("%-14s %12.0f events/s   %9llu events   %7.3f wall-s", name,
               r.events_per_sec, static_cast<unsigned long long>(r.events),
               r.wall_s);
+  if (r.events_per_sec_min >= 0)
+    std::printf("   (median of %d; min %.0f, max %.0f)", kRepeats,
+                r.events_per_sec_min, r.events_per_sec_max);
   if (r.allocs_per_event >= 0)
     std::printf("   %6.2f allocs/event", r.allocs_per_event);
   if (r.wall_s_per_sim_hour >= 0)
@@ -455,6 +492,13 @@ void append_json(std::string& out, const char* name, const Result& r,
                 name, r.events_per_sec,
                 static_cast<unsigned long long>(r.events), r.wall_s);
   out += buf;
+  if (r.events_per_sec_min >= 0) {
+    std::snprintf(buf, sizeof(buf),
+                  ", \"events_per_sec_min\": %.0f, "
+                  "\"events_per_sec_max\": %.0f",
+                  r.events_per_sec_min, r.events_per_sec_max);
+    out += buf;
+  }
   if (r.allocs_per_event >= 0) {
     std::snprintf(buf, sizeof(buf), ", \"allocs_per_event\": %.3f",
                   r.allocs_per_event);
@@ -507,7 +551,7 @@ std::string read_file(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace riv::bench;
   int jobs = 2;
-  std::vector<std::string> check_paths;  // --check is repeatable
+  std::string check_path;
   std::string json_path;
   riv::bench::Output out;
   for (int i = 1; i < argc; ++i) {
@@ -515,7 +559,7 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr,
-                     "usage: %s [--jobs N] [--check BASELINE.json] "
+                     "usage: %s [--jobs N] [--check BENCH_kernel.json] "
                      "[--json PATH] [--out DIR]\n",
                      argv[0]);
         std::exit(2);
@@ -525,7 +569,7 @@ int main(int argc, char** argv) {
     if (arg == "--jobs") {
       jobs = std::atoi(next());
     } else if (arg == "--check") {
-      check_paths.push_back(next());
+      check_path = next();
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--out") {
@@ -585,18 +629,11 @@ int main(int argc, char** argv) {
 
   int failures = hashes_match ? 0 : 1;
   if (!checkpoint.ok) ++failures;
-  if (!check_paths.empty()) {
-    // Concatenate all baseline files: the scenario lookup searches the
-    // whole blob, so baselines may be split across files (BENCH_kernel.json
-    // for the kernel scenarios, BENCH_trace.json for traced_flight).
-    std::string baseline;
-    for (const std::string& p : check_paths) {
-      std::string one = read_file(p);
-      if (one.empty()) {
-        std::fprintf(stderr, "cannot read baseline %s\n", p.c_str());
-        return 1;
-      }
-      baseline += one;
+  if (!check_path.empty()) {
+    const std::string baseline = read_file(check_path);
+    if (baseline.empty()) {
+      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
+      return 1;
     }
     struct {
       const char* name;
@@ -615,8 +652,9 @@ int main(int argc, char** argv) {
         continue;
       }
       double ratio = c.current / base;
-      bool ok = ratio >= 0.7;  // fail on >30% regression
-      std::printf("check %-14s %12.0f vs baseline %12.0f  (%.2fx)  %s\n",
+      bool ok = ratio >= 0.7;  // fail on >30% regression of the median
+      std::printf("check %-14s %12.0f vs baseline %12.0f  (%.2fx)  %s  "
+                  "median events/s\n",
                   c.name, c.current, base, ratio, ok ? "ok" : "REGRESSION");
       if (!ok) ++failures;
     }

@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
           ScenarioOptions opt = cell_options(g, rate, sizes[s], seed++);
           {
             auto home = make_scenario(opt);
-            riv::checkpoint::enable_clone_tracking(*home);
             home->start();
             home->run_for(riv::seconds(kWarmS));
             riv::checkpoint::capture_warm_home(*home, opt.seed, img,

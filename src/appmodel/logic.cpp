@@ -1,5 +1,6 @@
 #include "appmodel/logic.hpp"
 
+#include <iterator>
 #include <limits>
 
 #include "common/assert.hpp"
@@ -7,9 +8,9 @@
 
 namespace riv::appmodel {
 
-LogicInstance::LogicInstance(const AppGraph& graph, sim::Simulation& sim,
-                             Callbacks callbacks)
-    : graph_(&graph), timers_(sim), callbacks_(std::move(callbacks)) {
+LogicInstance::LogicInstance(const AppGraph& graph,
+                             sim::ProcessTimers& timers, Callbacks callbacks)
+    : graph_(&graph), timers_(&timers), callbacks_(std::move(callbacks)) {
   for (const OperatorSpec& spec : graph.operators) {
     OpState state;
     state.spec = &spec;
@@ -29,6 +30,19 @@ LogicInstance::LogicInstance(const AppGraph& graph, sim::Simulation& sim,
   }
   for (const ActuatorEdge& e : graph.actuator_edges)
     ops_.at(e.from_op).actuators.push_back(&e);
+  std::uint64_t op_pos = 0;
+  for (auto& [name, op] : ops_) {
+    for (std::uint64_t j = 0; j < op.streams.size(); ++j)
+      op.streams[j].timer_arg =
+          std::uint64_t{graph.id.value} << 32 | op_pos << 16 | j;
+    ++op_pos;
+  }
+}
+
+LogicInstance::~LogicInstance() {
+  for (auto& [name, op] : ops_)
+    for (const Stream& stream : op.streams)
+      timers_->cancel(stream.periodic_timer);
 }
 
 void LogicInstance::start() {
@@ -37,22 +51,28 @@ void LogicInstance::start() {
   for (auto& [name, op] : ops_) {
     for (Stream& stream : op.streams) {
       if (stream.window.spec().trigger.kind == TriggerPolicy::Kind::kPeriodic)
-        arm_periodic(op, stream);
+        arm_periodic(stream);
     }
   }
 }
 
-void LogicInstance::arm_periodic(OpState& op, Stream& stream) {
+void LogicInstance::arm_periodic(Stream& stream) {
   Duration period = stream.window.spec().trigger.period;
   RIV_ASSERT(period.us > 0, "periodic trigger needs a positive period");
-  stream.periodic_timer = timers_.schedule_after(
-      period, [this, &op, &stream] { periodic_fire(op, stream); });
+  stream.periodic_timer =
+      timers_->schedule_after(period, kPeriodicTimer, stream.timer_arg);
+}
+
+void LogicInstance::on_periodic(std::uint64_t arg) {
+  const auto op_pos = static_cast<std::ptrdiff_t>((arg >> 16) & 0xffff);
+  OpState& op = std::next(ops_.begin(), op_pos)->second;
+  periodic_fire(op, op.streams[arg & 0xffff]);
 }
 
 void LogicInstance::periodic_fire(OpState& op, Stream& stream) {
   take_pending(op, stream);
   evaluate(op);
-  arm_periodic(op, stream);
+  arm_periodic(stream);
 }
 
 void LogicInstance::on_sensor_event(const devices::SensorEvent& e) {
@@ -67,7 +87,7 @@ void LogicInstance::on_sensor_event(const devices::SensorEvent& e) {
 
 void LogicInstance::feed(OpState& op, Stream& stream,
                          const devices::SensorEvent& e) {
-  stream.window.add(e, timers_.now());
+  stream.window.add(e, timers_->now());
   try_trigger_event_driven(op, stream);
 }
 
@@ -80,10 +100,10 @@ void LogicInstance::try_trigger_event_driven(OpState& op, Stream& stream) {
 void LogicInstance::take_pending(OpState& op, Stream& stream) {
   (void)op;
   std::vector<devices::SensorEvent> events =
-      stream.window.snapshot(timers_.now());
+      stream.window.snapshot(timers_->now());
   if (events.empty()) return;  // an empty window never counts as "ready"
   stream.pending = StreamWindow{stream.key, std::move(events)};
-  stream.window.after_trigger(timers_.now());
+  stream.window.after_trigger(timers_->now());
 }
 
 void LogicInstance::evaluate(OpState& op) {
@@ -126,7 +146,7 @@ void LogicInstance::deliver(OpState& op, std::vector<StreamWindow> ready) {
     }
   }
   if (trace::active(trace::Component::kRuntime)) {
-    trace::emit(timers_.now(), callbacks_.self, trace::Component::kRuntime,
+    trace::emit(timers_->now(), callbacks_.self, trace::Component::kRuntime,
                 trace::Kind::kLogicFire, trigger_cause_,
                 trace::fu(trace::Key::kApp, graph_->id.value),
                 trace::fs(trace::Key::kOp, op.spec->name));
@@ -135,7 +155,7 @@ void LogicInstance::deliver(OpState& op, std::vector<StreamWindow> ready) {
 
   TriggerContext ctx;
   ctx.self_ = callbacks_.self;
-  ctx.now_fn = [this] { return timers_.now(); };
+  ctx.now_fn = [this] { return timers_->now(); };
   ctx.kv_put_fn = [this](const std::string& key, double value) {
     if (callbacks_.kv_put) {
       callbacks_.kv_put(key, value);
@@ -165,7 +185,7 @@ void LogicInstance::deliver(OpState& op, std::vector<StreamWindow> ready) {
     cmd.test_and_set = tas;
     cmd.expected = expected;
     cmd.value = value;
-    cmd.issued_at = timers_.now();
+    cmd.issued_at = timers_->now();
     cmd.cause = trigger_cause_;
     ++commands_issued_;
     callbacks_.command_sink(*edge, cmd);
@@ -178,7 +198,7 @@ void LogicInstance::emit_downstream(OpState& from, double value) {
   // by the emitting operator's name.
   devices::SensorEvent e;
   e.id = EventId{SensorId{0xffff}, emit_seq_++};
-  e.emitted_at = timers_.now();
+  e.emitted_at = timers_->now();
   e.value = value;
   e.payload_size = 8;
   const std::string key = op_key(from.spec->name);
@@ -211,16 +231,9 @@ void LogicInstance::clone_state(BinaryWriter& w) const {
         for (const devices::SensorEvent& e : stream.pending->events)
           devices::encode_clone(w, e);
       }
-      TimePoint t;
-      std::uint64_t seq;
-      bool live = stream.periodic_timer != 0 &&
-                  timers_.sim().timer_info(stream.periodic_timer, &t, &seq);
-      w.u8(live ? 1 : 0);
-      if (live) {
-        w.u64(stream.periodic_timer);
-        w.time_point(t);
-        w.u64(seq);
-      }
+      w.u64(timers_->sim().is_pending(stream.periodic_timer)
+                ? stream.periodic_timer
+                : 0);
     }
   }
   w.u64(local_kv_.size());
@@ -263,14 +276,7 @@ void LogicInstance::restore_clone(BinaryReader& r) {
           pending.events.push_back(devices::decode_clone_event(r));
         stream.pending = std::move(pending);
       }
-      if (r.u8() != 0) {
-        sim::TimerId tid = r.u64();
-        TimePoint t = r.time_point();
-        std::uint64_t seq = r.u64();
-        stream.periodic_timer = timers_.restore_at(
-            tid, t, seq,
-            [this, &o = op, &s = stream] { periodic_fire(o, s); });
-      }
+      stream.periodic_timer = r.u64();
     }
   }
   local_kv_.clear();

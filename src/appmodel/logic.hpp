@@ -38,13 +38,25 @@ class LogicInstance {
     ProcessId self{};
   };
 
-  // Owns its timers: destroying the instance (demotion, crash) cancels
-  // every pending periodic trigger.
-  LogicInstance(const AppGraph& graph, sim::Simulation& sim,
+  // A periodic trigger's kind in the timer space of `timers`' owner (the
+  // runtime process; a unit fixture forwards). Its arg is (app << 32 |
+  // operator position << 16 | stream position), and on_periodic takes it
+  // back.
+  static constexpr std::uint16_t kPeriodicTimer = 6;
+
+  // Destroying the instance (demotion, crash) cancels every pending
+  // periodic trigger by id.
+  LogicInstance(const AppGraph& graph, sim::ProcessTimers& timers,
                 Callbacks callbacks);
+  ~LogicInstance();
+  LogicInstance(const LogicInstance&) = delete;
+  LogicInstance& operator=(const LogicInstance&) = delete;
 
   // Arm periodic triggers. Safe to call once after construction.
   void start();
+
+  // A periodic trigger fired: the kPeriodicTimer handler.
+  void on_periodic(std::uint64_t arg);
 
   // Feed one delivered sensor event (already deduplicated by the delivery
   // service); it fans out to every operator wired to this sensor.
@@ -69,10 +81,10 @@ class LogicInstance {
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
   // A snapshot carries the full live engine: window buffers, pending
-  // trigger windows, periodic
-  // timers, local KV, sequence counters and provenance cursors. Restore
-  // targets a freshly constructed, not-started instance built from the
-  // same graph; start() afterwards is a no-op.
+  // trigger windows, the ids of the periodic timers, local KV, sequence
+  // counters and provenance cursors. Restore targets a freshly
+  // constructed, not-started instance built from the same graph; start()
+  // afterwards is a no-op.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
@@ -82,6 +94,7 @@ class LogicInstance {
     std::optional<SensorId> sensor;  // sensor streams match events on this
     Window window;
     std::optional<StreamWindow> pending;
+    std::uint64_t timer_arg{0};  // this stream's kPeriodicTimer arg
     sim::TimerId periodic_timer{0};
   };
   struct OpState {
@@ -98,7 +111,7 @@ class LogicInstance {
   static std::string op_key(const std::string& name) { return "o:" + name; }
 
   void feed(OpState& op, Stream& stream, const devices::SensorEvent& e);
-  void arm_periodic(OpState& op, Stream& stream);
+  void arm_periodic(Stream& stream);
   void periodic_fire(OpState& op, Stream& stream);
   void try_trigger_event_driven(OpState& op, Stream& stream);
   void take_pending(OpState& op, Stream& stream);
@@ -107,7 +120,7 @@ class LogicInstance {
   void emit_downstream(OpState& from, double value);
 
   const AppGraph* graph_;
-  sim::ProcessTimers timers_;
+  sim::ProcessTimers* timers_;
   Callbacks callbacks_;
   std::map<std::string, double> local_kv_;  // fallback when no store wired
   std::map<std::string, OpState> ops_;  // by operator name

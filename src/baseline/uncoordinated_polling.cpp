@@ -12,7 +12,7 @@ UncoordinatedPoller::UncoordinatedPoller(sim::Simulation& sim,
       sensor_(sensor),
       epoch_(epoch),
       rng_(rng),
-      timers_(sim) {}
+      timers_(sim, *this) {}
 
 void UncoordinatedPoller::start() {
   auto current =
@@ -31,13 +31,19 @@ void UncoordinatedPoller::schedule_epoch(std::uint32_t epoch) {
   const TimePoint boundary{static_cast<std::int64_t>(epoch) * epoch_.us};
   const Duration offset{
       static_cast<std::int64_t>(rng_.uniform() * static_cast<double>(epoch_.us))};
-  timers_.schedule_at(boundary + offset, [this, epoch] {
-    if (epochs_seen_.count(epoch) == 0) {
-      ++polls_issued_;
-      bus_->poll(self_, sensor_, epoch);
-    }
-  });
-  timers_.schedule_at(boundary, [this, epoch] { schedule_epoch(epoch + 1); });
+  timers_.schedule_at(boundary + offset, kPollTimer, epoch);
+  timers_.schedule_at(boundary, kEpochTimer, epoch);
+}
+
+void UncoordinatedPoller::on_timer(sim::TimerId /*id*/, std::uint16_t kind,
+                                   std::uint64_t arg) {
+  const auto epoch = static_cast<std::uint32_t>(arg);
+  if (kind == kEpochTimer) {
+    schedule_epoch(epoch + 1);
+  } else if (epochs_seen_.count(epoch) == 0) {
+    ++polls_issued_;
+    bus_->poll(self_, sensor_, epoch);
+  }
 }
 
 }  // namespace riv::baseline

@@ -17,7 +17,7 @@
 
 namespace riv::baseline {
 
-class UncoordinatedPoller {
+class UncoordinatedPoller : public sim::TimerOwner {
  public:
   UncoordinatedPoller(sim::Simulation& sim, devices::HomeBus& bus,
                       ProcessId self, SensorId sensor, Duration epoch,
@@ -32,6 +32,12 @@ class UncoordinatedPoller {
   std::uint64_t polls_issued() const { return polls_issued_; }
 
  private:
+  // Both timers carry their epoch: the random-offset poll, and the
+  // boundary that schedules the next epoch.
+  enum TimerKind : std::uint16_t { kPollTimer, kEpochTimer };
+
+  void on_timer(sim::TimerId id, std::uint16_t kind,
+                std::uint64_t arg) override;
   void schedule_epoch(std::uint32_t epoch);
 
   sim::Simulation* sim_;

@@ -10,6 +10,16 @@
 #include "workload/deployment.hpp"
 
 namespace riv::chaos {
+namespace {
+
+// The hook the plan's quiescence marks call: converged-state checks.
+FaultInjector::QuiesceHook converged_checks(InvariantChecker& checker) {
+  return [&checker](TimePoint window_start) {
+    checker.check_converged(window_start, /*final_check=*/false);
+  };
+}
+
+}  // namespace
 
 // Declaration order is teardown order in reverse and is load-bearing:
 // the deployment (and the checker/injector that reference it) must tear
@@ -29,6 +39,8 @@ struct ChaosSession::Impl {
   std::optional<InvariantChecker> checker;
   std::optional<FaultInjector> injector;
   bool plan_armed{false};
+  std::uint64_t plan_seed{0};
+  Duration plan_offset{};
 };
 
 void ChaosSession::build(std::vector<std::unique_ptr<Invariant>> extra) {
@@ -143,10 +155,6 @@ ChaosSession::ChaosSession(EngineOptions options,
   // --- start --------------------------------------------------------------
   if (im.options.metrics_period.us > 0)
     home.enable_metric_snapshots(im.options.metrics_period);
-  // Any session may be checkpointed, and a capture serializes every frame
-  // and device delivery on the air.
-  home.net().set_clone_tracking();
-  home.bus().set_clone_tracking();
   home.start();
   im.checker->start(im.options.check_interval);
 }
@@ -157,25 +165,27 @@ ChaosSession::ChaosSession(EngineOptions options,
     : impl_(std::make_unique<Impl>()) {
   Impl& im = *impl_;
   im.options = std::move(options);
-  BinaryReader r(state);
-  RIV_ASSERT(r.u8() == 0,
-             "session clone: the source has an armed fault plan, whose "
-             "action timers only re-execution rebuilds");
   build({});
-  workload::HomeDeployment& home = *im.home;
-  // The clone can be captured again, like any session.
-  home.net().set_clone_tracking();
-  home.bus().set_clone_tracking();
-  restore_home(home, [&im, &r] {
-    im.checker->restore_clone(r, im.options.check_interval);
-  });
-  // The blob ends with the injector's cursors, which an unarmed plan
-  // leaves at their construction-time values: this injector's own.
-  BinaryWriter own;
-  im.injector->clone_state(own);
-  const std::vector<std::byte> rest(
-      state.end() - static_cast<std::ptrdiff_t>(r.remaining()), state.end());
-  RIV_ASSERT(r.ok() && rest == own.data(),
+  // The kernel's blob carries every pending timer: the home's, the
+  // checker's tick and the plan's actions.
+  restore_home(*im.home);
+  BinaryReader r(state);
+  im.plan_armed = r.u8() != 0;
+  if (im.plan_armed) {
+    im.plan_seed = r.u64();
+    im.plan_offset = r.duration();
+    im.end = r.time_point();
+  }
+  const std::uint64_t n_lines = r.u64();
+  for (std::uint64_t i = 0; i < n_lines && r.ok(); ++i)
+    im.trace.record(r.str());
+  im.checker->restore_clone(r);
+  if (im.plan_armed) {
+    im.injector->load(generate_plan(im.plan_seed, im.plan_opt),
+                      converged_checks(*im.checker), im.plan_offset);
+  }
+  im.injector->restore_clone(r);
+  RIV_ASSERT(r.ok() && r.remaining() == 0,
              "session clone: malformed session blob");
 }
 
@@ -200,15 +210,11 @@ void ChaosSession::arm_plan(std::uint64_t plan_seed, Duration offset) {
                   " procs=" + std::to_string(sc.n_processes) +
                   " receivers=" + std::to_string(sc.receivers) +
                   " horizon=" + std::to_string(im.plan_opt.horizon.us) + "us");
-  InvariantChecker* checker = &*im.checker;
-  im.injector->arm(
-      plan,
-      [checker](TimePoint window_start) {
-        checker->check_converged(window_start, /*final_check=*/false);
-      },
-      offset);
+  im.injector->arm(plan, converged_checks(*im.checker), offset);
   im.end = im.home->sim().now() + im.plan_opt.horizon + seconds(1);
   im.plan_armed = true;
+  im.plan_seed = plan_seed;
+  im.plan_offset = offset;
 }
 
 bool ChaosSession::plan_armed() const { return impl_->plan_armed; }
@@ -280,6 +286,13 @@ const TraceRecorder& ChaosSession::fault_trace() const { return impl_->trace; }
 void ChaosSession::clone_state(BinaryWriter& w) const {
   const Impl& im = *impl_;
   w.u8(im.plan_armed ? 1 : 0);
+  if (im.plan_armed) {
+    w.u64(im.plan_seed);
+    w.duration(im.plan_offset);
+    w.time_point(im.end);
+  }
+  w.u64(im.trace.size());
+  for (const std::string& line : im.trace.lines()) w.str(line);
   im.checker->clone_state(w);
   im.injector->clone_state(w);
 }

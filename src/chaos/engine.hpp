@@ -133,19 +133,17 @@ class ChaosEngine {
 // to the monolithic run it replaced (test_checkpoint pins this).
 class ChaosSession {
  public:
-  // Restores the home's state into the freshly built deployment — in
-  // practice checkpoint::apply_warm_home, which riv_chaos cannot link —
-  // calling `restore_owned_timers` inside the kernel's restore window.
-  using HomeRestore = std::function<void(
-      workload::HomeDeployment& home,
-      const std::function<void()>& restore_owned_timers)>;
+  // Restores the home's state, every pending timer included, into the
+  // freshly built deployment — in practice checkpoint::apply_warm_home,
+  // which riv_chaos cannot link.
+  using HomeRestore = std::function<void(workload::HomeDeployment& home)>;
 
   explicit ChaosSession(EngineOptions options,
                         std::vector<std::unique_ptr<Invariant>> extra = {});
   // Clone constructor: build the same session without starting it, then
-  // restore `state` (a clone_state blob) and the home. Aborts on a blob
-  // captured with a plan armed: the plan's action timers are closures
-  // that only re-execution rebuilds (checkpoint::clone_session).
+  // restore the home and `state` (a clone_state blob). A plan that was
+  // armed is regenerated from its seed and loaded without scheduling:
+  // the kernel restored its pending actions (checkpoint::clone_session).
   ChaosSession(EngineOptions options, const std::vector<std::byte>& state,
                const HomeRestore& restore_home);
   ~ChaosSession();
@@ -172,8 +170,7 @@ class ChaosSession {
   // defer_plan mode: generate the plan for `plan_seed` and arm it with
   // every action shifted by `offset`. Warm-prefix sweeps call this once
   // per clone of a shared fault-free warm-up, so divergent schedules
-  // reuse one warm prefix. Once armed, the session can no longer be
-  // cloned (see the clone constructor).
+  // reuse one warm prefix.
   void arm_plan(std::uint64_t plan_seed, Duration offset = {});
   bool plan_armed() const;
 
@@ -184,9 +181,9 @@ class ChaosSession {
   const TraceRecorder& fault_trace() const;
 
   // Serialize the session's own state next to the home's image: whether
-  // a plan is armed, the checker's state and tick timer, and the
-  // injector's fault-plan cursors. Always writes — a RIVC capture
-  // ("chaos.session") happens mid-run with the plan armed.
+  // a plan is armed (with its seed, offset and the run's end), the fault
+  // trace so far, the checker's state, and the injector's fault-plan
+  // cursors. The kernel's blob carries the timers.
   void clone_state(BinaryWriter& w) const;
 
  private:

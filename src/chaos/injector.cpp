@@ -1,5 +1,7 @@
 #include "chaos/injector.hpp"
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -9,28 +11,39 @@ namespace riv::chaos {
 
 FaultInjector::FaultInjector(workload::HomeDeployment& home,
                              TraceRecorder& trace)
-    : home_(&home), trace_(&trace) {}
+    : home_(&home), trace_(&trace), timers_(home.sim(), *this) {}
 
 void FaultInjector::arm(const FaultPlan& plan, QuiesceHook on_quiesce_end,
                         Duration offset) {
+  load(plan, std::move(on_quiesce_end), offset);
+  for (std::size_t i = 0; i < plan_.actions.size(); ++i)
+    timers_.schedule_at(plan_.actions[i].at, 0, i);
+}
+
+void FaultInjector::load(const FaultPlan& plan, QuiesceHook on_quiesce_end,
+                         Duration offset) {
+  plan_ = plan;
+  // Warm-prefix sweeps arm a plan after a shared warm-up; `offset`
+  // shifts the whole schedule so plan times stay relative to arming.
+  for (FaultAction& action : plan_.actions) action.at = action.at + offset;
   on_quiesce_end_ = std::move(on_quiesce_end);
   // Attack-time randomness is independent of both the plan generator's
   // stream and the simulation's, but still a pure function of the seed.
   byz_rng_ = Rng(plan.seed * 0x2545f4914f6cdd1dULL ^ 0x9e3779b97f4a7c15ULL);
-  bool any_corrupt = false;
-  for (const FaultAction& action : plan.actions) {
-    any_corrupt |= action.kind == FaultKind::kCorruptBegin;
-    // Warm-prefix sweeps arm a plan after a shared warm-up; `offset`
-    // shifts the whole schedule so plan times stay relative to arming.
-    FaultAction shifted = action;
-    shifted.at = shifted.at + offset;
-    home_->sim().schedule_at(shifted.at,
-                             [this, shifted] { apply(shifted); });
-  }
+  const bool any_corrupt =
+      std::any_of(plan.actions.begin(), plan.actions.end(),
+                  [](const FaultAction& a) {
+                    return a.kind == FaultKind::kCorruptBegin;
+                  });
   if (any_corrupt) {
     home_->net().set_interposer(
         [this](net::Message& msg) { return interpose(msg); });
   }
+}
+
+void FaultInjector::on_timer(sim::TimerId /*id*/, std::uint16_t /*kind*/,
+                             std::uint64_t arg) {
+  apply(plan_.actions[arg]);
 }
 
 void FaultInjector::clone_state(BinaryWriter& w) const {
@@ -49,6 +62,28 @@ void FaultInjector::clone_state(BinaryWriter& w) const {
     w.sensor_id(link.first);
     w.process_id(link.second);
     w.f64(loss);
+  }
+}
+
+void FaultInjector::restore_clone(BinaryReader& r) {
+  seq_ = r.u64();
+  injected_ = r.u64();
+  noops_ = r.u64();
+  attacks_ = r.u64();
+  integrity_ = r.u8() != 0;
+  std::array<std::uint64_t, 4> rng_state;
+  for (std::uint64_t& word : rng_state) word = r.u64();
+  byz_rng_.set_state(rng_state);
+  window_start_ = r.time_point();
+  corrupt_pid_.reset();
+  if (r.u8() != 0) corrupt_pid_ = r.process_id();
+  corrupt_fault_id_ = r.u64();
+  base_link_loss_.clear();
+  const std::uint64_t n_links = r.u64();
+  for (std::uint64_t i = 0; i < n_links && r.ok(); ++i) {
+    const SensorId sensor = r.sensor_id();
+    const ProcessId process = r.process_id();
+    base_link_loss_.emplace(std::make_pair(sensor, process), r.f64());
   }
 }
 

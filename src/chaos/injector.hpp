@@ -15,6 +15,11 @@
 // attack the injector actually performs emits a ground-truth kByzantine
 // trace marker carrying the fault id, which is what trace_analyze --audit
 // matches detector evidence against.
+//
+// The injector owns its action timers (DESIGN.md §9). Each carries its
+// action's index in the plan, and the plan is a pure function of its
+// seed, so a clone of an armed session regenerates the plan, loads it
+// without scheduling, and lets the kernel restore the pending actions.
 #pragma once
 
 #include <functional>
@@ -29,7 +34,7 @@
 
 namespace riv::chaos {
 
-class FaultInjector {
+class FaultInjector : public sim::TimerOwner {
  public:
   // `on_quiesce_end(window_start)` fires at each kQuiesceEnd mark, after
   // the home has had a full quiescence window to converge — the hook the
@@ -49,11 +54,13 @@ class FaultInjector {
   // Schedule every action of `plan`, each shifted by `offset` (zero for a
   // normal run; warm-prefix sweeps arm each clone after a shared
   // warm-up). Call once, before or after HomeDeployment::start(), but
-  // before running the simulation past the first shifted action. The
-  // action timers are closures over the plan, so no snapshot restores
-  // an armed injector: only re-execution rebuilds them.
+  // before running the simulation past the first shifted action.
   void arm(const FaultPlan& plan, QuiesceHook on_quiesce_end = {},
            Duration offset = {});
+  // Everything arm() does except scheduling: a clone of an armed session
+  // loads the plan here, and the kernel restores the action timers.
+  void load(const FaultPlan& plan, QuiesceHook on_quiesce_end,
+            Duration offset);
 
   // Actions that changed home state when applied.
   std::size_t injected() const { return injected_; }
@@ -66,11 +73,15 @@ class FaultInjector {
   // Snapshot state (DESIGN.md §13): the plan cursors — action sequence,
   // applied/noop split, attack randomness stream, quiescence window,
   // link-loss baselines, corrupt-window state. Until arm() they hold
-  // their construction-time values, so an unarmed clone has nothing to
-  // restore.
+  // their construction-time values. restore_clone overwrites them, after
+  // load() when a plan was armed.
   void clone_state(BinaryWriter& w) const;
+  void restore_clone(BinaryReader& r);
 
  private:
+  // An action timer fired; arg is the action's index in plan_.
+  void on_timer(sim::TimerId id, std::uint16_t kind,
+                std::uint64_t arg) override;
   void apply(const FaultAction& action);
   // Restore every device link touched by a loss ramp to its baseline.
   void restore_device_links();
@@ -99,6 +110,8 @@ class FaultInjector {
   Rng byz_rng_{0};
   std::optional<ProcessId> corrupt_pid_;
   std::size_t corrupt_fault_id_{0};
+  FaultPlan plan_;
+  sim::ProcessTimers timers_;
 };
 
 }  // namespace riv::chaos

@@ -219,11 +219,7 @@ void NoOriginSeqRegression::check(const CheckContext& ctx,
 
 InvariantChecker::InvariantChecker(workload::HomeDeployment& home, AppId app,
                                    SensorId sensor)
-    : home_(&home), app_(app), sensor_(sensor) {}
-
-InvariantChecker::~InvariantChecker() {
-  if (alive_) *alive_ = false;
-}
+    : home_(&home), app_(app), sensor_(sensor), timers_(home.sim(), *this) {}
 
 void InvariantChecker::add(std::unique_ptr<Invariant> invariant) {
   invariants_.push_back(std::move(invariant));
@@ -239,23 +235,14 @@ CheckContext InvariantChecker::context(TimePoint cutoff, bool final_check) {
   return ctx;
 }
 
-void InvariantChecker::make_tick(Duration interval) {
-  alive_ = std::make_shared<bool>(true);
-  std::shared_ptr<bool> alive = alive_;
-  sim::Simulation& sim = home_->sim();
-  // The closure lives in tick_, not in a shared_ptr it captures (which
-  // would never be reclaimed); queued copies check `alive` before
-  // touching `this`, so destruction mid-run is harmless.
-  tick_ = [this, alive, interval, &sim] {
-    if (!*alive) return;
-    check_continuous();
-    tick_id_ = sim.schedule_after(interval, tick_);
-  };
+void InvariantChecker::start(Duration interval) {
+  timers_.schedule_after(interval, 0, static_cast<std::uint64_t>(interval.us));
 }
 
-void InvariantChecker::start(Duration interval) {
-  make_tick(interval);
-  tick_id_ = home_->sim().schedule_after(interval, tick_);
+void InvariantChecker::on_timer(sim::TimerId /*id*/, std::uint16_t /*kind*/,
+                                std::uint64_t arg) {
+  check_continuous();
+  timers_.schedule_after(Duration{static_cast<std::int64_t>(arg)}, 0, arg);
 }
 
 void InvariantChecker::clone_state(BinaryWriter& w) const {
@@ -268,21 +255,9 @@ void InvariantChecker::clone_state(BinaryWriter& w) const {
   }
   w.u32(static_cast<std::uint32_t>(invariants_.size()));
   for (const auto& inv : invariants_) inv->clone_state(w);
-  TimePoint t{};
-  std::uint64_t seq = 0;
-  const bool ticking =
-      tick_id_ != 0 && home_->sim().timer_info(tick_id_, &t, &seq);
-  RIV_ASSERT(ticking == static_cast<bool>(alive_),
-             "checker capture: a started checker must have a pending tick");
-  w.u8(ticking ? 1 : 0);
-  if (ticking) {
-    w.u64(tick_id_);
-    w.time_point(t);
-    w.u64(seq);
-  }
 }
 
-void InvariantChecker::restore_clone(BinaryReader& r, Duration interval) {
+void InvariantChecker::restore_clone(BinaryReader& r) {
   checks_run_ = static_cast<std::size_t>(r.u64());
   violations_.clear();
   const std::uint64_t n_violations = r.u64();
@@ -296,13 +271,6 @@ void InvariantChecker::restore_clone(BinaryReader& r, Duration interval) {
   RIV_ASSERT(r.u32() == invariants_.size(),
              "checker restore: the invariant set differs from the source's");
   for (const auto& inv : invariants_) inv->restore_clone(r);
-  if (r.u8() != 0) {
-    const sim::TimerId id = r.u64();
-    const TimePoint t = r.time_point();
-    const std::uint64_t seq = r.u64();
-    make_tick(interval);
-    tick_id_ = home_->sim().schedule_restored(id, t, seq, tick_);
-  }
 }
 
 void InvariantChecker::check_continuous() {

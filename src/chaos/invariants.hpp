@@ -18,7 +18,6 @@
 //     with no cutoff — after the final drain.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -172,12 +171,12 @@ class NoOriginSeqRegression : public Invariant {
 };
 
 // Periodically evaluates registered invariants against a deployment and
-// accumulates violations (each tagged with its virtual time).
-class InvariantChecker {
+// accumulates violations (each tagged with its virtual time). It owns its
+// periodic tick (DESIGN.md §9), so destroying the checker cancels it.
+class InvariantChecker : public sim::TimerOwner {
  public:
   InvariantChecker(workload::HomeDeployment& home, AppId app,
                    SensorId sensor);
-  ~InvariantChecker();
 
   void add(std::unique_ptr<Invariant> invariant);
 
@@ -192,21 +191,19 @@ class InvariantChecker {
   const std::vector<Violation>& violations() const { return violations_; }
   std::size_t checks_run() const { return checks_run_; }
 
-  // Snapshot-clone state: checks run, violations so far, each
-  // invariant's cursors, and the periodic tick's (id, t, seq) when
-  // started. Must be called at rest, like Simulation::clone_state.
+  // Snapshot-clone state: checks run, violations so far and each
+  // invariant's cursors (the kernel's blob carries the tick). Must be
+  // called at rest, like Simulation::clone_state.
   void clone_state(BinaryWriter& w) const;
-  // Restore into a checker with the same invariants, inside the
-  // kernel's restore window (the tick is re-created with its original
-  // identity via schedule_restored). `interval` is the tick period the
-  // source was started with.
-  void restore_clone(BinaryReader& r, Duration interval);
+  // Restore into a checker with the same invariants.
+  void restore_clone(BinaryReader& r);
 
  private:
+  // The periodic tick: run the continuous checks and re-arm. Its arg is
+  // the interval in microseconds.
+  void on_timer(sim::TimerId id, std::uint16_t kind,
+                std::uint64_t arg) override;
   CheckContext context(TimePoint cutoff, bool final_check);
-  // Build the periodic tick closure; start() and restore_clone() then
-  // schedule it fresh or with its captured identity.
-  void make_tick(Duration interval);
 
   workload::HomeDeployment* home_;
   AppId app_;
@@ -214,11 +211,7 @@ class InvariantChecker {
   std::vector<std::unique_ptr<Invariant>> invariants_;
   std::vector<Violation> violations_;
   std::size_t checks_run_{0};
-  // Lets the periodic timer lambda outlive `this` harmlessly.
-  std::shared_ptr<bool> alive_;
-  std::function<void()> tick_;
-  // The pending tick (0 until started).
-  sim::TimerId tick_id_{0};
+  sim::ProcessTimers timers_;
 };
 
 }  // namespace riv::chaos

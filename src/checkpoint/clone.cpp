@@ -93,10 +93,7 @@ void WarmImage::clear() {
   attest = false;
 }
 
-void enable_clone_tracking(workload::HomeDeployment& home) {
-  home.net().set_clone_tracking();
-  home.bus().set_clone_tracking();
-}
+void enable_clone_tracking(workload::HomeDeployment& /*home*/) {}
 
 void capture_warm_home(workload::HomeDeployment& home, std::uint64_t seed,
                        WarmImage& out, bool with_attest) {
@@ -155,8 +152,7 @@ std::vector<Section> image_sections(WarmImage img,
 }
 
 bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
-                     std::uint64_t seed, std::string* error,
-                     const std::function<void()>& restore_owned_timers) {
+                     std::uint64_t seed, std::string* error) {
   // Deployment-level identity gate: rejected cleanly, before any restore
   // call touches the target. (Deeper structural divergence with matching
   // counts is a build/scenario bug and trips component asserts instead.)
@@ -184,12 +180,10 @@ bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
   // Pre-register them in pid order — the same first-touch order the
   // source used — so SimNetwork::restore_clone sees matching identity.
   for (ProcessId p : target.processes()) target.net().endpoint(p);
-  // A clone that will be attested must track what restore puts on the air.
-  if (img.attest) enable_clone_tracking(target);
 
   {
     BinaryReader r(img.kernel);
-    target.sim().begin_restore(r);
+    target.sim().restore_clone(r);
     RIV_ASSERT(r.ok() && r.remaining() == 0, "clone restore: kernel blob");
   }
   {
@@ -215,8 +209,6 @@ bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
     target.process(p).restore_clone(r);
     RIV_ASSERT(r.ok() && r.remaining() == 0, "clone restore: process blob");
   }
-  if (restore_owned_timers) restore_owned_timers();
-  target.sim().finish_restore();
   if (error) error->clear();
   return true;
 }
@@ -237,12 +229,9 @@ std::string attest_clone(const WarmImage& img,
 }
 
 void capture_session(chaos::ChaosSession& session, SessionImage& out) {
-  RIV_ASSERT(!session.plan_armed(),
-             "capture_session: the session has an armed fault plan, whose "
-             "action timers only re-execution rebuilds");
   RIV_ASSERT(session.options().metrics_period.us == 0,
-             "capture_session: metric snapshots are on, and their timer has "
-             "no owner in the image");
+             "capture_session: metric snapshots are on, and their timeline "
+             "is not in the image");
   RIV_ASSERT(session.flight() == nullptr,
              "capture_session: a clone cannot carry the flight-trace prefix");
   out.options = session.options();
@@ -256,11 +245,10 @@ void capture_session(chaos::ChaosSession& session, SessionImage& out) {
 std::unique_ptr<chaos::ChaosSession> clone_session(const SessionImage& img) {
   return std::make_unique<chaos::ChaosSession>(
       img.options, img.session,
-      [&img](workload::HomeDeployment& home,
-             const std::function<void()>& restore_owned_timers) {
+      [&img](workload::HomeDeployment& home) {
         std::string err;
         RIV_ASSERT(apply_warm_home(img.home, home, img.options.scenario.seed,
-                                   &err, restore_owned_timers),
+                                   &err),
                    err.c_str());
       });
 }

@@ -1,25 +1,25 @@
 // Warm snapshot clones: restore a captured home directly, no re-execution.
 //
-// Every timer-owning component serializes its own pending timers (exact
-// id/t/seq triples) alongside its data through one clone_state writer,
-// and restore rebuilds the closures itself — it knows its own callbacks —
-// re-registering them through Simulation::schedule_restored (DESIGN.md
-// §16). The target must be a freshly built, never-started deployment with
-// the same identity (same HomeSpec / builder calls); apply_warm_home()
-// then overwrites its state in one pass and the clone continues exactly
-// where the source stood.
+// Every pending timer is data (DESIGN.md §9), so the kernel's clone blob
+// carries the whole schedule and restores it itself; every other
+// component serializes only its own data, payloads in flight included,
+// through one clone_state writer (DESIGN.md §16). The target must be a
+// freshly built, never-started deployment with the same identity (same
+// HomeSpec / builder calls, hence the same timer owners registered in the
+// same order); apply_warm_home() then overwrites its state in one pass
+// and the clone continues exactly where the source stood.
 //
 // The same blobs are the sections of a RIVC checkpoint (image_sections),
 // which restores by attested re-execution instead (checkpoint/scenario.hpp)
-// because a chaos session captured mid-run has an armed fault plan whose
-// action timers no component can rebuild.
+// because a flight trace's prefix is part of that contract and no section
+// carries it.
 //
-// A chaos session with no plan armed clones too (capture_session /
-// clone_session): its blob carries the invariant checker's state and
-// tick timer, the one timer the session owns before a plan is armed,
-// and the injector's (still construction-time) cursors. Warm-prefix
-// sweeps (chaos_run --fork-sweep, bench_kernel) clone one warmed session
-// per plan seed and run the tails over parallel_map.
+// A chaos session clones too (capture_session / clone_session), armed
+// or not: its blob carries the plan's seed and offset, the fault trace so
+// far, the invariant checker's state and the injector's cursors; the
+// plan itself is regenerated from its seed. Warm-prefix sweeps (chaos_run
+// --fork-sweep, bench_kernel) clone one warmed session per plan seed and
+// run the tails over parallel_map.
 //
 // Correctness is attested by *sampling*: attest_clone() re-captures the
 // restored clone and diffs it against the image section by section (the
@@ -27,15 +27,9 @@
 // every clone). The round trip catches any field restore drops or
 // mis-sets; a field that clone_state never writes is invisible to it, and
 // the warm ≡ cold gates cover behaviour.
-//
-// The capture requires in-flight tracking (network frames, device
-// deliveries) to have been enabled since before the source started —
-// enable_clone_tracking() — because a radio frame mid-air is a pending
-// timer some component must own and re-create.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,16 +57,15 @@ struct WarmImage {
   std::vector<std::byte> network;
   std::vector<std::byte> devices;
   std::vector<std::vector<std::byte>> procs;  // one per process, pid order
-  // Clones of this image will be attested: apply_warm_home turns on
-  // in-flight tracking in them so attest_clone can re-capture.
+  // Clones of this image will be attested (attest_clone requires it).
   bool attest{false};
 
   std::size_t bytes() const;
   void clear();
 };
 
-// Turn on in-flight tracking for every component of `home` that owns
-// transient timers. Must run before home.start().
+// Does nothing: every deployment can be captured. Kept for callers that
+// predate the data timers.
 void enable_clone_tracking(workload::HomeDeployment& home);
 
 // Serialize the live deployment into `out` (buffers reused). `seed` is
@@ -92,12 +85,11 @@ std::vector<Section> image_sections(WarmImage img,
 // the target's state machine mid-way) when the deployment-level identity
 // differs: seed, process count, or sensor count. Deeper structural
 // mismatches (diverged builder calls with matching counts) fail hard via
-// component-level identity asserts. `restore_owned_timers`, when set,
-// runs just before the kernel's restore window closes: timer owners
-// outside the home (a chaos session's checker) re-create theirs there.
+// component-level identity asserts. The kernel restores timers of owners
+// outside the home too (a chaos session's checker and injector), so they
+// must be registered by then.
 bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
-                     std::uint64_t seed, std::string* error,
-                     const std::function<void()>& restore_owned_timers = {});
+                     std::uint64_t seed, std::string* error);
 
 // Sampled background attestation: re-capture the restored clone (before
 // it runs) and diff it against the image section by section. Returns ""
@@ -115,9 +107,8 @@ struct SessionImage {
 };
 
 // Capture `session` at rest. Aborts unless the session can be cloned:
-// no fault plan armed (its action timers are closures), no metric
-// snapshots (the deployment's snapshot timer has no owner in the image)
-// and no flight recorder (a clone cannot carry the trace prefix).
+// no metric snapshots (the timeline is not in the image) and no flight
+// recorder (a clone cannot carry the trace prefix).
 void capture_session(chaos::ChaosSession& session, SessionImage& out);
 
 // Build a fresh session from the image's options and restore the image

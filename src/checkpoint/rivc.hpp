@@ -34,7 +34,10 @@ namespace riv::checkpoint {
 // once, also while it is down; its stable store holds no log keys.
 // Version 4: "chaos.session" (injector cursors + checker state) replaces
 // the injector-only chaos section; registries carry no time series.
-inline constexpr std::uint32_t kRivcVersion = 4;
+// Version 5: "sim.kernel" carries the whole schedule (owner, kind and arg
+// per timer), component sections drop their timers' (t, seq), and
+// "chaos.session" records the armed plan and the fault trace.
+inline constexpr std::uint32_t kRivcVersion = 5;
 
 struct Section {
   std::string name;
@@ -65,7 +68,7 @@ std::vector<std::byte> encode(const Snapshot& snap);
 // Decode; returns false and sets *error on any malformed input. Error
 // strings are pinned (test_checkpoint_fuzz):
 //   "not a RIVC checkpoint (bad magic)"
-//   "unsupported checkpoint version N (this build reads 4)"
+//   "unsupported checkpoint version N (this build reads 5)"
 //   "truncated checkpoint"
 //   "checkpoint footer hash mismatch"
 //   "trailing bytes after checkpoint footer"

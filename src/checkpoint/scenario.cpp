@@ -71,7 +71,6 @@ class HomeScenario final : public Scenario {
     home_->deploy(
         workload::apps::turn_light_on_off(kApp, kDoor, kLight, guarantee_));
 
-    enable_clone_tracking(*home_);
     home_->start();
   }
 

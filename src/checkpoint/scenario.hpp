@@ -5,19 +5,17 @@
 // scenarios and any chaos-engine configuration qualify. Checkpointing one
 // is capture(): the deployment's warm-clone image (checkpoint/clone.hpp)
 // as named RIVC sections, plus scenario extras and the flight-trace
-// position. Every scenario tracks in-flight frames from before start, as
-// a clone capture requires.
+// position.
 //
-// restore() is re-execution + attestation, not deserialization: a chaos
-// session captured mid-run has an armed fault plan whose action timers
-// are closures no section can rebuild, and the flight trace's prefix is
-// part of the contract, so the only faithful way back to a mid-run state
-// is to rebuild the scenario from its identity, run it deterministically
-// to the snapshot time, and then byte-compare a fresh capture against the
-// stored sections. A match
-// proves "restored ≡ uninterrupted" for every captured layer; a mismatch
-// names the first divergent section and byte. The restored scenario is
-// live and can keep running (riv_replay, chaos_run --from-checkpoint).
+// restore() is re-execution + attestation, not deserialization: the
+// flight trace's prefix is part of the contract and no section carries
+// it, so the faithful way back to a mid-run state is to rebuild the
+// scenario from its identity, run it deterministically to the snapshot
+// time, and then byte-compare a fresh capture against the stored
+// sections. A match proves "restored ≡ uninterrupted" for every captured
+// layer; a mismatch names the first divergent section and byte. The
+// restored scenario is live and can keep running (riv_replay, chaos_run
+// --from-checkpoint).
 #pragma once
 
 #include <memory>

@@ -95,9 +95,8 @@ void GapStream::start() {
 void GapStream::schedule_epoch(std::uint32_t epoch) {
   const Duration e = ctx_.edge.polling.epoch;
   const TimePoint boundary{static_cast<std::int64_t>(epoch) * e.us};
-  epoch_pending_ = epoch;
-  epoch_timer_ = ctx_.timers->schedule_at(
-      boundary, [this, epoch] { on_epoch_boundary(epoch); });
+  ctx_.timers->schedule_at(boundary, kEpochTimer,
+                           stream_timer_arg(ctx_.app, ctx_.edge.sensor, epoch));
 }
 
 void GapStream::on_epoch_boundary(std::uint32_t epoch) {
@@ -134,17 +133,6 @@ void GapStream::clone_state(BinaryWriter& w) const {
   w.u64(discarded_);
   w.u64(polls_issued_);
   w.u64(staleness_reports_);
-  TimePoint t;
-  std::uint64_t seq;
-  bool epoch_live = epoch_timer_ != 0 &&
-                    ctx_.timers->sim().timer_info(epoch_timer_, &t, &seq);
-  w.u8(epoch_live ? 1 : 0);
-  if (epoch_live) {
-    w.u64(epoch_timer_);
-    w.time_point(t);
-    w.u64(seq);
-    w.u32(epoch_pending_);
-  }
 }
 
 void GapStream::restore_clone(BinaryReader& r) {
@@ -166,15 +154,6 @@ void GapStream::restore_clone(BinaryReader& r) {
   discarded_ = r.u64();
   polls_issued_ = r.u64();
   staleness_reports_ = r.u64();
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    std::uint32_t epoch = r.u32();
-    epoch_pending_ = epoch;
-    epoch_timer_ = ctx_.timers->restore_at(
-        tid, t, seq, [this, epoch] { on_epoch_boundary(epoch); });
-  }
 }
 
 }  // namespace riv::core

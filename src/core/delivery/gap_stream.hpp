@@ -29,9 +29,17 @@ namespace riv::core {
 
 class GapStream {
  public:
+  // The epoch-boundary timer's kind in the process's timer space; its arg
+  // is stream_timer_arg(app, sensor, epoch).
+  static constexpr std::uint16_t kEpochTimer = 3;
+
   GapStream(StreamContext ctx, std::size_t dedup_window);
 
   void start();
+
+  // Poll if this process forwards, report a silent previous epoch, and
+  // arm the next boundary: the kEpochTimer handler.
+  void on_epoch_boundary(std::uint32_t epoch);
 
   void on_device_event(const devices::SensorEvent& e);
   void on_forward(ProcessId from, const wire::EventPayload& p);
@@ -44,7 +52,7 @@ class GapStream {
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
   // Protocol state (dedup window in arrival order, epoch tracking,
-  // counters) plus the epoch-boundary timer (poll streams only).
+  // counters).
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
@@ -56,7 +64,6 @@ class GapStream {
   void deliver_dedup(const devices::SensorEvent& e, const char* src);
   void note_epoch(const devices::SensorEvent& e);
   void schedule_epoch(std::uint32_t epoch);
-  void on_epoch_boundary(std::uint32_t epoch);
   std::uint32_t current_epoch() const;
 
   StreamContext ctx_;
@@ -71,9 +78,6 @@ class GapStream {
   std::uint64_t discarded_{0};
   std::uint64_t polls_issued_{0};
   std::uint64_t staleness_reports_{0};
-
-  sim::TimerId epoch_timer_{0};
-  std::uint32_t epoch_pending_{0};
 };
 
 }  // namespace riv::core

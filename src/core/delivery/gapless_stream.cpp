@@ -208,9 +208,8 @@ void GaplessStream::start() {
 void GaplessStream::schedule_epoch(std::uint32_t epoch) {
   const Duration e = ctx_.edge.polling.epoch;
   const TimePoint boundary{static_cast<std::int64_t>(epoch) * e.us};
-  epoch_pending_ = epoch;
-  epoch_timer_ = ctx_.timers->schedule_at(
-      boundary, [this, epoch] { on_epoch_boundary(epoch); });
+  ctx_.timers->schedule_at(boundary, kEpochTimer,
+                           stream_timer_arg(ctx_.app, ctx_.edge.sensor, epoch));
 }
 
 void GaplessStream::on_epoch_boundary(std::uint32_t epoch) {
@@ -236,9 +235,9 @@ void GaplessStream::on_epoch_boundary(std::uint32_t epoch) {
       const auto rank = static_cast<std::int64_t>(it - pollers.begin());
       const auto n = static_cast<std::int64_t>(pollers.size());
       TimePoint slot = boundary + Duration{rank * e.us / n};
-      slot_epoch_ = epoch;
-      slot_timer_ = ctx_.timers->schedule_at(
-          slot, [this, epoch] { on_poll_slot(epoch); });
+      ctx_.timers->schedule_at(
+          slot, kSlotTimer,
+          stream_timer_arg(ctx_.app, ctx_.edge.sensor, epoch));
     }
   }
   // Staleness check for the *previous* epoch (only epochs we actually
@@ -271,26 +270,6 @@ void GaplessStream::clone_state(BinaryWriter& w) const {
   w.u64(rb_initiated_);
   w.u64(polls_issued_);
   w.u64(staleness_reports_);
-  sim::Simulation& sim = ctx_.timers->sim();
-  TimePoint t;
-  std::uint64_t seq;
-  bool epoch_live = epoch_timer_ != 0 &&
-                    sim.timer_info(epoch_timer_, &t, &seq);
-  w.u8(epoch_live ? 1 : 0);
-  if (epoch_live) {
-    w.u64(epoch_timer_);
-    w.time_point(t);
-    w.u64(seq);
-    w.u32(epoch_pending_);
-  }
-  bool slot_live = slot_timer_ != 0 && sim.timer_info(slot_timer_, &t, &seq);
-  w.u8(slot_live ? 1 : 0);
-  if (slot_live) {
-    w.u64(slot_timer_);
-    w.time_point(t);
-    w.u64(seq);
-    w.u32(slot_epoch_);
-  }
 }
 
 void GaplessStream::restore_clone(BinaryReader& r) {
@@ -310,24 +289,6 @@ void GaplessStream::restore_clone(BinaryReader& r) {
   rb_initiated_ = r.u64();
   polls_issued_ = r.u64();
   staleness_reports_ = r.u64();
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    std::uint32_t epoch = r.u32();
-    epoch_pending_ = epoch;
-    epoch_timer_ = ctx_.timers->restore_at(
-        tid, t, seq, [this, epoch] { on_epoch_boundary(epoch); });
-  }
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    std::uint32_t epoch = r.u32();
-    slot_epoch_ = epoch;
-    slot_timer_ = ctx_.timers->restore_at(
-        tid, t, seq, [this, epoch] { on_poll_slot(epoch); });
-  }
 }
 
 }  // namespace riv::core

@@ -35,10 +35,22 @@ namespace riv::core {
 
 class GaplessStream {
  public:
+  // Timer kinds in the process's timer space; both carry
+  // stream_timer_arg(app, sensor, epoch).
+  static constexpr std::uint16_t kEpochTimer = 4;
+  static constexpr std::uint16_t kSlotTimer = 5;
+
   explicit GaplessStream(StreamContext ctx);
 
   // Arm epoch timers for poll-based sensors; no-op for push sensors.
   void start();
+
+  // Timer handlers: an epoch boundary assigns this process's poll slot,
+  // checks the previous epoch for staleness and arms the next boundary
+  // (kEpochTimer); a poll slot polls unless the epoch already has an
+  // event (kSlotTimer).
+  void on_epoch_boundary(std::uint32_t epoch);
+  void on_poll_slot(std::uint32_t epoch);
 
   // An event arrived over the device link (push emission or poll reply).
   void on_device_event(const devices::SensorEvent& e);
@@ -61,9 +73,7 @@ class GaplessStream {
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
   // Protocol state (epoch tracking, broadcast dedup, counters; event
-  // content lives in the EventLog) plus the epoch-boundary and poll-slot
-  // timers with their (id, t, seq) identities (poll streams only; push
-  // streams hold no timers).
+  // content lives in the EventLog).
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
@@ -78,8 +88,6 @@ class GaplessStream {
   void note_epoch(const devices::SensorEvent& e);
   bool epoch_seen(std::uint32_t epoch) const;
   void schedule_epoch(std::uint32_t epoch);
-  void on_epoch_boundary(std::uint32_t epoch);
-  void on_poll_slot(std::uint32_t epoch);
   std::uint32_t current_epoch() const;
 
   StreamContext ctx_;
@@ -92,11 +100,6 @@ class GaplessStream {
   std::uint64_t rb_initiated_{0};
   std::uint64_t polls_issued_{0};
   std::uint64_t staleness_reports_{0};
-
-  sim::TimerId epoch_timer_{0};
-  std::uint32_t epoch_pending_{0};  // epoch the boundary timer will open
-  sim::TimerId slot_timer_{0};
-  std::uint32_t slot_epoch_{0};
 };
 
 }  // namespace riv::core

@@ -54,6 +54,24 @@ struct StreamContext {
   EventLog* log{nullptr};  // Gapless only
 };
 
+// A stream timer's arg: the stream's key (app, sensor) and the epoch the
+// timer serves. Streams are rebuilt on recovery, so their process owns
+// their timers and finds the stream again by this key.
+inline std::uint64_t stream_timer_arg(AppId app, SensorId sensor,
+                                      std::uint32_t epoch) {
+  return std::uint64_t{app.value} << 48 | std::uint64_t{sensor.value} << 32 |
+         epoch;
+}
+inline AppId stream_timer_app(std::uint64_t arg) {
+  return AppId{static_cast<std::uint16_t>(arg >> 48)};
+}
+inline SensorId stream_timer_sensor(std::uint64_t arg) {
+  return SensorId{static_cast<std::uint16_t>(arg >> 32)};
+}
+inline std::uint32_t stream_timer_epoch(std::uint64_t arg) {
+  return static_cast<std::uint32_t>(arg);
+}
+
 // First process in `order` that is alive per `view`; nullopt if none.
 inline std::optional<ProcessId> first_alive(
     const std::vector<ProcessId>& order, const std::set<ProcessId>& view) {

@@ -32,7 +32,8 @@ RivuletProcess::RivuletProcess(sim::Simulation& sim, net::SimNetwork& net,
       self_(self),
       all_(std::move(all)),
       config_(config),
-      metrics_(&metrics) {
+      metrics_(&metrics),
+      timers_(sim, *this) {
   std::sort(all_.begin(), all_.end());
 }
 
@@ -95,13 +96,10 @@ void RivuletProcess::recover() {
 void RivuletProcess::teardown_state() {
   bus_->unsubscribe(self_);
   net_->endpoint(self_).set_handler({});
-  // Logic instances and streams own no timers beyond timers_ /
-  // their LogicInstance-internal ones; destroying them cancels everything.
   apps_.clear();
   kv_.reset();
   fd_.reset();
-  timers_.reset();
-  periodic_ = nullptr;
+  timers_.cancel_all();
 }
 
 store::ReplicatedStore& RivuletProcess::kv() {
@@ -124,14 +122,49 @@ void RivuletProcess::build_state() {
 
   // Initial sync plus periodic anti-entropy (see Config::sync_period).
   sync_rings(/*force=*/true);
-  periodic_timer_ = timers_->schedule_after(config_.sync_period, periodic_);
+  timers_.schedule_after(config_.sync_period, kPeriodicTimer);
+}
+
+void RivuletProcess::on_timer(sim::TimerId /*id*/, std::uint16_t kind,
+                              std::uint64_t arg) {
+  switch (kind) {
+    case kPeriodicTimer:
+      sync_rings(/*force=*/true);
+      retry_pending_commands();
+      timers_.schedule_after(config_.sync_period, kPeriodicTimer);
+      break;
+    case membership::FailureDetector::kTickTimer:
+      fd_->tick();
+      break;
+    case store::ReplicatedStore::kSyncTimer:
+      kv_->anti_entropy();
+      break;
+    case GapStream::kEpochTimer:
+      stream_for_timer(arg).gap->on_epoch_boundary(stream_timer_epoch(arg));
+      break;
+    case GaplessStream::kEpochTimer:
+      stream_for_timer(arg).gapless->on_epoch_boundary(
+          stream_timer_epoch(arg));
+      break;
+    case GaplessStream::kSlotTimer:
+      stream_for_timer(arg).gapless->on_poll_slot(stream_timer_epoch(arg));
+      break;
+    case appmodel::LogicInstance::kPeriodicTimer:
+      apps_.at(AppId{static_cast<std::uint16_t>(arg >> 32)})
+          .logic->on_periodic(arg);
+      break;
+  }
+}
+
+RivuletProcess::StreamState& RivuletProcess::stream_for_timer(
+    std::uint64_t arg) {
+  return apps_.at(stream_timer_app(arg))
+      .streams.at(stream_timer_sensor(arg));
 }
 
 void RivuletProcess::build_volatile_shell() {
-  timers_ = std::make_unique<sim::ProcessTimers>(*sim_);
-
   fd_ = std::make_unique<membership::FailureDetector>(
-      *timers_, net_->endpoint(self_), all_, config_.membership);
+      timers_, net_->endpoint(self_), all_, config_.membership);
   fd_->set_on_view_change([this](const std::set<ProcessId>&) {
     on_view_change();
   });
@@ -150,7 +183,7 @@ void RivuletProcess::build_volatile_shell() {
   kv_hooks.view = [this]() -> const std::set<ProcessId>& {
     return fd_->view();
   };
-  kv_hooks.timers = timers_.get();
+  kv_hooks.timers = &timers_;
   kv_hooks.stable = &store_;
   kv_hooks.sync_period = config_.sync_period;
   kv_ = std::make_unique<store::ReplicatedStore>(std::move(kv_hooks));
@@ -172,16 +205,6 @@ void RivuletProcess::build_volatile_shell() {
   bus_->subscribe(self_, [this](const devices::SensorEvent& e) {
     on_device_event(e);
   });
-
-  // The anti-entropy/retry closure lives in periodic_ (not in a shared_ptr
-  // it captures, which would be an unreclaimable cycle); queued copies
-  // capture only `this`, and teardown_state() cancels the timers before
-  // `this` can die. Scheduling happens in build_state()/restore_clone().
-  periodic_ = [this] {
-    sync_rings(/*force=*/true);
-    retry_pending_commands();
-    periodic_timer_ = timers_->schedule_after(config_.sync_period, periodic_);
-  };
 }
 
 void RivuletProcess::build_app_state(AppState& app,
@@ -268,7 +291,7 @@ RivuletProcess::StreamState RivuletProcess::make_stream(
       wire::seal(buf, config_.integrity_key, chain);
     };
   }
-  ctx.timers = timers_.get();
+  ctx.timers = &timers_;
   ctx.log = app.log;
 
   StreamState state;
@@ -504,7 +527,7 @@ void RivuletProcess::make_logic(AppId id, AppState& app) {
                                      const devices::Command& cmd) {
     route_command(id, app, edge, cmd);
   };
-  app.logic = std::make_unique<appmodel::LogicInstance>(*app.graph, *sim_,
+  app.logic = std::make_unique<appmodel::LogicInstance>(*app.graph, timers_,
                                                         std::move(cb));
 }
 
@@ -923,16 +946,6 @@ void RivuletProcess::clone_state(BinaryWriter& w) const {
     w.u64(app.instance_delivered.size());
     for (EventId e : app.instance_delivered) w.event_id(e);
   }
-  TimePoint t;
-  std::uint64_t seq;
-  bool live =
-      periodic_timer_ != 0 && sim_->timer_info(periodic_timer_, &t, &seq);
-  w.u8(live ? 1 : 0);
-  if (live) {
-    w.u64(periodic_timer_);
-    w.time_point(t);
-    w.u64(seq);
-  }
 }
 
 void RivuletProcess::restore_clone(BinaryReader& r) {
@@ -1018,12 +1031,6 @@ void RivuletProcess::restore_clone(BinaryReader& r) {
     const std::uint64_t n_inst = r.u64();
     for (std::uint64_t i = 0; i < n_inst; ++i)
       app.instance_delivered.insert(app.instance_delivered.end(), r.event_id());
-  }
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    periodic_timer_ = timers_->restore_at(tid, t, seq, periodic_);
   }
 }
 

@@ -11,11 +11,14 @@
 //     backlog a newly promoted logic node replays).
 //
 // Crash/recovery (§3.1): crash() halts everything — timers, message
-// handling, device subscription. The per-app event logs (events, S/V sets,
-// watermarks) are the process's durable record and survive; recover()
-// reduces them to what a crash preserves (EventLog::recover) and rebuilds
-// the volatile state around them. Deployed app graphs are installed
-// software and survive crashes too.
+// handling, device subscription. The process owns every timer of the
+// components it rebuilds on recovery or promotion (detector, store,
+// streams, logic triggers) and routes each back by kind and arg
+// (DESIGN.md §9), so a crash cancels them all by owner. The per-app
+// event logs (events, S/V sets, watermarks) are the process's durable
+// record and survive; recover() reduces them to what a crash preserves
+// (EventLog::recover) and rebuilds the volatile state around them.
+// Deployed app graphs are installed software and survive crashes too.
 #pragma once
 
 #include <functional>
@@ -38,7 +41,7 @@
 
 namespace riv::core {
 
-class RivuletProcess {
+class RivuletProcess : public sim::TimerOwner {
  public:
   RivuletProcess(sim::Simulation& sim, net::SimNetwork& net,
                  devices::HomeBus& bus, ProcessId self,
@@ -82,13 +85,13 @@ class RivuletProcess {
   // Serialize the complete live runtime — stable store, per-origin
   // sequence history, event logs (also while down: they are durable),
   // membership, replicated KV, every app's delivery/execution/actuation
-  // state, every pending timer and in-flight protocol artifact. RIVC
-  // checkpoints store this as the process's section; restore_clone()
-  // rebuilds it directly into a freshly constructed, never-started
-  // process (event logs first, whether or not it is up): the volatile
-  // shell (detector, KV, streams, logic) is re-wired exactly as
-  // build_state() would, then each component restores its own data and
-  // timers. No messages are sent and no fresh timers are scheduled.
+  // state and in-flight protocol artifact (the kernel's blob carries the
+  // timers). RIVC checkpoints store this as the process's section;
+  // restore_clone() rebuilds it directly into a freshly constructed,
+  // never-started process (event logs first, whether or not it is up):
+  // the volatile shell (detector, KV, streams, logic) is re-wired exactly
+  // as build_state() would, then each component restores its own data.
+  // No messages are sent and no timers are scheduled.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
@@ -132,11 +135,19 @@ class RivuletProcess {
     std::set<EventId> instance_delivered;
   };
 
+  // The process's own timer kind: periodic anti-entropy plus command
+  // retry. The other kinds belong to the components it routes to.
+  static constexpr std::uint16_t kPeriodicTimer = 0;
+
+  void on_timer(sim::TimerId id, std::uint16_t kind,
+                std::uint64_t arg) override;
+  StreamState& stream_for_timer(std::uint64_t arg);
+
   void build_state();
-  // Construct the volatile runtime structures (timers, detector, KV,
+  // Construct the volatile runtime structures (detector, KV,
   // app/stream/closure wiring) without starting anything — shared by
   // build_state() (which then starts them) and restore_clone() (which
-  // then overwrites their data and timers from a snapshot).
+  // then overwrites their data from a snapshot).
   void build_volatile_shell();
   // Construct an app's LogicInstance with runtime callbacks wired, not
   // started. promote() adds start/replay/announcement on top.
@@ -207,8 +218,11 @@ class RivuletProcess {
   std::map<SensorId, std::set<std::uint32_t>> device_seqs_seen_;
   std::vector<std::byte> unseal_scratch_;
 
+  // The process's registration with the kernel: it lives as long as the
+  // process, and a crash cancels every timer through it.
+  sim::ProcessTimers timers_;
+
   // Volatile state, torn down on crash.
-  std::unique_ptr<sim::ProcessTimers> timers_;
   std::unique_ptr<membership::FailureDetector> fd_;
   std::unique_ptr<store::ReplicatedStore> kv_;
   std::map<AppId, AppState> apps_;
@@ -216,10 +230,6 @@ class RivuletProcess {
   // is per-event-hot and must not rebuild the counter name each time.
   // Registry references stay valid across crash/recover cycles.
   std::map<SensorId, metrics::Counter*> ingest_counters_;
-  // Periodic anti-entropy + command-retry closure; queued timer copies
-  // capture `this` only, so no shared_ptr self-cycle (leak) exists.
-  std::function<void()> periodic_;
-  sim::TimerId periodic_timer_{0};
   bool up_{false};
   bool started_{false};
   std::uint32_t next_cmd_seq_{1};

@@ -9,8 +9,8 @@ Actuator::Actuator(sim::Simulation& sim, ActuatorSpec spec, Rng rng)
     : sim_(&sim),
       spec_(std::move(spec)),
       rng_(rng),
-      timers_(sim),
-      state_(spec_.initial_state) {}
+      state_(spec_.initial_state),
+      timers_(sim, *this) {}
 
 void Actuator::add_link(ProcessId process, double loss_prob) {
   links_[process] = loss_prob;
@@ -30,6 +30,7 @@ std::vector<ProcessId> Actuator::linked_processes() const {
 void Actuator::crash() {
   crashed_ = true;
   timers_.cancel_all();
+  in_flight_.clear();
 }
 
 void Actuator::submit(ProcessId from, const Command& cmd) {
@@ -38,10 +39,13 @@ void Actuator::submit(ProcessId from, const Command& cmd) {
   if (rng_.bernoulli(it->second)) return;  // lost on the device link
   const TechProfile& prof = profile(spec_.tech);
   Duration delay = prof.link_latency + spec_.actuate_latency;
-  sim::TimerId tid = timers_.schedule_after(delay, [this, cmd] {
-    if (!crashed_) apply(cmd);
-  });
-  if (clone_tracking_) track_delivery(tid, cmd);
+  in_flight_.put(timers_.schedule_after(delay, kCommandTimer), cmd);
+}
+
+void Actuator::on_timer(sim::TimerId id, std::uint16_t /*kind*/,
+                        std::uint64_t /*arg*/) {
+  const Command cmd = in_flight_.take(id);
+  if (!crashed_) apply(cmd);
 }
 
 void Actuator::apply(const Command& cmd) {
@@ -74,19 +78,7 @@ void Actuator::apply(const Command& cmd) {
       Applied{cmd.id, cmd.value, sim_->now(), accepted, cmd.cause});
 }
 
-void Actuator::track_delivery(sim::TimerId id, const Command& cmd) {
-  if (in_flight_.size() >= 16) {
-    TimePoint t;
-    std::uint64_t seq;
-    std::erase_if(in_flight_, [&](const InFlight& f) {
-      return !sim_->timer_info(f.timer, &t, &seq);
-    });
-  }
-  in_flight_.push_back({id, cmd});
-}
-
 void Actuator::clone_state(BinaryWriter& w) const {
-  RIV_ASSERT(clone_tracking_, "Actuator::clone_state requires clone tracking");
   w.actuator_id(spec_.id);
   for (std::uint64_t word : rng_.state()) w.u64(word);
   w.u64(links_.size());
@@ -111,19 +103,11 @@ void Actuator::clone_state(BinaryWriter& w) const {
   w.u64(unwarranted_actions_);
   w.u64(rejected_tas_);
 
-  TimePoint t;
-  std::uint64_t seq;
-  std::size_t live = 0;
-  for (const InFlight& f : in_flight_)
-    if (sim_->timer_info(f.timer, &t, &seq)) ++live;
-  w.u64(live);
-  for (const InFlight& f : in_flight_) {
-    if (!sim_->timer_info(f.timer, &t, &seq)) continue;
-    w.u64(f.timer);
-    w.time_point(t);
-    w.u64(seq);
-    encode(w, f.cmd);
-  }
+  w.u64(in_flight_.size());
+  in_flight_.for_each([&w](sim::TimerId id, const Command& cmd) {
+    w.u64(id);
+    encode(w, cmd);
+  });
 }
 
 void Actuator::restore_clone(BinaryReader& r) {
@@ -160,16 +144,11 @@ void Actuator::restore_clone(BinaryReader& r) {
   unwarranted_actions_ = r.u64();
   rejected_tas_ = r.u64();
 
+  in_flight_.clear();
   const std::uint64_t n_flight = r.u64();
-  for (std::uint64_t i = 0; i < n_flight; ++i) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    Command cmd = decode_command(r);
-    timers_.restore_at(tid, t, seq, [this, cmd] {
-      if (!crashed_) apply(cmd);
-    });
-    if (clone_tracking_) track_delivery(tid, cmd);
+  for (std::uint64_t i = 0; i < n_flight && r.ok(); ++i) {
+    sim::TimerId id = r.u64();
+    in_flight_.put(id, decode_command(r));
   }
 }
 

@@ -23,6 +23,7 @@
 #include "devices/adapters.hpp"
 #include "devices/event.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer_table.hpp"
 
 namespace riv::devices {
 
@@ -36,7 +37,7 @@ struct ActuatorSpec {
   double initial_state{0.0};
 };
 
-class Actuator {
+class Actuator : public sim::TimerOwner {
  public:
   struct Applied {
     CommandId id{};
@@ -77,28 +78,24 @@ class Actuator {
   std::uint64_t rejected_test_and_set() const { return rejected_tas_; }
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
-  // Mirrors Sensor: once tracking is on, commands in flight to the
-  // device are remembered as (timer id, Command) so clone_state can
-  // serialize them with their timer identity. clone_state writes links,
-  // RNG stream, physical state, command dedup set, applied history,
-  // counters, and those in-flight commands.
-  void set_clone_tracking() { clone_tracking_ = true; }
+  // clone_state writes links, RNG stream, physical state, command dedup
+  // set, applied history, counters, and the commands in flight to the
+  // device with their timer ids (mirrors Sensor).
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
  private:
-  struct InFlight {
-    sim::TimerId timer;
-    Command cmd;
-  };
+  // A command's arrival at the device; the one timer kind. The command
+  // lives in in_flight_.
+  static constexpr std::uint16_t kCommandTimer = 0;
 
+  void on_timer(sim::TimerId id, std::uint16_t kind,
+                std::uint64_t arg) override;
   void apply(const Command& cmd);
-  void track_delivery(sim::TimerId id, const Command& cmd);
 
   sim::Simulation* sim_;
   ActuatorSpec spec_;
   Rng rng_;
-  sim::ProcessTimers timers_;
   std::map<ProcessId, double> links_;  // process -> loss probability
 
   bool crashed_{false};
@@ -110,8 +107,8 @@ class Actuator {
   std::uint64_t unwarranted_actions_{0};
   std::uint64_t rejected_tas_{0};
 
-  bool clone_tracking_{false};
-  std::vector<InFlight> in_flight_;
+  sim::ProcessTimers timers_;
+  sim::TimerTable<Command> in_flight_;
 };
 
 }  // namespace riv::devices

@@ -169,11 +169,6 @@ void HomeBus::perturb(std::uint64_t salt) {
   for (auto& [id, sensor] : sensors_) sensor->perturb(salt ^ (i++ << 32));
 }
 
-void HomeBus::set_clone_tracking() {
-  for (auto& [id, sensor] : sensors_) sensor->set_clone_tracking();
-  for (auto& [id, actuator] : actuators_) actuator->set_clone_tracking();
-}
-
 void HomeBus::clone_state(BinaryWriter& w) const {
   w.u64(sensors_.size());
   for (const auto& [id, sensor] : sensors_) sensor->clone_state(w);

@@ -72,9 +72,6 @@ class HomeBus {
   sim::Simulation& sim() { return *sim_; }
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
-  // Forwarded to every sensor and actuator added so far (in-flight
-  // tracking).
-  void set_clone_tracking();
   // Every device, adapter frame counters, and which processes are
   // currently subscribed (handlers are closures; their presence is the
   // state). Restore skips the subscribed set: a restored process

@@ -42,7 +42,7 @@ bool is_binary_kind(SensorKind kind) {
 }
 
 Sensor::Sensor(sim::Simulation& sim, SensorSpec spec, Rng rng)
-    : sim_(&sim), spec_(std::move(spec)), rng_(rng), timers_(sim) {}
+    : sim_(&sim), spec_(std::move(spec)), rng_(rng), timers_(sim, *this) {}
 
 void Sensor::add_link(ProcessId process, LinkParams params) {
   links_[process] = Link{params};
@@ -82,12 +82,14 @@ void Sensor::start() {
 void Sensor::stop() {
   running_ = false;
   timers_.cancel_all();
+  deliveries_.clear();
 }
 
 void Sensor::crash() {
   crashed_ = true;
   busy_ = false;
   timers_.cancel_all();
+  deliveries_.clear();
 }
 
 void Sensor::recover() {
@@ -119,10 +121,28 @@ void Sensor::schedule_next_emission() {
       }
       break;
   }
-  emission_timer_ = timers_.schedule_after(gap, [this] {
-    emit(0, /*poll_based=*/false);
-    schedule_next_emission();
-  });
+  timers_.schedule_after(gap, kEmitTimer);
+}
+
+void Sensor::on_timer(sim::TimerId id, std::uint16_t kind,
+                      std::uint64_t arg) {
+  switch (kind) {
+    case kEmitTimer:
+      emit(0, /*poll_based=*/false);
+      schedule_next_emission();
+      break;
+    case kPollTimer:
+      busy_ = false;
+      ++polls_served_;
+      emit(static_cast<std::uint32_t>(arg), /*poll_based=*/true,
+           ProcessId{static_cast<std::uint16_t>(arg >> 32)});
+      break;
+    case kDeliveryTimer: {
+      const Delivery d = deliveries_.take(id);
+      if (deliver_) deliver_(d.process, d.event);
+      break;
+    }
+  }
 }
 
 void Sensor::emit_now() {
@@ -167,10 +187,8 @@ void Sensor::transmit(ProcessId process, const Link& link,
   double loss = std::max(link.params.loss_prob, prof.loss_floor);
   if (rng_.bernoulli(loss)) return;  // lost on the air
   Duration lat = link_latency(link);
-  sim::TimerId tid = timers_.schedule_after(lat, [this, process, e] {
-    if (deliver_) deliver_(process, e);
-  });
-  if (clone_tracking_) track_delivery(tid, process, e);
+  deliveries_.put(timers_.schedule_after(lat, kDeliveryTimer),
+                  Delivery{process, e});
 }
 
 void Sensor::emit(std::uint32_t epoch_tag, bool poll_based,
@@ -247,31 +265,11 @@ void Sensor::poll(ProcessId from, std::uint32_t epoch_tag) {
     scale *= spec_.poll_tail_factor;  // stack-level retransmission
   auto latency = static_cast<std::int64_t>(
       static_cast<double>(spec_.poll_latency.us) * scale);
-  poll_from_ = from;
-  poll_epoch_ = epoch_tag;
-  poll_timer_ = timers_.schedule_after(Duration{latency}, [this, from,
-                                                          epoch_tag] {
-    busy_ = false;
-    ++polls_served_;
-    emit(epoch_tag, /*poll_based=*/true, from);
-  });
-}
-
-void Sensor::track_delivery(sim::TimerId id, ProcessId process,
-                            const SensorEvent& e) {
-  // Lazy prune: drop fired entries once the list is mostly dead.
-  if (in_flight_.size() >= 16) {
-    TimePoint t;
-    std::uint64_t seq;
-    std::erase_if(in_flight_, [&](const InFlight& f) {
-      return !sim_->timer_info(f.timer, &t, &seq);
-    });
-  }
-  in_flight_.push_back({id, process, e});
+  timers_.schedule_after(Duration{latency}, kPollTimer,
+                         std::uint64_t{from.value} << 32 | epoch_tag);
 }
 
 void Sensor::clone_state(BinaryWriter& w) const {
-  RIV_ASSERT(clone_tracking_, "Sensor::clone_state requires clone tracking");
   w.sensor_id(spec_.id);
   for (std::uint64_t word : rng_.state()) w.u64(word);
   w.u64(links_.size());
@@ -297,37 +295,12 @@ void Sensor::clone_state(BinaryWriter& w) const {
   w.u64(polls_dropped_);
   w.u64(polls_served_);
 
-  TimePoint t;
-  std::uint64_t seq;
-  bool emitting = emission_timer_ != 0 &&
-                  sim_->timer_info(emission_timer_, &t, &seq);
-  w.u8(emitting ? 1 : 0);
-  if (emitting) {
-    w.u64(emission_timer_);
-    w.time_point(t);
-    w.u64(seq);
-  }
-  bool polling = poll_timer_ != 0 && sim_->timer_info(poll_timer_, &t, &seq);
-  w.u8(polling ? 1 : 0);
-  if (polling) {
-    w.u64(poll_timer_);
-    w.time_point(t);
-    w.u64(seq);
-    w.process_id(poll_from_);
-    w.u32(poll_epoch_);
-  }
-  std::size_t live = 0;
-  for (const InFlight& f : in_flight_)
-    if (sim_->timer_info(f.timer, &t, &seq)) ++live;
-  w.u64(live);
-  for (const InFlight& f : in_flight_) {
-    if (!sim_->timer_info(f.timer, &t, &seq)) continue;
-    w.u64(f.timer);
-    w.time_point(t);
-    w.u64(seq);
-    w.process_id(f.process);
-    encode_clone(w, f.event);
-  }
+  w.u64(deliveries_.size());
+  deliveries_.for_each([&w](sim::TimerId id, const Delivery& d) {
+    w.u64(id);
+    w.process_id(d.process);
+    encode_clone(w, d.event);
+  });
 }
 
 void Sensor::restore_clone(BinaryReader& r) {
@@ -365,40 +338,12 @@ void Sensor::restore_clone(BinaryReader& r) {
   polls_dropped_ = r.u64();
   polls_served_ = r.u64();
 
-  if (r.u8() != 0) {  // emission-loop timer
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    emission_timer_ = timers_.restore_at(tid, t, seq, [this] {
-      emit(0, /*poll_based=*/false);
-      schedule_next_emission();
-    });
-  }
-  if (r.u8() != 0) {  // pending poll response
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    ProcessId from = r.process_id();
-    std::uint32_t epoch_tag = r.u32();
-    poll_from_ = from;
-    poll_epoch_ = epoch_tag;
-    poll_timer_ = timers_.restore_at(tid, t, seq, [this, from, epoch_tag] {
-      busy_ = false;
-      ++polls_served_;
-      emit(epoch_tag, /*poll_based=*/true, from);
-    });
-  }
+  deliveries_.clear();
   const std::uint64_t n_flight = r.u64();
-  for (std::uint64_t i = 0; i < n_flight; ++i) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
+  for (std::uint64_t i = 0; i < n_flight && r.ok(); ++i) {
+    sim::TimerId id = r.u64();
     ProcessId process = r.process_id();
-    SensorEvent e = decode_clone_event(r);
-    timers_.restore_at(tid, t, seq, [this, process, e] {
-      if (deliver_) deliver_(process, e);
-    });
-    if (clone_tracking_) track_delivery(tid, process, e);
+    deliveries_.put(id, Delivery{process, decode_clone_event(r)});
   }
 }
 

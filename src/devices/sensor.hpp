@@ -12,6 +12,9 @@
 //     ignores polls.
 // Battery accounting: every poll request that reaches the sensor costs one
 // unit (Fig 8 argues uncoordinated polling drains 1.5–2.5x more battery).
+// A sensor owns its timers (DESIGN.md §9): the emission loop, a pending
+// poll response, and each radio delivery, whose event lives only in the
+// sensor's table of deliveries in flight.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +28,7 @@
 #include "devices/adapters.hpp"
 #include "devices/event.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer_table.hpp"
 
 namespace riv::devices {
 
@@ -92,7 +96,7 @@ struct LinkParams {
   double jitter_frac{-1.0};  // < 0 means: use the technology profile
 };
 
-class Sensor {
+class Sensor : public sim::TimerOwner {
  public:
   // Called when an event transmission survives the link to `process`.
   using DeliveryFn = std::function<void(ProcessId, const SensorEvent&)>;
@@ -148,17 +152,11 @@ class Sensor {
   std::uint64_t battery_drain() const { return polls_received_; }
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
-  // Once tracking is on, transmissions in the air are remembered as
-  // (timer id, destination, event) so clone_state can serialize them.
-  // Off by default; the normal emission path stays bookkeeping-free.
-  void set_clone_tracking() { clone_tracking_ = true; }
   // Full-state serialization: RNG stream, links, emission cursor,
-  // integrity chain and window, counters, plus the emission-loop timer, a
-  // pending poll response, and in-flight deliveries — each with its
-  // (id, t, seq) timer identity. Requires clone tracking on.
+  // integrity chain and window, counters, and the deliveries in flight
+  // with their timer ids. The kernel's blob carries the timers.
   void clone_state(BinaryWriter& w) const;
-  // Restore into a freshly built sensor of the same spec (asserted);
-  // timers are re-created via ProcessTimers::restore_at.
+  // Restore into a freshly built sensor of the same spec (asserted).
   void restore_clone(BinaryReader& r);
 
   // Divergence lever: replace the RNG stream with a salted child stream.
@@ -172,7 +170,18 @@ class Sensor {
   struct Link {
     LinkParams params;
   };
+  enum TimerKind : std::uint16_t {
+    kEmitTimer,      // the emission loop
+    kPollTimer,      // a poll response; arg = requester << 32 | epoch tag
+    kDeliveryTimer,  // a radio delivery; payload in deliveries_
+  };
+  struct Delivery {
+    ProcessId process;
+    SensorEvent event;
+  };
 
+  void on_timer(sim::TimerId id, std::uint16_t kind,
+                std::uint64_t arg) override;
   void schedule_next_emission();
   void emit(std::uint32_t epoch_tag, bool poll_based,
             ProcessId poll_target = ProcessId{0xffff});
@@ -183,7 +192,6 @@ class Sensor {
   sim::Simulation* sim_;
   SensorSpec spec_;
   Rng rng_;
-  sim::ProcessTimers timers_;
   std::map<ProcessId, Link> links_;
   DeliveryFn deliver_;
 
@@ -205,23 +213,8 @@ class Sensor {
   std::uint64_t polls_dropped_{0};
   std::uint64_t polls_served_{0};
 
-  // Clone tracking (set_clone_tracking): the emission-loop timer and the
-  // pending poll response track their ids always (a member store is
-  // free); in-flight deliveries keep a (timer, dst, event) list only
-  // while tracking is on, pruned lazily as timers fire.
-  struct InFlight {
-    sim::TimerId timer;
-    ProcessId process;
-    SensorEvent event;
-  };
-  void track_delivery(sim::TimerId id, ProcessId process,
-                      const SensorEvent& e);
-  bool clone_tracking_{false};
-  sim::TimerId emission_timer_{0};
-  sim::TimerId poll_timer_{0};
-  ProcessId poll_from_{};
-  std::uint32_t poll_epoch_{0};
-  std::vector<InFlight> in_flight_;
+  sim::ProcessTimers timers_;
+  sim::TimerTable<Delivery> deliveries_;
 };
 
 // True for sensor kinds whose value is a 0/1 indicator.

@@ -278,7 +278,6 @@ std::vector<ShardResult> run_shard_campaigns(
       // regardless of how many campaigns fan out below.
       const HomeSpec spec = sample_home(opt.population, opt.seed, i);
       std::unique_ptr<workload::HomeDeployment> home = build_home(spec);
-      checkpoint::enable_clone_tracking(*home);
       home->start();
       home->run_for(opt.warm.prefix);
       checkpoint::capture_warm_home(*home, spec.seed, img, attest);

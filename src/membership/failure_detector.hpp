@@ -31,6 +31,11 @@ struct Config {
 
 class FailureDetector {
  public:
+  // The keep-alive timer's kind in its process's timer space: the
+  // detector is rebuilt on recovery, so the process owns the timer and
+  // routes it back to tick().
+  static constexpr std::uint16_t kTickTimer = 1;
+
   using ViewChangeFn = std::function<void(const std::set<ProcessId>& view)>;
   using PayloadProvider = std::function<std::vector<std::byte>()>;
   using PayloadHandler = std::function<void(ProcessId from, BinaryReader& r)>;
@@ -49,21 +54,23 @@ class FailureDetector {
   // Feed an incoming keep-alive (the runtime demultiplexes messages).
   void on_keepalive(const net::Message& msg);
 
+  // Send keep-alives, recompute the view and re-arm: the kTickTimer
+  // handler.
+  void tick();
+
   const std::set<ProcessId>& view() const { return view_; }
   bool alive(ProcessId p) const { return view_.count(p) != 0; }
   ProcessId self() const { return self_; }
   const std::vector<ProcessId>& all_processes() const { return all_; }
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
-  // Membership state (the local view and the last-heard table behind it)
-  // plus the heartbeat timer's (id, t, seq) identity. Restore requires a
-  // constructed-but-not-started detector with its hooks already
-  // installed (the runtime re-wires closures first).
+  // Membership state: the local view and the last-heard table behind it.
+  // Restore requires a constructed-but-not-started detector with its
+  // hooks already installed (the runtime re-wires closures first).
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
 
  private:
-  void tick();
   void recompute_view();
 
   sim::ProcessTimers* timers_;
@@ -83,7 +90,6 @@ class FailureDetector {
   PayloadProvider provider_;
   PayloadHandler handler_;
   bool started_{false};
-  sim::TimerId tick_timer_{0};
 };
 
 }  // namespace riv::membership

@@ -56,8 +56,8 @@ struct Message {
   ProcessId dst{};
   MsgType type{};
   // Shared immutable buffer: copying a Message (e.g. per broadcast target
-  // or into an in-flight delivery closure) bumps a refcount instead of
-  // deep-copying the bytes.
+  // or into the network's table of frames in flight) bumps a refcount
+  // instead of deep-copying the bytes.
   Payload payload;
 
   std::size_t wire_size() const { return kHeaderBytes + payload.size(); }

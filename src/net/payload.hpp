@@ -5,7 +5,7 @@
 // every actuator-bearing process, and each in-flight frame holds the
 // bytes until delivery. Payload makes those copies reference bumps: the
 // byte vector is built once, frozen behind a shared_ptr-to-const, and
-// every Message/deferred-delivery closure shares it. Decoders are
+// every Message and frame in flight shares it. Decoders are
 // untouched — Payload converts implicitly to const std::vector<std::byte>&
 // so BinaryReader and the wire codecs read it like the plain vector the
 // transport used to carry.

@@ -60,7 +60,7 @@ class SimNetwork::Endpoint : public Transport {
 
 SimNetwork::SimNetwork(sim::Simulation& sim, metrics::Registry& metrics,
                        WifiModel model)
-    : sim_(&sim), metrics_(&metrics), model_(model) {}
+    : sim_(&sim), metrics_(&metrics), model_(model), timers_(sim, *this) {}
 
 SimNetwork::~SimNetwork() = default;
 
@@ -290,24 +290,14 @@ void SimNetwork::transmit(Message msg) {
   if (deliver_at.us < last_delivery_us_[e]) deliver_at.us = last_delivery_us_[e];
   last_delivery_us_[e] = deliver_at.us;
 
-  ++in_flight_;
-  if (clone_tracking_) {
-    // Message copies share the payload buffer, so keeping one for the
-    // tracked list is a refcount bump, not a byte copy.
-    sim::TimerId tid = sim_->schedule_at(deliver_at, [this, msg]() {
-      --in_flight_;
-      complete_delivery(msg);
-    });
-    track_frame(tid, std::move(msg));
-  } else {
-    sim_->schedule_at(deliver_at, [this, msg = std::move(msg)]() {
-      --in_flight_;
-      complete_delivery(msg);
-    });
-  }
+  // Message copies share the payload buffer, so the table's copy is the
+  // only one: the frame timer carries no payload.
+  frames_.put(timers_.schedule_at(deliver_at, kFrameTimer), std::move(msg));
 }
 
-void SimNetwork::complete_delivery(const Message& msg) {
+void SimNetwork::on_timer(sim::TimerId id, std::uint16_t /*kind*/,
+                          std::uint64_t /*arg*/) {
+  const Message msg = frames_.take(id);
   // Re-check at delivery time: a crash or partition that happened while
   // the frame was in flight loses it.
   if (!process_up(msg.dst) || !process_up(msg.src) ||
@@ -319,19 +309,6 @@ void SimNetwork::complete_delivery(const Message& msg) {
   if (ep == nullptr) return;
   trace_frame(*sim_, trace::Kind::kRecv, msg);
   ep->deliver(msg);
-}
-
-void SimNetwork::track_frame(sim::TimerId id, Message msg) {
-  // Lazy prune: once the list doubles past the live frame count, drop
-  // entries whose timer already fired, keeping the list O(in-flight).
-  if (tracked_.size() >= 64 && tracked_.size() >= in_flight_ * 2) {
-    TimePoint t;
-    std::uint64_t seq;
-    std::erase_if(tracked_, [&](const TrackedFrame& f) {
-      return !sim_->timer_info(f.timer, &t, &seq);
-    });
-  }
-  tracked_.push_back({id, std::move(msg)});
 }
 
 void SimNetwork::clone_state(BinaryWriter& w) const {
@@ -351,26 +328,14 @@ void SimNetwork::clone_state(BinaryWriter& w) const {
   for (std::size_t e = 0; e < n * n; ++e) w.f64(edge_loss_[e]);
   for (std::size_t e = 0; e < n * n; ++e) w.i64(last_delivery_us_[e]);
 
-  // In-flight frames: every tracked entry whose timer is still pending.
-  RIV_ASSERT(clone_tracking_, "clone_state requires clone tracking");
-  std::size_t live = 0;
-  TimePoint t;
-  std::uint64_t seq;
-  for (const TrackedFrame& f : tracked_)
-    if (sim_->timer_info(f.timer, &t, &seq)) ++live;
-  RIV_ASSERT(live == in_flight_,
-             "clone tracking must cover every in-flight frame");
-  w.u64(live);
-  for (const TrackedFrame& f : tracked_) {
-    if (!sim_->timer_info(f.timer, &t, &seq)) continue;
-    w.u64(f.timer);
-    w.time_point(t);
-    w.u64(seq);
-    w.process_id(f.msg.src);
-    w.process_id(f.msg.dst);
-    w.u8(static_cast<std::uint8_t>(f.msg.type));
-    w.bytes(f.msg.payload);
-  }
+  w.u64(frames_.size());
+  frames_.for_each([&w](sim::TimerId id, const Message& msg) {
+    w.u64(id);
+    w.process_id(msg.src);
+    w.process_id(msg.dst);
+    w.u8(static_cast<std::uint8_t>(msg.type));
+    w.bytes(msg.payload);
+  });
 }
 
 void SimNetwork::restore_clone(BinaryReader& r) {
@@ -398,22 +363,16 @@ void SimNetwork::restore_clone(BinaryReader& r) {
   for (std::size_t e = 0; e < n * n; ++e) edge_loss_[e] = r.f64();
   for (std::size_t e = 0; e < n * n; ++e) last_delivery_us_[e] = r.i64();
 
+  frames_.clear();
   const std::uint64_t frames = r.u64();
-  for (std::uint64_t i = 0; i < frames; ++i) {
+  for (std::uint64_t i = 0; i < frames && r.ok(); ++i) {
     sim::TimerId id = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
     Message msg;
     msg.src = r.process_id();
     msg.dst = r.process_id();
     msg.type = static_cast<MsgType>(r.u8());
     msg.payload = r.bytes();
-    ++in_flight_;
-    sim_->schedule_restored(id, t, seq, [this, msg]() {
-      --in_flight_;
-      complete_delivery(msg);
-    });
-    if (clone_tracking_) track_frame(id, std::move(msg));
+    frames_.put(id, std::move(msg));
   }
 }
 

@@ -30,6 +30,8 @@
 // lives in flat n- or n×n-arrays indexed by it — the per-frame path does
 // no tree or hash lookups. Per-MsgType metrics counters are resolved once
 // and cached, and the live-process count is maintained incrementally.
+// A frame on the air is a data timer of the network's (DESIGN.md §9); its
+// Message lives only in the network's table of frames in flight.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +43,7 @@
 #include "metrics/metrics.hpp"
 #include "net/transport.hpp"
 #include "sim/simulation.hpp"
+#include "sim/timer_table.hpp"
 
 namespace riv::net {
 
@@ -52,7 +55,7 @@ struct WifiModel {
   double jitter_frac{0.15};              // uniform [0, frac] of the total
 };
 
-class SimNetwork {
+class SimNetwork : public sim::TimerOwner {
  public:
   SimNetwork(sim::Simulation& sim, metrics::Registry& metrics,
              WifiModel model = {});
@@ -111,25 +114,17 @@ class SimNetwork {
   metrics::Registry& metrics() { return *metrics_; }
 
   // Total frames currently in flight (for tests).
-  std::size_t in_flight() const { return in_flight_; }
+  std::size_t in_flight() const { return frames_.size(); }
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
-  // Once tracking is on, every frame put on the air is also remembered
-  // as (timer id, Message) so clone_state can serialize frames still in
-  // flight with their full contents and timer identity. Off by default:
-  // the normal per-frame path stays allocation- and bookkeeping-free.
-  void set_clone_tracking() { clone_tracking_ = true; }
   // Full-state serialization: the registered processes (registration
   // order == dense index order, which is deterministic), liveness, the up
   // count, partition groups, every directed-edge override matrix, the
-  // per-pair FIFO clamps, and every in-flight frame. Requires clone
-  // tracking to have been on since the last quiescent point (asserted:
-  // tracked live frames must equal in_flight_).
+  // per-pair FIFO clamps, and every in-flight frame with its timer id.
   void clone_state(BinaryWriter& w) const;
   // Restore into a freshly built network whose processes were registered
-  // in the same deterministic order (asserted); in-flight frames are
-  // re-created via Simulation::schedule_restored with their original
-  // (id, t, seq) identity.
+  // in the same deterministic order (asserted). The kernel restores the
+  // frames' timers; this restores the frames they deliver.
   void restore_clone(BinaryReader& r);
 
  private:
@@ -164,10 +159,10 @@ class SimNetwork {
 
   void send_frame(Message msg);
   void transmit(Message msg);
-  // Delivery-time half of transmit: liveness/reachability re-check plus
-  // endpoint dispatch. Shared by the live path and restored frames.
-  void complete_delivery(const Message& msg);
-  void track_frame(sim::TimerId id, Message msg);
+  // A frame's delivery timer fired: liveness/reachability re-check plus
+  // endpoint dispatch.
+  void on_timer(sim::TimerId id, std::uint16_t kind,
+                std::uint64_t arg) override;
   Duration frame_delay(std::size_t bytes);
 
   sim::Simulation* sim_;
@@ -186,17 +181,13 @@ class SimNetwork {
   std::vector<std::int64_t> last_delivery_us_;  // per-pair FIFO clamp
 
   TypeCounters type_counters_[16];
-  std::size_t in_flight_{0};
   Interposer interposer_;
 
-  // Clone tracking (set_clone_tracking): frames on the air with their
-  // timer ids. Entries whose timer already fired are pruned lazily.
-  struct TrackedFrame {
-    sim::TimerId timer;
-    Message msg;
-  };
-  bool clone_tracking_{false};
-  std::vector<TrackedFrame> tracked_;
+  // The network's one timer kind: a frame's delivery.
+  static constexpr std::uint16_t kFrameTimer = 0;
+  sim::ProcessTimers timers_;
+  // Frames on the air, keyed by their delivery timer.
+  sim::TimerTable<Message> frames_;
 };
 
 }  // namespace riv::net

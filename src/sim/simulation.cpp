@@ -1,8 +1,10 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
+#include <string>
 
 #include "common/assert.hpp"
 #include "common/codec.hpp"
@@ -14,8 +16,9 @@ namespace {
 constexpr std::int64_t kMaxTime = std::numeric_limits<std::int64_t>::max();
 }  // namespace
 
-Simulation::Simulation(std::uint64_t seed)
-    : rng_(seed), id_map_(1024, kNil) {
+Simulation::Simulation(std::uint64_t seed) : rng_(seed), id_map_(1024, kNil) {
+  owners_.reserve(32);  // a home registers a dozen or two
+  owners_.push_back(nullptr);  // kClosureOwner
   for (int l = 0; l < kLevels; ++l) {
     bitmap_[l] = 0;
     for (int s = 0; s < kSlotsPerLevel; ++s) {
@@ -39,9 +42,18 @@ std::uint32_t Simulation::alloc_node() {
 
 void Simulation::free_node(std::uint32_t idx) {
   Node& n = nodes_[idx];
-  n.cb = nullptr;
+  n.id = 0;
   n.next = free_head_;
   free_head_ = idx;
+}
+
+void Simulation::cancel_node(std::uint32_t idx) {
+  Node& n = nodes_[idx];
+  n.cancelled = true;
+  // Release captured state now, not at slot drain.
+  if (n.owner == kClosureOwner) closures_[idx] = nullptr;
+  --live_count_;
+  id_clear(n.id);
 }
 
 // --- TimerId ring ----------------------------------------------------------
@@ -258,7 +270,30 @@ bool Simulation::advance(std::int64_t cap) {
 
 // --- public API ------------------------------------------------------------
 
+OwnerId Simulation::register_owner(TimerOwner& owner) {
+  owners_.push_back(&owner);
+  return static_cast<OwnerId>(owners_.size() - 1);
+}
+
+void Simulation::retire_owner(OwnerId owner) {
+  cancel_owner(owner);
+  owners_[owner] = nullptr;
+}
+
+TimerId Simulation::schedule_at(TimePoint t, OwnerId owner,
+                                std::uint16_t kind, std::uint64_t arg) {
+  return nodes_[insert(t, owner, kind, arg)].id;
+}
+
 TimerId Simulation::schedule_at(TimePoint t, Callback cb) {
+  const std::uint32_t idx = insert(t, kClosureOwner, 0, 0);
+  if (closures_.size() <= idx) closures_.resize(nodes_.size());
+  closures_[idx] = std::move(cb);
+  return nodes_[idx].id;
+}
+
+std::uint32_t Simulation::insert(TimePoint t, OwnerId owner,
+                                 std::uint16_t kind, std::uint64_t arg) {
   RIV_ASSERT(t >= now_, "cannot schedule in the past");
   TimerId id = next_id_++;
   std::uint32_t idx = alloc_node();
@@ -266,22 +301,27 @@ TimerId Simulation::schedule_at(TimePoint t, Callback cb) {
   n.t = t.us;
   n.seq = next_seq_++;
   n.id = id;
+  n.arg = arg;
+  n.owner = owner;
+  n.kind = kind;
   n.cancelled = false;
-  n.cb = std::move(cb);
   id_store(id, idx);
   place(idx);
   ++live_count_;
-  return id;
+  return idx;
 }
 
 void Simulation::cancel(TimerId id) {
   std::uint32_t idx = id_lookup(id);
-  if (idx == kNil) return;
-  Node& n = nodes_[idx];
-  n.cancelled = true;
-  n.cb = nullptr;  // release captured state now, not at slot drain
-  --live_count_;
-  id_clear(id);
+  if (idx != kNil) cancel_node(idx);
+}
+
+void Simulation::cancel_owner(OwnerId owner) {
+  if (shut_down_) return;
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    const Node& n = nodes_[i];
+    if (n.owner == owner && n.id != 0 && !n.cancelled) cancel_node(i);
+  }
 }
 
 bool Simulation::is_pending(TimerId id) const { return id_lookup(id) != kNil; }
@@ -302,15 +342,20 @@ bool Simulation::fire_next(std::int64_t cap) {
       now_ = TimePoint{due_time_};
       ++events_fired_;
       --live_count_;
-      TimerId id = nodes_[idx].id;
-      Callback cb = std::move(nodes_[idx].cb);
-      id_clear(id);
+      const Node n = nodes_[idx];
+      id_clear(n.id);
       free_node(idx);
       if (trace::active(trace::Component::kSim)) {
         trace::emit(now_, ProcessId{0}, trace::Component::kSim,
-                    trace::Kind::kTimerFire, trace::fu(trace::Key::kTimer, id));
+                    trace::Kind::kTimerFire,
+                    trace::fu(trace::Key::kTimer, n.id));
       }
-      cb();
+      if (n.owner == kClosureOwner) {
+        Callback cb = std::move(closures_[idx]);
+        cb();
+      } else {
+        owners_[n.owner]->on_timer(n.id, n.kind, n.arg);
+      }
       return true;
     }
     due_.clear();
@@ -319,7 +364,10 @@ bool Simulation::fire_next(std::int64_t cap) {
   }
 }
 
-bool Simulation::step() { return fire_next(kMaxTime); }
+bool Simulation::step() {
+  RIV_ASSERT(!shut_down_, "the kernel was shut down");
+  return fire_next(kMaxTime);
+}
 
 void Simulation::clone_state(BinaryWriter& w) const {
   RIV_ASSERT(due_head_ == due_.size(), "clone capture mid-batch");
@@ -328,17 +376,12 @@ void Simulation::clone_state(BinaryWriter& w) const {
   w.u64(events_fired_);
   w.u64(next_id_);
   for (std::uint64_t word : rng_.state()) w.u64(word);
-  // A node is live iff the id ring still points at it and it was not
-  // cancelled (fire and cancel both clear the ring entry; freed slab
-  // slots keep stale ids that no longer resolve to them).
+  // A node is live iff it is in use (free nodes have id 0) and was not
+  // cancelled (tombstones wait in the wheel until drained).
   std::vector<const Node*> live;
   live.reserve(live_count_);
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    if (n.cancelled || n.id == 0) continue;
-    if (id_lookup(n.id) != i) continue;
-    live.push_back(&n);
-  }
+  for (const Node& n : nodes_)
+    if (n.id != 0 && !n.cancelled) live.push_back(&n);
   std::sort(live.begin(), live.end(),
             [](const Node* a, const Node* b) { return a->seq < b->seq; });
   w.u64(live.size());
@@ -346,11 +389,13 @@ void Simulation::clone_state(BinaryWriter& w) const {
     w.u64(n->id);
     w.i64(n->t);
     w.u64(n->seq);
+    w.u32(n->owner);
+    w.u16(n->kind);
+    w.u64(n->arg);
   }
 }
 
-void Simulation::begin_restore(BinaryReader& r) {
-  RIV_ASSERT(!in_restore_, "nested kernel restore");
+void Simulation::restore_clone(BinaryReader& r) {
   RIV_ASSERT(live_count_ == 0,
              "kernel restore target must be a fresh, not-yet-started "
              "deployment (restored ids would collide otherwise)");
@@ -362,18 +407,16 @@ void Simulation::begin_restore(BinaryReader& r) {
   std::array<std::uint64_t, 4> rng_state;
   for (std::uint64_t& word : rng_state) word = r.u64();
   rng_.set_state(rng_state);
-  // The (id, t, seq) list attests; the owners re-create the timers.
-  expected_live_ = r.u64();
-  constexpr std::uint64_t kTripleBytes = 24;
-  RIV_ASSERT(expected_live_ <= r.remaining() / kTripleBytes,
+  const std::uint64_t n_live = r.u64();
+  constexpr std::uint64_t kTimerBytes = 8 + 8 + 8 + 4 + 2 + 8;
+  RIV_ASSERT(n_live <= r.remaining() / kTimerBytes,
              "clone restore: kernel timer list truncated");
-  r.skip_opaque(expected_live_ * kTripleBytes);
-  restored_count_ = 0;
 
   // Wipe storage wholesale: tombstones and free lists are artifacts of
   // the target's (empty) history and must not leak into the clone.
   nodes_.clear();
   free_head_ = kNil;
+  closures_.clear();
   for (int l = 0; l < kLevels; ++l) {
     bitmap_[l] = 0;
     for (int s = 0; s < kSlotsPerLevel; ++s) {
@@ -385,69 +428,44 @@ void Simulation::begin_restore(BinaryReader& r) {
   overflow_ = {};
   due_.clear();
   due_head_ = 0;
-  live_count_ = 0;
-  // Empty id window at the restored high end; schedule_restored walks
-  // id_base_ down as owners re-register their (older) live ids.
+
   id_base_ = next_id_;
-  std::fill(id_map_.begin(), id_map_.end(), kNil);
-  in_restore_ = true;
-}
-
-TimerId Simulation::schedule_restored(TimerId id, TimePoint t,
-                                      std::uint64_t seq, Callback cb) {
-  RIV_ASSERT(in_restore_, "schedule_restored outside a restore window");
-  RIV_ASSERT(id >= 1 && id < next_id_, "restored timer id out of window");
-  RIV_ASSERT(seq < next_seq_, "restored timer seq out of window");
-  RIV_ASSERT(t >= now_, "restored timer fires in the past");
-  if (id < id_base_) {
-    // Extend the ring window down to cover this id (capacity is bounded
-    // by id span; see the ring comment above).
-    std::size_t span = static_cast<std::size_t>(next_id_ - id);
-    if (span > id_map_.size()) {
-      std::size_t cap = id_map_.size();
-      while (span > cap) cap *= 2;
-      std::vector<std::uint32_t> fresh(cap, kNil);
-      for (TimerId i = id_base_; i < next_id_; ++i) {
-        std::uint32_t v = id_map_[i & (id_map_.size() - 1)];
-        if (v != kNil) fresh[i & (cap - 1)] = v;
-      }
-      id_map_ = std::move(fresh);
-    }
-    id_base_ = id;
+  nodes_.resize(n_live);
+  for (Node& n : nodes_) {
+    n.id = r.u64();
+    n.t = r.i64();
+    n.seq = r.u64();
+    n.owner = r.u32();
+    n.kind = r.u16();
+    n.arg = r.u64();
+    RIV_ASSERT(n.owner != kClosureOwner,
+               ("clone restore: timer " + std::to_string(n.id) +
+                " is a closure, which no restore can rebuild")
+                   .c_str());
+    RIV_ASSERT(n.owner < owners_.size() && owners_[n.owner] != nullptr,
+               "clone restore: a timer's owner is not registered in the "
+               "target");
+    RIV_ASSERT(n.id >= 1 && n.id < next_id_ && n.seq < next_seq_ &&
+                   n.t >= now_.us,
+               "clone restore: timer outside the captured window");
+    id_base_ = std::min(id_base_, n.id);
   }
-  RIV_ASSERT(id_lookup(id) == kNil, "duplicate restored timer id");
-  std::uint32_t idx = alloc_node();
-  Node& n = nodes_[idx];
-  n.t = t.us;
-  n.seq = seq;
-  n.id = id;
-  n.cancelled = false;
-  n.cb = std::move(cb);
-  id_map_[id & (id_map_.size() - 1)] = idx;
-  place(idx);
-  ++live_count_;
-  ++restored_count_;
-  return id;
-}
-
-void Simulation::finish_restore() {
-  RIV_ASSERT(in_restore_, "finish_restore outside a restore window");
-  RIV_ASSERT(restored_count_ == expected_live_,
-             "restored live-timer count mismatch: a timer owner outside "
-             "the clone set was pending at capture");
-  in_restore_ = false;
-}
-
-bool Simulation::timer_info(TimerId id, TimePoint* t,
-                            std::uint64_t* seq) const {
-  std::uint32_t idx = id_lookup(id);
-  if (idx == kNil) return false;
-  *t = TimePoint{nodes_[idx].t};
-  *seq = nodes_[idx].seq;
-  return true;
+  // The ring must span the oldest restored id (capacity is bounded by id
+  // span; see the ring comment above).
+  std::size_t cap = id_map_.size();
+  while (cap < next_id_ - id_base_) cap *= 2;
+  id_map_.assign(cap, kNil);
+  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
+    RIV_ASSERT(id_lookup(nodes_[i].id) == kNil,
+               "clone restore: duplicate timer id");
+    id_map_[nodes_[i].id & (cap - 1)] = i;
+    place(i);
+  }
+  live_count_ = nodes_.size();
 }
 
 void Simulation::run_until(TimePoint t) {
+  RIV_ASSERT(!shut_down_, "the kernel was shut down");
   while (fire_next(t.us)) {
   }
   if (now_ < t) now_ = t;
@@ -456,51 +474,6 @@ void Simulation::run_until(TimePoint t) {
 void Simulation::run_all() {
   while (step()) {
   }
-}
-
-// --- ProcessTimers ---------------------------------------------------------
-
-TimerId ProcessTimers::schedule_after(Duration d, Simulation::Callback cb) {
-  garbage_collect();
-  TimerId id = sim_->schedule_after(d, std::move(cb));
-  owned_.push_back(id);
-  return id;
-}
-
-TimerId ProcessTimers::schedule_at(TimePoint t, Simulation::Callback cb) {
-  garbage_collect();
-  TimerId id = sim_->schedule_at(t, std::move(cb));
-  owned_.push_back(id);
-  return id;
-}
-
-TimerId ProcessTimers::restore_at(TimerId id, TimePoint t, std::uint64_t seq,
-                                  Simulation::Callback cb) {
-  sim_->schedule_restored(id, t, seq, std::move(cb));
-  owned_.push_back(id);
-  return id;
-}
-
-void ProcessTimers::cancel(TimerId id) {
-  sim_->cancel(id);
-  auto it = std::find(owned_.begin(), owned_.end(), id);
-  if (it != owned_.end()) {
-    *it = owned_.back();  // ids are unique; order of owned_ is irrelevant
-    owned_.pop_back();
-  }
-}
-
-void ProcessTimers::cancel_all() {
-  for (TimerId id : owned_) sim_->cancel(id);
-  owned_.clear();
-}
-
-void ProcessTimers::garbage_collect() {
-  if (owned_.size() < gc_threshold_) return;
-  owned_.erase(std::remove_if(owned_.begin(), owned_.end(),
-                              [&](TimerId id) { return !sim_->is_pending(id); }),
-               owned_.end());
-  gc_threshold_ = std::max<std::size_t>(64, owned_.size() * 2);
 }
 
 }  // namespace riv::sim

@@ -22,6 +22,15 @@
 // ordering is exactly (firing time, scheduling seq), bit-identical to the
 // reference heap kernel (tests/test_sim_wheel.cpp proves it over 1e6
 // random ops; the golden traces prove it end to end).
+//
+// Every pending timer is data: a node holds {owner, kind, arg}, and firing
+// calls the owner's on_timer(id, kind, arg). Owners are the components
+// that live as long as the kernel; each registers once, and dispatches
+// its kinds in a switch. Because the schedule is plain data, the kernel's
+// clone blob carries all of it and restore_clone rebuilds it without the
+// owners' help. Closures remain for timers nobody captures (tests,
+// benches, probes): they belong to one built-in owner and live in a side
+// slab, and a restore refuses them.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +49,22 @@ class BinaryReader;
 namespace riv::sim {
 
 using TimerId = std::uint64_t;
+// An owner's registration index, which is its identity in a capture: a
+// deployment built from the same spec registers in the same order.
+using OwnerId = std::uint32_t;
+
+// A component whose timers are data. The kernel calls on_timer when one
+// of them fires; the owner switches on `kind`, and `arg` carries logical
+// data (an epoch, a plan index, a stream key), never a slab or slot index,
+// so two states that fire the same timers serialize to the same bytes.
+class TimerOwner {
+ public:
+  virtual void on_timer(TimerId id, std::uint16_t kind,
+                        std::uint64_t arg) = 0;
+
+ protected:
+  ~TimerOwner() = default;
+};
 
 class Simulation : public Clock {
  public:
@@ -50,8 +75,23 @@ class Simulation : public Clock {
   TimePoint now() const override { return now_; }
   Rng& rng() { return rng_; }
 
-  // Schedule `cb` at absolute time `t` (>= now). Returns an id usable with
-  // cancel(); ids are never reused.
+  // Owners (see ProcessTimers, which does both): register once; retiring
+  // cancels the owner's pending timers and leaves its slot empty.
+  OwnerId register_owner(TimerOwner& owner);
+  void retire_owner(OwnerId owner);
+
+  // The kernel fires no further event: from here on, cancelling by owner
+  // (a crash, an owner's destructor) is skipped. A deployment calls this
+  // as its destructor begins, so tearing a home down scans no slab.
+  void shut_down() { shut_down_ = true; }
+
+  // Schedule a data timer at absolute time `t` (>= now): `owner` gets
+  // on_timer(id, kind, arg). Returns an id usable with cancel(); ids are
+  // never reused.
+  TimerId schedule_at(TimePoint t, OwnerId owner, std::uint16_t kind,
+                      std::uint64_t arg);
+  // Schedule a closure (the built-in owner). A capture records it, but no
+  // restore can rebuild it.
   TimerId schedule_at(TimePoint t, Callback cb);
   TimerId schedule_after(Duration d, Callback cb) {
     return schedule_at(now_ + d, std::move(cb));
@@ -60,6 +100,8 @@ class Simulation : public Clock {
   // Cancel a pending timer. Cancelling an already-fired or already-cancelled
   // timer is a harmless no-op (protocols routinely cancel opportunistically).
   void cancel(TimerId id);
+  // Cancel every pending timer of `owner` (a crash halts all activity).
+  void cancel_owner(OwnerId owner);
   bool is_pending(TimerId id) const;
 
   // Fire the next event. Returns false when the queue is empty.
@@ -82,44 +124,22 @@ class Simulation : public Clock {
   // --- snapshot support (DESIGN.md §16) --------------------------------
   //
   // Serialize the kernel's logical state: virtual time, counters, the RNG
-  // stream, and every live timer as (id, t, seq) sorted by seq. Slab
-  // layout, slot chains, free lists, the overflow/wheel split, and
+  // stream, and the whole schedule — every live timer as (id, t, seq,
+  // owner, kind, arg) sorted by seq (a closure's arg is 0).
+  // Slab layout, slot chains, free lists, the overflow/wheel split, and
   // tombstones are storage artifacts and deliberately excluded, so two
   // kernels that would fire the same timers in the same order always
   // serialize identically. Must be called at rest (between run_until
   // steps, never from inside a callback batch).
-  //
-  // Callbacks are closures, so the kernel cannot rebuild them: the timer
-  // list attests every live timer (RIVC checks the ones the chaos layer
-  // owns this way), and each owning component re-creates its own. Restore
-  // is three-phase: begin_restore() wipes every existing timer and
-  // restores the header, each owner re-creates its timers via
-  // schedule_restored() with the exact original id/t/seq, and
-  // finish_restore() asserts the restored count matches the list — a
-  // timer owned by anything outside the restore set fails loudly instead
-  // of silently vanishing.
   void clone_state(BinaryWriter& w) const;
 
-  // Wipe all pending timers and restore the header (the live-timer count
-  // is the list's length). Requires an empty kernel (a freshly built,
-  // not-yet-started deployment): restored ids may collide with ids
-  // already handed out otherwise.
-  void begin_restore(BinaryReader& r);
-
-  // Re-create one live timer with its original identity. Only valid
-  // between begin_restore() and finish_restore(); id/seq must come from a
-  // capture of this kernel's restored header (id < next_id, seq <
-  // next_seq, t >= now).
-  TimerId schedule_restored(TimerId id, TimePoint t, std::uint64_t seq,
-                            Callback cb);
-
-  // Assert every captured live timer was restored and close the restore.
-  void finish_restore();
-
-  // Look up a pending timer's firing time and sequence (false when the
-  // timer already fired or was cancelled) — how owners capture the
-  // (id, t, seq) triples of the timers they track by id.
-  bool timer_info(TimerId id, TimePoint* t, std::uint64_t* seq) const;
+  // Rebuild that state, schedule included, into a kernel with no pending
+  // timer (a freshly built, not-yet-started deployment; restored ids would
+  // collide otherwise). Owners restore their own data and the ids they
+  // hold, nothing else. Aborts on a timer whose owner is not registered
+  // here, and on a closure timer, naming its id. The target may hold
+  // owners the capture never saw.
+  void restore_clone(BinaryReader& r);
 
  private:
   // --- wheel geometry ----------------------------------------------------
@@ -130,14 +150,18 @@ class Simulation : public Clock {
   static constexpr std::int64_t kWheelHorizon = std::int64_t{1}
                                                 << (kLevelBits * kLevels);
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  // The built-in owner of closure timers (their arg is 0).
+  static constexpr OwnerId kClosureOwner = 0;
 
   struct Node {
     std::int64_t t{0};
     std::uint64_t seq{0};
-    TimerId id{0};
+    TimerId id{0};  // 0 while the node is free
+    std::uint64_t arg{0};
     std::uint32_t next{kNil};  // slot chain / free list
+    OwnerId owner{kClosureOwner};
+    std::uint16_t kind{0};
     bool cancelled{false};
-    Callback cb;
   };
 
   struct HeapEntry {
@@ -152,6 +176,11 @@ class Simulation : public Clock {
 
   std::uint32_t alloc_node();
   void free_node(std::uint32_t idx);
+  // Schedule a node (both schedule_at overloads); returns its slab index.
+  std::uint32_t insert(TimePoint t, OwnerId owner, std::uint16_t kind,
+                       std::uint64_t arg);
+  // Cancel the live node `idx` (tombstone it; it is freed when drained).
+  void cancel_node(std::uint32_t idx);
 
   // TimerId -> slab index ring (dense: ids are issued monotonically and
   // the live window [id_base_, next_id_) is kept within capacity).
@@ -180,7 +209,15 @@ class Simulation : public Clock {
   std::uint64_t next_seq_{0};
   std::uint64_t events_fired_{0};
   std::size_t live_count_{0};
+  bool shut_down_{false};
   Rng rng_;
+
+  // Registered owners by OwnerId; slot 0 is the closure owner, and a
+  // retired owner's slot is null.
+  std::vector<TimerOwner*> owners_;
+  // Closure side slab, indexed like nodes_ and grown on the first closure
+  // that needs it: data-timer nodes carry no std::function.
+  std::vector<Callback> closures_;
 
   // Slab.
   std::vector<Node> nodes_;
@@ -206,48 +243,41 @@ class Simulation : public Clock {
   TimerId next_id_{1};
   TimerId id_base_{1};
   std::vector<std::uint32_t> id_map_;
-
-  // Restore bookkeeping (begin_restore .. finish_restore window).
-  bool in_restore_{false};
-  std::uint64_t expected_live_{0};
-  std::uint64_t restored_count_{0};
 };
 
-// Timer façade owned by one simulated process. Crash semantics: when the
-// process crashes, cancel_all() drops every outstanding timer so no stale
-// callback from a previous incarnation can fire (the paper's crash-recovery
-// model: a crashed process halts all activity).
+// An owner's handle on its kernel: it names the simulation and the
+// owner. Constructing it registers the owner; destroying it retires the
+// owner, so an owner's destructor cancels whatever it still has pending.
 class ProcessTimers {
  public:
-  explicit ProcessTimers(Simulation& sim) : sim_(&sim) {}
-  ~ProcessTimers() { cancel_all(); }
+  ProcessTimers(Simulation& sim, TimerOwner& owner)
+      : sim_(&sim), owner_(sim.register_owner(owner)) {}
+  ~ProcessTimers() { sim_->retire_owner(owner_); }
 
   ProcessTimers(const ProcessTimers&) = delete;
   ProcessTimers& operator=(const ProcessTimers&) = delete;
 
-  TimerId schedule_after(Duration d, Simulation::Callback cb);
-  TimerId schedule_at(TimePoint t, Simulation::Callback cb);
-  // Snapshot-clone restore: re-create an owned timer with its original
-  // identity (forwards to Simulation::schedule_restored and records
-  // ownership so crash-time cancel_all still covers it).
-  TimerId restore_at(TimerId id, TimePoint t, std::uint64_t seq,
-                     Simulation::Callback cb);
-  void cancel(TimerId id);
-  void cancel_all();
+  TimerId schedule_at(TimePoint t, std::uint16_t kind,
+                      std::uint64_t arg = 0) {
+    return sim_->schedule_at(t, owner_, kind, arg);
+  }
+  TimerId schedule_after(Duration d, std::uint16_t kind,
+                         std::uint64_t arg = 0) {
+    return schedule_at(sim_->now() + d, kind, arg);
+  }
+  void cancel(TimerId id) { sim_->cancel(id); }
+  // Crash semantics: drop every outstanding timer of this owner, so no
+  // stale timer from a previous incarnation can fire (the paper's
+  // crash-recovery model: a crashed process halts all activity).
+  void cancel_all() { sim_->cancel_owner(owner_); }
 
   TimePoint now() const { return sim_->now(); }
   Simulation& sim() { return *sim_; }
   const Simulation& sim() const { return *sim_; }
 
  private:
-  void garbage_collect();
-
   Simulation* sim_;
-  std::vector<TimerId> owned_;
-  // Adaptive GC trigger: collect dead ids only once owned_ doubles past
-  // the last collection, so a stable working set is never rescanned on
-  // every schedule (the old fixed threshold made schedule O(owned)).
-  std::size_t gc_threshold_{64};
+  OwnerId owner_;
 };
 
 }  // namespace riv::sim

@@ -33,9 +33,7 @@ ReplicatedStore::ReplicatedStore(Hooks hooks) : hooks_(std::move(hooks)) {
 
 void ReplicatedStore::start() {
   recover();
-  sync_timer_ = hooks_.timers->schedule_after(hooks_.sync_period, [this] {
-    anti_entropy();
-  });
+  hooks_.timers->schedule_after(hooks_.sync_period, kSyncTimer);
 }
 
 void ReplicatedStore::put(const std::string& key, double value) {
@@ -124,9 +122,7 @@ void ReplicatedStore::anti_entropy() {
     if (*it != hooks_.self)
       hooks_.send(*it, /*is_sync=*/true, encode_batch());
   }
-  sync_timer_ = hooks_.timers->schedule_after(hooks_.sync_period, [this] {
-    anti_entropy();
-  });
+  hooks_.timers->schedule_after(hooks_.sync_period, kSyncTimer);
 }
 
 void ReplicatedStore::clone_state(BinaryWriter& w) const {
@@ -141,16 +137,6 @@ void ReplicatedStore::clone_state(BinaryWriter& w) const {
     w.time_point(e.written_at);
     w.u32(e.seq);
     w.process_id(e.writer);
-  }
-  TimePoint t;
-  std::uint64_t seq;
-  bool syncing = sync_timer_ != 0 &&
-                 hooks_.timers->sim().timer_info(sync_timer_, &t, &seq);
-  w.u8(syncing ? 1 : 0);
-  if (syncing) {
-    w.u64(sync_timer_);
-    w.time_point(t);
-    w.u64(seq);
   }
 }
 
@@ -169,14 +155,6 @@ void ReplicatedStore::restore_clone(BinaryReader& r) {
     e.seq = r.u32();
     e.writer = r.process_id();
     entries_[key] = e;
-  }
-  if (r.u8() != 0) {
-    sim::TimerId tid = r.u64();
-    TimePoint t = r.time_point();
-    std::uint64_t seq = r.u64();
-    sync_timer_ = hooks_.timers->restore_at(tid, t, seq, [this] {
-      anti_entropy();
-    });
   }
 }
 

@@ -50,6 +50,11 @@ void encode_entry(BinaryWriter& w, const std::string& key, const Entry& e);
 
 class ReplicatedStore {
  public:
+  // The anti-entropy timer's kind in its process's timer space (the store
+  // is rebuilt on recovery, so the process owns the timer and routes it
+  // back to anti_entropy()).
+  static constexpr std::uint16_t kSyncTimer = 2;
+
   struct Hooks {
     ProcessId self{};
     // Push an encoded update/sync payload to a peer; the runtime binds
@@ -81,10 +86,13 @@ class ReplicatedStore {
   std::uint64_t merges_applied() const { return merges_applied_; }
   std::uint64_t merges_ignored() const { return merges_ignored_; }
 
+  // Push the whole state to the ring successor and re-arm: the
+  // kSyncTimer handler.
+  void anti_entropy();
+
   // --- snapshot support (DESIGN.md §16) ------------------------------
   // Every replicated register and the write counters (entries_ is
-  // ordered, so this is content-deterministic), plus the anti-entropy
-  // timer's (id, t, seq) identity. Restore requires a
+  // ordered, so this is content-deterministic). Restore requires a
   // constructed-but-not-started store whose hooks are already wired (the
   // runtime installs the closures first).
   void clone_state(BinaryWriter& w) const;
@@ -94,7 +102,6 @@ class ReplicatedStore {
   bool merge(const std::string& key, const Entry& incoming);
   void persist(const std::string& key, const Entry& e);
   void recover();
-  void anti_entropy();
   std::vector<std::byte> encode_batch() const;
 
   Hooks hooks_;
@@ -103,7 +110,6 @@ class ReplicatedStore {
   std::uint64_t writes_{0};
   std::uint64_t merges_applied_{0};
   std::uint64_t merges_ignored_{0};
-  sim::TimerId sync_timer_{0};
 };
 
 }  // namespace riv::store

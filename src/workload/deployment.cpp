@@ -8,6 +8,7 @@ HomeDeployment::HomeDeployment(Options options)
     : sim_(options.seed),
       net_(sim_, shared_metrics_, options.wifi),
       bus_(sim_),
+      timers_(sim_, *this),
       config_(options.config) {
   RIV_ASSERT(options.n_processes >= 1, "need at least one process");
   for (int i = 0; i < options.n_processes; ++i) {
@@ -27,7 +28,7 @@ HomeDeployment::HomeDeployment(Options options)
   }
 }
 
-HomeDeployment::~HomeDeployment() = default;
+HomeDeployment::~HomeDeployment() { sim_.shut_down(); }
 
 ProcessId HomeDeployment::pid(int index) const {
   RIV_ASSERT(index >= 0 &&
@@ -137,17 +138,16 @@ void HomeDeployment::enable_metric_snapshots(Duration period) {
     return;
   }
   snapshot_period_ = period;
-  schedule_snapshot();
+  timers_.schedule_after(snapshot_period_, 0);
 }
 
-void HomeDeployment::schedule_snapshot() {
-  sim_.schedule_after(snapshot_period_, [this] {
-    TimePoint now = sim_.now();
-    for (std::size_t i = 0; i < processes_.size(); ++i)
-      snapshots_.capture(now, processes_[i], *proc_metrics_[i]);
-    snapshots_.capture(now, ProcessId{0}, shared_metrics_);
-    schedule_snapshot();
-  });
+void HomeDeployment::on_timer(sim::TimerId /*id*/, std::uint16_t /*kind*/,
+                              std::uint64_t /*arg*/) {
+  TimePoint now = sim_.now();
+  for (std::size_t i = 0; i < processes_.size(); ++i)
+    snapshots_.capture(now, processes_[i], *proc_metrics_[i]);
+  snapshots_.capture(now, ProcessId{0}, shared_metrics_);
+  timers_.schedule_after(snapshot_period_, 0);
 }
 
 core::RivuletProcess& HomeDeployment::process(ProcessId p) {

@@ -18,7 +18,7 @@
 
 namespace riv::workload {
 
-class HomeDeployment {
+class HomeDeployment : public sim::TimerOwner {
  public:
   struct Options {
     std::uint64_t seed{1};
@@ -101,13 +101,16 @@ class HomeDeployment {
   core::RivuletProcess* active_logic_process(AppId app);
 
  private:
-  void schedule_snapshot();
+  // The metric-snapshot timer, the deployment's one timer kind.
+  void on_timer(sim::TimerId id, std::uint16_t kind,
+                std::uint64_t arg) override;
 
   sim::Simulation sim_;
   metrics::Registry shared_metrics_;
   metrics::Registry merged_;  // scratch for metrics(); rebuilt per call
   net::SimNetwork net_;
   devices::HomeBus bus_;
+  sim::ProcessTimers timers_;
   core::Config config_;
   std::vector<ProcessId> processes_;
   // One registry per process, declared before procs_ so each

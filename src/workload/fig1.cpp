@@ -91,8 +91,6 @@ Fig1Deployment::Fig1Deployment(const Fig1Options& options)
       im.received_anywhere.insert(e.id);
     });
   }
-  // checkpoint_bus serializes deliveries on the air.
-  im.bus.set_clone_tracking();
 }
 
 Fig1Deployment::~Fig1Deployment() = default;

@@ -18,7 +18,7 @@ MobileSensor::MobileSensor(sim::Simulation& sim, HomeTopology& topology,
       waypoints_(std::move(waypoints)),
       speed_mps_(speed_mps),
       period_(update_period),
-      timers_(sim) {
+      timers_(sim, *this) {
   RIV_ASSERT(waypoints_.size() >= 2, "a path needs at least two waypoints");
   RIV_ASSERT(speed_mps_ > 0.0, "speed must be positive");
 }
@@ -54,7 +54,7 @@ void MobileSensor::start() {
   running_ = true;
   started_at_ = sim_->now();
   update_links();
-  tick();
+  timers_.schedule_after(period_, 0);
 }
 
 void MobileSensor::stop() {
@@ -62,11 +62,10 @@ void MobileSensor::stop() {
   timers_.cancel_all();
 }
 
-void MobileSensor::tick() {
-  timers_.schedule_after(period_, [this] {
-    update_links();
-    tick();
-  });
+void MobileSensor::on_timer(sim::TimerId /*id*/, std::uint16_t /*kind*/,
+                            std::uint64_t /*arg*/) {
+  update_links();
+  timers_.schedule_after(period_, 0);
 }
 
 std::vector<ProcessId> MobileSensor::current_links() const {

@@ -20,7 +20,7 @@
 
 namespace riv::workload {
 
-class MobileSensor {
+class MobileSensor : public sim::TimerOwner {
  public:
   MobileSensor(sim::Simulation& sim, HomeTopology& topology,
                devices::HomeBus& bus, SensorId sensor,
@@ -38,7 +38,9 @@ class MobileSensor {
   std::vector<ProcessId> current_links() const;
 
  private:
-  void tick();
+  // The walk's update tick, the one timer kind.
+  void on_timer(sim::TimerId id, std::uint16_t kind,
+                std::uint64_t arg) override;
   void update_links();
   double loop_length() const;
 

@@ -63,6 +63,24 @@ std::string chaos_fingerprint(const chaos::ChaosResult& r) {
          " quiesced=" + (r.quiesced ? "1" : "0");
 }
 
+// The first difference between two session captures ("" when they are
+// byte-identical): the home images section by section, then the session
+// blob.
+std::string session_diff(const checkpoint::SessionImage& x,
+                         const workload::HomeDeployment& x_home,
+                         const checkpoint::SessionImage& y,
+                         const workload::HomeDeployment& y_home) {
+  checkpoint::Snapshot a;
+  a.at = x.home.at;
+  a.sections = checkpoint::image_sections(x.home, x_home);
+  a.sections.push_back({"chaos.session", x.session});
+  checkpoint::Snapshot b;
+  b.at = y.home.at;
+  b.sections = checkpoint::image_sections(y.home, y_home);
+  b.sections.push_back({"chaos.session", y.session});
+  return checkpoint::diff_snapshots(a, b);
+}
+
 // One golden scenario end-to-end: checkpoint mid-run, prove the
 // checkpoint changed nothing, tear that run down, then restore from the
 // file and prove the restored run reproduces the blessed golden
@@ -150,20 +168,26 @@ TEST(CheckpointGolden, TamperedSectionFailsAttestation) {
 // clone-per-seed ≡ fresh-per-seed: N seeds run as clones of one shared
 // warm-up, on two worker threads, must produce exactly the fault traces
 // and outcomes of N independent from-scratch runs arming the same plans
-// at the same time.
+// at the same time. The plans open corrupt windows, and the seeds are
+// picked so the cloned tails reach every path that cancels a restored
+// timer: a process crash and recovery and a device crash (cancel by
+// owner), and a logic demotion (cancel by id) — asserted below.
 TEST(CheckpointClone, ClonePerSeedMatchesFreshRuns) {
   const Duration warmup = seconds(2);
-  const std::vector<std::uint64_t> seeds = {101, 202, 303};
+  const std::vector<std::uint64_t> seeds = {202, 404, 505};
   auto make_options = [] {
     chaos::EngineOptions opt;
     opt.scenario.seed = 11;
     opt.scenario.n_processes = 3;
     opt.plan.horizon = seconds(8);
+    opt.plan.corrupt_process = true;
     opt.defer_plan = true;
     return opt;
   };
 
   std::vector<std::string> fresh;
+  std::string fault_lines;
+  std::uint64_t demotions = 0;
   for (std::uint64_t seed : seeds) {
     chaos::ChaosSession session(make_options());
     session.run_to(TimePoint{} + warmup);
@@ -172,7 +196,14 @@ TEST(CheckpointClone, ClonePerSeedMatchesFreshRuns) {
     chaos::ChaosResult r;
     session.finish(r);
     fresh.push_back(chaos_fingerprint(r));
+    for (const std::string& line : r.trace) fault_lines += line + "\n";
+    demotions += session.home().metrics().counter_value("app1.demotions");
   }
+  EXPECT_NE(fault_lines.find(" crash p"), std::string::npos);
+  EXPECT_NE(fault_lines.find(" recover p"), std::string::npos);
+  EXPECT_NE(fault_lines.find(" device-crash "), std::string::npos);
+  EXPECT_NE(fault_lines.find(" corrupt-begin "), std::string::npos);
+  EXPECT_GT(demotions, 0u);
 
   checkpoint::SessionImage img;
   {
@@ -218,19 +249,7 @@ TEST(CheckpointClone, SessionCloneRecapturesIdentically) {
   checkpoint::SessionImage again;
   checkpoint::capture_session(*clone, again);
 
-  auto image_diff = [&](const checkpoint::SessionImage& x,
-                        const checkpoint::SessionImage& y) {
-    checkpoint::Snapshot a;
-    a.at = x.home.at;
-    a.sections = checkpoint::image_sections(x.home, source.home());
-    a.sections.push_back({"chaos.session", x.session});
-    checkpoint::Snapshot b;
-    b.at = y.home.at;
-    b.sections = checkpoint::image_sections(y.home, clone->home());
-    b.sections.push_back({"chaos.session", y.session});
-    return checkpoint::diff_snapshots(a, b);
-  };
-  EXPECT_EQ(image_diff(img, again), "");
+  EXPECT_EQ(session_diff(img, source.home(), again, clone->home()), "");
 
   // The clone runs on exactly like its source.
   source.run_to(TimePoint{} + seconds(8));
@@ -238,30 +257,62 @@ TEST(CheckpointClone, SessionCloneRecapturesIdentically) {
   checkpoint::SessionImage src_later, clone_later;
   checkpoint::capture_session(source, src_later);
   checkpoint::capture_session(*clone, clone_later);
-  EXPECT_EQ(image_diff(src_later, clone_later), "");
+  EXPECT_EQ(session_diff(src_later, source.home(), clone_later, clone->home()),
+            "");
 }
 
-// Only a session with no plan armed can be cloned; capturing one with a
-// plan armed is a programming error and names the plan.
-TEST(CheckpointCloneDeathTest, CapturingAnArmedSessionAborts) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        chaos::EngineOptions opt;
-        opt.scenario.n_processes = 3;
-        opt.plan.horizon = seconds(4);
-        chaos::ChaosSession armed(opt);
-        armed.run_to(TimePoint{} + seconds(1));
-        checkpoint::SessionImage img;
-        checkpoint::capture_session(armed, img);
-      },
-      "armed fault plan");
+// An armed session clones like any other: the plan is regenerated from
+// its seed and the kernel restores the pending actions. The capture falls
+// mid-plan in a Byzantine-defended run — actions have fired, more are
+// pending, p3's corrupt window (3.48 s to 7.29 s) is open and p2 is down
+// (2.79 s to 6.36 s).
+TEST(CheckpointClone, ArmedSessionCloneRecapturesIdentically) {
+  chaos::EngineOptions opt;
+  opt.scenario.seed = 4;
+  opt.scenario.n_processes = 3;
+  opt.plan.horizon = seconds(10);
+  opt.plan.partitions = false;
+  opt.plan.asym_partitions = false;
+  opt.plan.delay_spikes = false;
+  opt.plan.edge_loss = false;
+  opt.plan.device_link_loss = false;
+  opt.plan.device_crashes = false;
+  opt.plan.spoof_events = true;
+  opt.plan.replay_events = true;
+  opt.plan.corrupt_process = true;
+
+  chaos::ChaosResult uninterrupted = chaos::ChaosEngine(opt).run();
+
+  chaos::ChaosSession source(opt);
+  source.run_to(TimePoint{} + seconds(5));
+  checkpoint::SessionImage img;
+  checkpoint::capture_session(source, img);
+  std::unique_ptr<chaos::ChaosSession> clone = checkpoint::clone_session(img);
+  EXPECT_TRUE(clone->plan_armed());
+  EXPECT_FALSE(source.home().process(1).up());
+  std::string fault_lines;
+  for (const std::string& line : source.fault_trace().lines())
+    fault_lines += line + "\n";
+  EXPECT_NE(fault_lines.find(" corrupt-begin p3"), std::string::npos);
+  EXPECT_EQ(fault_lines.find(" corrupt-end"), std::string::npos);  // pending
+  checkpoint::SessionImage again;
+  checkpoint::capture_session(*clone, again);
+  EXPECT_EQ(session_diff(img, source.home(), again, clone->home()), "");
+
+  chaos::ChaosResult from_source;
+  source.run_to(source.run_end());
+  source.finish(from_source);
+  chaos::ChaosResult from_clone;
+  clone->run_to(clone->run_end());
+  clone->finish(from_clone);
+  EXPECT_GT(from_source.byzantine_attacks, 0u);
+  EXPECT_EQ(chaos_fingerprint(from_clone), chaos_fingerprint(from_source));
+  EXPECT_EQ(chaos_fingerprint(from_source), chaos_fingerprint(uninterrupted));
 }
 
-// The clone constructor checks the blob itself: one that records an
-// armed plan is rejected, and so is one whose injector cursors are not
-// those of an unarmed plan.
-TEST(CheckpointCloneDeathTest, CloningAnArmedOrTamperedBlobAborts) {
+// The clone constructor checks the blob itself: a blob with a tampered
+// byte is rejected.
+TEST(CheckpointCloneDeathTest, CloningATamperedBlobAborts) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   chaos::EngineOptions opt;
   opt.scenario.n_processes = 3;
@@ -272,9 +323,6 @@ TEST(CheckpointCloneDeathTest, CloningAnArmedOrTamperedBlobAborts) {
     warm.run_to(TimePoint{} + seconds(2));
     checkpoint::capture_session(warm, img);
   }
-  checkpoint::SessionImage armed = img;
-  armed.session.front() = std::byte{1};
-  EXPECT_DEATH(checkpoint::clone_session(armed), "armed fault plan");
   checkpoint::SessionImage tampered = img;
   tampered.session.back() ^= std::byte{1};
   EXPECT_DEATH(checkpoint::clone_session(tampered), "malformed session blob");

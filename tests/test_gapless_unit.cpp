@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/delivery/gapless_stream.hpp"
+#include "forwarding_owner.hpp"
 
 namespace riv::core {
 namespace {
@@ -17,7 +18,15 @@ struct Sent {
 
 struct Harness {
   explicit Harness(std::uint16_t self_id, std::vector<std::uint16_t> view_ids)
-      : sim(1), timers(sim), log(1000) {
+      : sim(1),
+        owner(sim,
+              [this](sim::TimerId, std::uint16_t kind, std::uint64_t arg) {
+                if (kind == GaplessStream::kEpochTimer)
+                  stream->on_epoch_boundary(stream_timer_epoch(arg));
+                else
+                  stream->on_poll_slot(stream_timer_epoch(arg));
+              }),
+        log(1000) {
     for (std::uint16_t v : view_ids) view.insert(ProcessId{v});
 
     StreamContext ctx;
@@ -48,7 +57,7 @@ struct Harness {
     };
     ctx.staleness = [](std::uint32_t) {};
     ctx.poll = [](std::uint32_t) {};
-    ctx.timers = &timers;
+    ctx.timers = &owner.timers();
     ctx.log = &log;
     stream = std::make_unique<GaplessStream>(std::move(ctx));
   }
@@ -68,7 +77,8 @@ struct Harness {
   }
 
   sim::Simulation sim;
-  sim::ProcessTimers timers;
+  // Stands in for the runtime process, which owns the stream's timers.
+  sim::ForwardingOwner owner;
   EventLog log;
   std::set<ProcessId> view;
   std::vector<ProcessId> chain;  // the view in order, what ctx.chain returns

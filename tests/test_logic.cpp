@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "appmodel/logic.hpp"
+#include "forwarding_owner.hpp"
 
 namespace riv::appmodel {
 namespace {
@@ -32,6 +33,13 @@ struct LogicFixture : ::testing::Test {
   }
 
   sim::Simulation sim;
+  // Stands in for the runtime process, which owns the instance's periodic
+  // triggers and routes each back to the instance that armed it.
+  LogicInstance* armed{nullptr};
+  sim::ForwardingOwner owner{
+      sim, [this](sim::TimerId, std::uint16_t, std::uint64_t arg) {
+        armed->on_periodic(arg);
+      }};
   std::uint32_t seq{1};
   std::vector<std::pair<ActuatorId, devices::Command>> issued;
 };
@@ -46,7 +54,7 @@ TEST_F(LogicFixture, CountWindowOneFiresPerEvent) {
         ctx.actuate(ActuatorId{1}, w[0].events[0].value);
       });
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
   logic.start();
   for (std::uint32_t i = 1; i <= 5; ++i)
     logic.on_sensor_event(ev(1, i, static_cast<double>(i)));
@@ -67,7 +75,7 @@ TEST_F(LogicFixture, CountWindowThreeBatches) {
         ++batches;
       });
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
   logic.start();
   for (std::uint32_t i = 1; i <= 9; ++i) logic.on_sensor_event(ev(1, i, 0));
   EXPECT_EQ(batches, 3);
@@ -84,7 +92,8 @@ TEST_F(LogicFixture, PeriodicTriggerDrivenByTimer) {
         ++fired;
       });
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
+  armed = &logic;
   logic.start();
   // One event every 400 ms for 5 s.
   for (int i = 0; i < 12; ++i) {
@@ -111,7 +120,8 @@ TEST_F(LogicFixture, EmptyPeriodicWindowDoesNotTrigger) {
         ++fired;
       });
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
+  armed = &logic;
   logic.start();
   sim.run_until(TimePoint{seconds(10).us});  // no events at all
   EXPECT_EQ(fired, 0);
@@ -129,7 +139,7 @@ TEST_F(LogicFixture, FTCombinerGatesMultiStreamDelivery) {
         stream_counts.push_back(w.size());
       });
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
   logic.start();
   logic.on_sensor_event(ev(1, 1, 1.0));  // 1 of 3 ready, f=1 needs 2
   EXPECT_TRUE(stream_counts.empty());
@@ -155,7 +165,7 @@ TEST_F(LogicFixture, BlockedCombinerKeepsPendingWindowsIntact) {
         delivered.push_back(w);
       });
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
   logic.start();
   for (std::uint16_t s = 1; s <= 3; ++s) {
     logic.on_sensor_event(ev(s, 1, 10.0 * s + 1));
@@ -194,7 +204,7 @@ TEST_F(LogicFixture, OperatorDagPropagatesEmissions) {
         ctx.actuate(ActuatorId{1}, w[0].events[0].value);
       });
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
   logic.start();
   logic.on_sensor_event(ev(1, 1, 2.0));
   logic.on_sensor_event(ev(1, 2, 3.0));
@@ -212,7 +222,7 @@ TEST_F(LogicFixture, TestAndSetCommandsCarryExpectedState) {
         ctx.actuate_test_and_set(ActuatorId{7}, 0.0, 1.0);
       });
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
   logic.start();
   logic.on_sensor_event(ev(1, 1, 1.0));
   ASSERT_EQ(issued.size(), 1u);
@@ -232,7 +242,7 @@ TEST_F(LogicFixture, CommandIdsAreUnique) {
         ctx.actuate(ActuatorId{1}, 1.0);
       });
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
   logic.start();
   for (std::uint32_t i = 1; i <= 10; ++i) logic.on_sensor_event(ev(1, i, 1));
   std::set<CommandId> ids;
@@ -248,7 +258,7 @@ TEST_F(LogicFixture, StalenessHandlerInvoked) {
   op.handle_triggered_window(
       [](const std::vector<StreamWindow>&, TriggerContext&) {});
   AppGraph graph = app.build();
-  LogicInstance logic(graph, sim, callbacks());
+  LogicInstance logic(graph, owner.timers(), callbacks());
   logic.start();
   SensorId stale_sensor{};
   std::uint32_t stale_epoch = 0;
@@ -271,7 +281,8 @@ TEST_F(LogicFixture, DestructionCancelsPeriodicTimers) {
       [](const std::vector<StreamWindow>&, TriggerContext&) {});
   AppGraph graph = app.build();
   {
-    LogicInstance logic(graph, sim, callbacks());
+    LogicInstance logic(graph, owner.timers(), callbacks());
+    armed = &logic;
     logic.start();
   }  // destroyed: periodic trigger must not fire into freed memory
   sim.run_until(TimePoint{seconds(5).us});  // would crash if dangling

@@ -3,6 +3,7 @@
 
 #include <map>
 
+#include "forwarding_owner.hpp"
 #include "membership/failure_detector.hpp"
 #include "net/sim_network.hpp"
 
@@ -17,9 +18,16 @@ struct Fixture : ::testing::Test {
     ProcessId self{p};
     std::vector<ProcessId> all;
     for (std::uint16_t i = 1; i <= n; ++i) all.push_back(ProcessId{i});
-    timers[self] = std::make_unique<sim::ProcessTimers>(sim);
+    if (owners.count(self) == 0) {
+      // One owner per process for the fixture's lifetime, like the
+      // runtime's; it routes the tick to the current incarnation.
+      owners[self] = std::make_unique<sim::ForwardingOwner>(
+          sim, [this, self](sim::TimerId, std::uint16_t, std::uint64_t) {
+            fds.at(self)->tick();
+          });
+    }
     auto fd = std::make_unique<FailureDetector>(
-        *timers.at(self), net.endpoint(self), all, cfg);
+        owners.at(self)->timers(), net.endpoint(self), all, cfg);
     net.endpoint(self).set_handler(
         [raw = fd.get()](const net::Message& m) {
           if (m.type == net::MsgType::kKeepAlive) raw->on_keepalive(m);
@@ -32,7 +40,7 @@ struct Fixture : ::testing::Test {
   void kill(std::uint16_t p) {
     ProcessId self{p};
     net.set_process_up(self, false);
-    timers.at(self)->cancel_all();
+    owners.at(self)->timers().cancel_all();
   }
 
   // Recovery = a fresh runtime incarnation with a fresh detector, exactly
@@ -46,8 +54,8 @@ struct Fixture : ::testing::Test {
   sim::Simulation sim;
   metrics::Registry metrics;
   net::SimNetwork net;
-  std::map<ProcessId, std::unique_ptr<sim::ProcessTimers>> timers;
   std::map<ProcessId, std::unique_ptr<FailureDetector>> fds;
+  std::map<ProcessId, std::unique_ptr<sim::ForwardingOwner>> owners;
 };
 
 TEST_F(Fixture, InitialViewIsOptimistic) {

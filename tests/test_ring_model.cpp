@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "core/delivery/gapless_stream.hpp"
+#include "forwarding_owner.hpp"
 
 namespace riv::core {
 namespace {
@@ -22,7 +23,8 @@ struct Node {
   Node(Network& net, std::uint16_t id, int n);
 
   sim::Simulation* sim;
-  sim::ProcessTimers timers;
+  // Stands in for the runtime process, which owns the stream's timers.
+  sim::ForwardingOwner owner;
   ProcessId self;
   EventLog log;
   std::set<ProcessId> view;
@@ -107,7 +109,13 @@ struct Network {
 
 Node::Node(Network& net, std::uint16_t id, int n)
     : sim(&net.sim),
-      timers(net.sim),
+      owner(net.sim,
+            [this](sim::TimerId, std::uint16_t kind, std::uint64_t arg) {
+              if (kind == GaplessStream::kEpochTimer)
+                stream->on_epoch_boundary(stream_timer_epoch(arg));
+              else
+                stream->on_poll_slot(stream_timer_epoch(arg));
+            }),
       self{id},
       log(100000) {
   for (std::uint16_t i = 1; i <= n; ++i) view.insert(ProcessId{i});
@@ -140,7 +148,7 @@ Node::Node(Network& net, std::uint16_t id, int n)
   };
   ctx.staleness = [](std::uint32_t) {};
   ctx.poll = [](std::uint32_t) {};
-  ctx.timers = &timers;
+  ctx.timers = &owner.timers();
   ctx.log = &log;
   stream = std::make_unique<GaplessStream>(std::move(ctx));
 }

@@ -74,49 +74,63 @@ TEST(Simulation, EventsCanScheduleEvents) {
   EXPECT_EQ(sim.now(), TimePoint{milliseconds(10).us});
 }
 
+// A data-timer owner that sums the args of the timers it fires.
+struct SummingOwner : TimerOwner {
+  explicit SummingOwner(Simulation& sim) : timers(sim, *this) {}
+  void on_timer(TimerId, std::uint16_t, std::uint64_t arg) override {
+    ++fired;
+    sum += arg;
+  }
+  int fired{0};
+  std::uint64_t sum{0};
+  ProcessTimers timers;
+};
+
 TEST(ProcessTimers, CancelAllStopsEverything) {
   Simulation sim(1);
-  int fired = 0;
-  {
-    ProcessTimers timers(sim);
-    for (int i = 1; i <= 10; ++i)
-      timers.schedule_after(milliseconds(i), [&] { ++fired; });
-    timers.cancel_all();
+  SummingOwner crashed(sim);
+  SummingOwner bystander(sim);
+  for (int i = 1; i <= 10; ++i) {
+    crashed.timers.schedule_after(milliseconds(i), 0, 1);
+    bystander.timers.schedule_after(milliseconds(i), 0, 1);
   }
+  crashed.timers.cancel_all();  // cancels by owner, and only that owner
+  EXPECT_EQ(sim.pending_count(), 10u);
   sim.run_all();
-  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(crashed.fired, 0);
+  EXPECT_EQ(bystander.fired, 10);
 }
 
 TEST(ProcessTimers, DestructionCancelsPending) {
   Simulation sim(1);
-  int fired = 0;
   {
-    ProcessTimers timers(sim);
-    timers.schedule_after(milliseconds(5), [&] { ++fired; });
-  }  // destructor must cancel — the lambda would dangle otherwise
+    SummingOwner owner(sim);
+    owner.timers.schedule_after(milliseconds(5), 0, 1);
+  }  // retiring the owner must cancel — dispatch would dangle otherwise
+  EXPECT_EQ(sim.pending_count(), 0u);
   sim.run_all();
-  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.events_fired(), 0u);
 }
 
 TEST(ProcessTimers, IndividualCancel) {
   Simulation sim(1);
-  int fired = 0;
-  ProcessTimers timers(sim);
-  TimerId a = timers.schedule_after(milliseconds(1), [&] { fired += 1; });
-  timers.schedule_after(milliseconds(2), [&] { fired += 10; });
-  timers.cancel(a);
+  SummingOwner owner(sim);
+  TimerId a = owner.timers.schedule_after(milliseconds(1), 0, 1);
+  owner.timers.schedule_after(milliseconds(2), 0, 10);
+  owner.timers.cancel(a);
   sim.run_all();
-  EXPECT_EQ(fired, 10);
+  EXPECT_EQ(owner.sum, 10u);
 }
 
 TEST(ProcessTimers, SurvivesManyTimers) {
   Simulation sim(1);
-  ProcessTimers timers(sim);
-  int fired = 0;
-  for (int i = 0; i < 1000; ++i)
-    timers.schedule_after(microseconds(i + 1), [&] { ++fired; });
+  SummingOwner owner(sim);
+  for (std::uint64_t i = 0; i < 1000; ++i)
+    owner.timers.schedule_after(microseconds(static_cast<std::int64_t>(i) + 1),
+                                0, i);
   sim.run_all();
-  EXPECT_EQ(fired, 1000);
+  EXPECT_EQ(owner.fired, 1000);
+  EXPECT_EQ(owner.sum, 999u * 1000u / 2);
 }
 
 TEST(StableStore, PutGetErase) {

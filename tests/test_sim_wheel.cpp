@@ -6,15 +6,18 @@
 // ones. These tests pin the tricky transitions — cancel-while-firing,
 // same-instant ties, overflow promotion, slot wraparound — and close with
 // a differential run against a straightforward heap reference over 1e6
-// random operations.
+// random operations, and a mid-run clone that must fire the rest of the
+// same random schedule exactly as the uninterrupted kernel does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <unordered_map>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "sim/simulation.hpp"
@@ -308,6 +311,163 @@ TEST(SimWheelDifferential, MillionRandomOpsMatchReferenceHeap) {
   for (std::size_t i = 0; i < wheel_log.size(); ++i) {
     ASSERT_EQ(wheel_log[i], ref_log[i]) << "first divergence at index " << i;
   }
+}
+
+// --- mid-run clone -------------------------------------------------------
+
+struct Fired {
+  TimerId id;
+  std::int64_t t;
+  std::uint32_t owner;
+  std::uint16_t kind;
+  std::uint64_t arg;
+  bool operator==(const Fired&) const = default;
+};
+
+// Logs every firing, tagged with the owner's index among the three.
+struct LoggingOwner : TimerOwner {
+  LoggingOwner(Simulation& sim, std::uint32_t index, std::vector<Fired>* log)
+      : sim(&sim), index(index), log(log), timers(sim, *this) {}
+  void on_timer(TimerId id, std::uint16_t kind, std::uint64_t arg) override {
+    log->push_back({id, sim->now().us, index, kind, arg});
+  }
+  Simulation* sim;
+  std::uint32_t index;
+  std::vector<Fired>* log;
+  ProcessTimers timers;
+};
+
+std::vector<std::byte> capture(const Simulation& sim) {
+  BinaryWriter w;
+  sim.clone_state(w);
+  return w.take();
+}
+
+// Run ops [from, to) against `owners`; schedule op k goes to owner k % 3
+// with a kind and arg derived from k. Returns after the last op.
+void run_ops(Simulation& sim,
+             std::vector<std::unique_ptr<LoggingOwner>>& owners,
+             const std::vector<Op>& ops, std::size_t from, std::size_t to,
+             std::int64_t* now) {
+  for (std::size_t k = from; k < to; ++k) {
+    const Op& op = ops[k];
+    switch (op.kind) {
+      case Op::kSchedule:
+        owners[k % 3]->timers.schedule_at(TimePoint{*now + op.delay},
+                                          static_cast<std::uint16_t>(k % 5),
+                                          k * 0x9e3779b97f4a7c15ULL);
+        break;
+      case Op::kCancel:
+        sim.cancel(op.target);
+        break;
+      case Op::kAdvance:
+        *now += op.delay;
+        sim.run_until(TimePoint{*now});
+        break;
+    }
+  }
+}
+
+// Capture mid-run with three registered owners, restore into a fresh
+// kernel, and the clone must fire the remaining schedule exactly as the
+// uninterrupted kernel: the same (id, t, owner, kind, arg) sequence, and
+// byte-identical captures along the way, which pins every pending
+// timer's seq too.
+TEST(SimWheelDifferential, MidRunCloneFiresTheSameSchedule) {
+  const std::size_t kOps = 200'000;
+  const std::vector<Op> ops = make_ops(kOps, 43);
+  std::size_t cut = kOps / 2;
+  while (ops[cut - 1].kind != Op::kAdvance) ++cut;  // capture at rest
+
+  std::vector<Fired> ref_log;
+  std::vector<Fired> clone_log;
+  std::vector<std::vector<std::byte>> ref_blobs;
+  std::vector<std::vector<std::byte>> clone_blobs;
+  auto owners_for = [](Simulation& sim, std::vector<Fired>* log) {
+    std::vector<std::unique_ptr<LoggingOwner>> owners;
+    for (std::uint32_t i = 0; i < 3; ++i)
+      owners.push_back(std::make_unique<LoggingOwner>(sim, i, log));
+    return owners;
+  };
+  // Compare captures at a few points of the tail.
+  const std::size_t stride = (kOps - cut) / 8;
+
+  {
+    Simulation sim(7);
+    auto owners = owners_for(sim, &ref_log);
+    std::int64_t now = 0;
+    run_ops(sim, owners, ops, 0, cut, &now);
+    ref_blobs.push_back(capture(sim));
+    for (std::size_t k = cut; k < kOps; k += stride) {
+      run_ops(sim, owners, ops, k, std::min(k + stride, kOps), &now);
+      sim.run_until(TimePoint{now});
+      ref_blobs.push_back(capture(sim));
+    }
+    sim.run_all();
+  }
+  {
+    std::vector<std::byte> image;
+    std::int64_t now = 0;
+    {
+      Simulation source(7);
+      auto owners = owners_for(source, &clone_log);
+      run_ops(source, owners, ops, 0, cut, &now);
+      image = capture(source);
+    }
+    Simulation sim(99);  // the seed is part of the image
+    auto owners = owners_for(sim, &clone_log);
+    // An owner the capture never saw may be registered too.
+    LoggingOwner extra(sim, 3, &clone_log);
+    BinaryReader r(image);
+    sim.restore_clone(r);
+    ASSERT_TRUE(r.ok() && r.remaining() == 0);
+    clone_blobs.push_back(capture(sim));
+    for (std::size_t k = cut; k < kOps; k += stride) {
+      run_ops(sim, owners, ops, k, std::min(k + stride, kOps), &now);
+      sim.run_until(TimePoint{now});
+      clone_blobs.push_back(capture(sim));
+    }
+    sim.run_all();
+  }
+
+  ASSERT_EQ(clone_blobs.size(), ref_blobs.size());
+  for (std::size_t i = 0; i < ref_blobs.size(); ++i)
+    EXPECT_TRUE(clone_blobs[i] == ref_blobs[i]) << "capture " << i;
+  ASSERT_EQ(clone_log.size(), ref_log.size());
+  for (std::size_t i = 0; i < ref_log.size(); ++i)
+    ASSERT_TRUE(clone_log[i] == ref_log[i]) << "first divergence at " << i;
+}
+
+// A closure cannot be rebuilt from bytes, so restoring a capture that
+// holds a live one aborts and names it; so does a timer whose owner the
+// target never registered.
+TEST(SimWheelCloneDeathTest, RestoreRejectsClosuresAndUnknownOwners) {
+  std::vector<Fired> log;
+  std::vector<std::byte> with_closure;
+  std::vector<std::byte> data_only;
+  {
+    Simulation sim(1);
+    LoggingOwner owner(sim, 0, &log);
+    owner.timers.schedule_after(milliseconds(1), 0, 0);
+    data_only = capture(sim);
+    sim.schedule_after(milliseconds(2), [] {});  // timer 2
+    with_closure = capture(sim);
+  }
+  EXPECT_DEATH(
+      {
+        Simulation sim(1);
+        LoggingOwner owner(sim, 0, &log);
+        BinaryReader r(with_closure);
+        sim.restore_clone(r);
+      },
+      "timer 2 is a closure");
+  EXPECT_DEATH(
+      {
+        Simulation sim(1);
+        BinaryReader r(data_only);
+        sim.restore_clone(r);
+      },
+      "not registered");
 }
 
 }  // namespace

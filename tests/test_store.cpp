@@ -3,6 +3,7 @@
 // application behaviour across logic-node failover.
 #include <gtest/gtest.h>
 
+#include "forwarding_owner.hpp"
 #include "store/replicated_store.hpp"
 #include "workload/deployment.hpp"
 
@@ -28,15 +29,18 @@ TEST(LwwEntry, DominanceOrder) {
 struct StandaloneStore {
   explicit StandaloneStore(sim::Simulation& sim, ProcessId self,
                            sim::StableStore* stable = nullptr)
-      : timers(sim) {
+      : owner(sim, [this](sim::TimerId, std::uint16_t, std::uint64_t) {
+          store->anti_entropy();
+        }) {
     ReplicatedStore::Hooks hooks;
     hooks.self = self;
     hooks.view = [this]() -> const std::set<ProcessId>& { return view; };
-    hooks.timers = &timers;
+    hooks.timers = &owner.timers();
     hooks.stable = stable;
     store = std::make_unique<ReplicatedStore>(std::move(hooks));
   }
-  sim::ProcessTimers timers;
+  // Stands in for the runtime process, which owns the store's timer.
+  sim::ForwardingOwner owner;
   std::set<ProcessId> view;
   std::unique_ptr<ReplicatedStore> store;
 };

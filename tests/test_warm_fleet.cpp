@@ -160,7 +160,6 @@ TEST(WarmFleet, AttestationNamesFirstDivergentSection) {
   model.sim_duration = seconds(2);
   const HomeSpec spec = sample_home(model, 7, 0);
   auto source = build_home(spec);
-  checkpoint::enable_clone_tracking(*source);
   source->start();
   source->run_for(seconds(1));
   checkpoint::WarmImage img;
@@ -201,7 +200,6 @@ TEST(WarmFleet, ApplyRejectsWrongHome) {
   const HomeSpec b = sample_home(model, 7, 1);
 
   auto source = build_home(a);
-  checkpoint::enable_clone_tracking(*source);
   source->start();
   source->run_for(seconds(1));
   checkpoint::WarmImage img;
@@ -226,7 +224,6 @@ TEST(WarmFleet, ApplyRejectsWrongShape) {
   model.sim_duration = seconds(2);
   const HomeSpec spec = sample_home(model, 7, 0);
   auto source = build_home(spec);
-  checkpoint::enable_clone_tracking(*source);
   source->start();
   source->run_for(seconds(1));
   checkpoint::WarmImage img;
