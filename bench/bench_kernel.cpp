@@ -1,4 +1,5 @@
-// bench_kernel: self-benchmark of the simulation-kernel hot path.
+// bench_kernel: self-benchmark of the simulation-kernel hot path, and the
+// repo's two fleet speed floors.
 //
 // This is the repo's perf-trajectory artifact: it measures the substrate
 // every other bench and the chaos corpus run on, and writes the numbers
@@ -8,6 +9,9 @@
 // repeats exactly, so its gate is tight). Each gated events/sec is the
 // median of kRepeats timed repeats that each loop the scenario for at
 // least kMinRepeatWall of wall time; one 4 ms run reads host noise.
+// Every run prints and writes a host fingerprint (CPU model, hardware
+// threads, compiler, build type); --check prints the baseline's beside
+// it, because an events/s baseline only means something on its own host.
 //
 // Scenarios:
 //   timer_churn  — raw kernel: periodic timers + cancel/reschedule churn,
@@ -24,9 +28,16 @@
 //                  (trace overhead only: traced minus untraced allocs).
 //   steady_home  — §8.2 steady-state home (5 processes, 10 Hz sensor),
 //                  reported as wall-seconds per simulated hour.
-//   seed_sweep   — chaos seeds fanned out over bench::parallel_map
-//                  (--jobs N); verifies per-seed fault-trace hashes are
-//                  bit-identical to the serial run.
+//
+// Fleet pair gates (hard, with or without --check; --jobs 1 whatever
+// --jobs says):
+//   observed/steady — 1% sampled flight recording + top-16 health
+//                  scoring must keep at least 0.90 of the unobserved
+//                  fleet's homes/s.
+//   warm/cold    — an 8-campaign sweep over snapshot-cloned warm-ups
+//                  must run at least 1.50x the homes/s of re-executing
+//                  the prefix per campaign, with identical rows and
+//                  digests in every pair.
 //
 //   bench_kernel [--jobs N] [--check BENCH_kernel.json] [--json PATH]
 //                [--out DIR]
@@ -36,9 +47,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -46,6 +59,7 @@
 #include "checkpoint/clone.hpp"
 #include "checkpoint/rivc.hpp"
 #include "checkpoint/scenario.hpp"
+#include "fleet/fleet.hpp"
 #include "sim/simulation.hpp"
 #include "trace/trace.hpp"
 
@@ -58,17 +72,36 @@ namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 }
 
-void* operator new(std::size_t size) {
+// None of them is inlined: GCC would otherwise see malloc() meet
+// operator delete, or operator new meet free(), and warn of a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+// The nothrow forms too (std::stable_sort's buffer), so that every
+// allocation the delete operators below free came from malloc.
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size,
+                                       const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace riv::bench {
 namespace {
@@ -264,35 +297,6 @@ Result bench_steady_home() {
   return r;
 }
 
-// --- seed_sweep ----------------------------------------------------------
-Result bench_seed_sweep(int jobs, bool* hashes_match) {
-  const std::vector<std::uint64_t> seeds = {3, 7, 11, 19};
-  constexpr std::int64_t kHorizonS = 10;
-  auto run_all = [&](int j) {
-    return parallel_map<chaos::ChaosResult>(
-        j, seeds.size(),
-        [&](std::size_t i) { return run_chaos(seeds[i], kHorizonS); });
-  };
-  std::vector<chaos::ChaosResult> serial = run_all(1);
-  double t0 = now_wall();
-  std::vector<chaos::ChaosResult> parallel = run_all(jobs);
-  double wall = now_wall() - t0;
-  *hashes_match = true;
-  Result r;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    r.events += parallel[i].sim_events;
-    if (parallel[i].trace_hash != serial[i].trace_hash) {
-      *hashes_match = false;
-      std::fprintf(stderr,
-                   "seed %llu: parallel trace hash differs from serial!\n",
-                   static_cast<unsigned long long>(seeds[i]));
-    }
-  }
-  r.wall_s = wall;
-  r.events_per_sec = static_cast<double>(r.events) / wall;
-  return r;
-}
-
 // --- checkpoint ----------------------------------------------------------
 // The checkpoint layer's costs, measured on the chaos reference workload
 // (seed 7, gapless) snapshotted mid-run: RIVC size, capture/save/load
@@ -457,11 +461,203 @@ void append_checkpoint_json(std::string& out, const CheckpointResult& r) {
       "    \"checkpoint\": {\"snapshot_bytes\": %llu, \"capture_us\": "
       "%.1f, \"save_us\": %.1f, \"load_us\": %.1f, \"restore_us\": %.1f, "
       "\"sweep_fresh_wall_s\": %.4f, \"sweep_cloned_wall_s\": %.4f, "
-      "\"sweep_speedup\": %.2f}\n",
+      "\"sweep_speedup\": %.2f},\n",
       static_cast<unsigned long long>(r.snapshot_bytes), r.capture_us,
       r.save_us, r.load_us, r.restore_us, r.sweep_fresh_wall_s,
       r.sweep_cloned_wall_s, r.sweep_speedup);
   out += buf;
+}
+
+// --- fleet pair gates ----------------------------------------------------
+// Every fleet home is a pure function of its seed, so two legs over the
+// same homes differ only in the path under test. A pair runs both legs
+// back to back, alternating which goes first, and a gate reads the median
+// of its pair ratios: a shared host's slow phases can last seconds, so a
+// pair sees one phase on both legs where two unpaired runs need not. Both
+// gates run at --jobs 1; their floors, pair counts and shapes are fixed.
+struct FleetLeg {
+  double wall_s{0};
+  std::vector<fleet::FleetResult> results;  // one per campaign
+};
+
+FleetLeg fleet_leg(const fleet::FleetOptions& opt,
+                   const std::vector<fleet::CampaignPlan>& campaigns) {
+  FleetLeg leg;
+  const double t0 = now_wall();
+  leg.results = fleet::run_fleet_campaigns(opt, campaigns);
+  leg.wall_s = now_wall() - t0;
+  return leg;
+}
+
+// Rows, fault digest and merged-metrics fingerprint, campaign by campaign.
+bool same_outcome(const std::vector<fleet::FleetResult>& a,
+                  const std::vector<fleet::FleetResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t c = 0; c < a.size(); ++c) {
+    if (a[c].rows != b[c].rows || a[c].fault_digest != b[c].fault_digest ||
+        fleet::registry_fingerprint(a[c].merged) !=
+            fleet::registry_fingerprint(b[c].merged))
+      return false;
+  }
+  return true;
+}
+
+struct PairGate {
+  const char* name;  // "test/reference"
+  double floor;      // the median ratio must reach it
+  std::uint64_t homes;
+  std::vector<double> ratios;  // test homes/s over reference, per pair
+  int differing{0};            // pairs whose two legs' outcomes differ
+  double wall_s{0};            // both legs of every pair
+
+  // Pair counts are odd, so the median is one pair's ratio.
+  double median() const {
+    std::vector<double> sorted = ratios;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[sorted.size() / 2];
+  }
+  bool ok() const { return differing == 0 && median() >= floor; }
+};
+
+// Both legs run the same homes, so the test leg's homes/s over the
+// reference's is the reference's wall time over the test's.
+template <typename Test, typename Reference>
+void run_pairs(PairGate& g, int pairs, Test&& test, Reference&& reference) {
+  for (int i = 0; i < pairs; ++i) {
+    FleetLeg t;
+    FleetLeg r;
+    if (i % 2 == 0) {
+      t = test();
+      r = reference();
+    } else {
+      r = reference();
+      t = test();
+    }
+    g.ratios.push_back(r.wall_s / t.wall_s);
+    g.wall_s += t.wall_s + r.wall_s;
+    if (!same_outcome(t.results, r.results)) ++g.differing;
+  }
+}
+
+// 1% sampled flight recording plus top-16 health scoring must keep 90%
+// of the unobserved fleet's homes/s (DESIGN.md §15, Cost).
+PairGate observed_gate() {
+  PairGate g{"observed/steady", 0.90, 500, {}};
+  fleet::FleetOptions steady;
+  steady.homes = g.homes;
+  steady.jobs = 1;
+  fleet::FleetOptions observed = steady;
+  observed.observe.sample = 0.01;
+  observed.observe.top_k = 16;
+  const std::vector<fleet::CampaignPlan> no_campaign(1);
+  run_pairs(
+      g, 21, [&] { return fleet_leg(observed, no_campaign); },
+      [&] { return fleet_leg(steady, no_campaign); });
+  return g;
+}
+
+// An 8-campaign sweep over busy homes (4-8 sensors at 4-12 Hz): an 18 s
+// fault-free prefix, then a 2 s window per campaign. The cold leg
+// re-executes the prefix per campaign (8 x 20 virtual seconds a home);
+// the warm leg runs it once, clones the warmed home per campaign and
+// byte-attests 5% of the clones (18 + 8 x 2). Warm must buy 1.5x homes/s
+// and change no row or digest (DESIGN.md §16).
+PairGate warm_gate() {
+  PairGate g{"warm/cold", 1.50, 24, {}};
+  fleet::FleetOptions cold;
+  cold.homes = g.homes;
+  cold.jobs = 1;
+  cold.population.sensors = {4, 8};
+  cold.population.rate_hz = {4.0, 12.0};
+  cold.population.sim_duration = seconds(2);
+  cold.keep_home_rows = true;
+  cold.warm.prefix = seconds(18);
+  cold.warm.attest_sample = 0.05;
+  cold.warm.resalt = 0x77a7;
+  fleet::FleetOptions warm = cold;
+  warm.warm.enabled = true;
+  std::vector<fleet::CampaignPlan> sweep(8);
+  const fleet::CampaignFault kinds[] = {fleet::CampaignFault::kWifiOutage,
+                                        fleet::CampaignFault::kPowerBlip,
+                                        fleet::CampaignFault::kSensorDegrade};
+  for (std::size_t c = 0; c < sweep.size(); ++c) {
+    fleet::CampaignEvent ev;
+    ev.kind = kinds[c % 3];
+    ev.at = seconds(1);
+    ev.duration = seconds(1);
+    ev.fraction = c < 4 ? 0.3 : 0.15;
+    sweep[c].events.push_back(ev);
+  }
+  run_pairs(
+      g, 5, [&] { return fleet_leg(warm, sweep); },
+      [&] { return fleet_leg(cold, sweep); });
+  return g;
+}
+
+void print_gate(const PairGate& g) {
+  const auto [lo, hi] = std::minmax_element(g.ratios.begin(), g.ratios.end());
+  std::printf("%-15s %zu pairs of %llu homes (--jobs 1, %.1f wall-s), "
+              "homes/s ratio per pair:",
+              g.name, g.ratios.size(),
+              static_cast<unsigned long long>(g.homes), g.wall_s);
+  for (double r : g.ratios) std::printf(" %.3f", r);
+  const char* verdict = g.median() < g.floor ? "TOO SLOW"
+                        : g.differing > 0       ? "OUTCOMES DIFFER"
+                                                : "ok";
+  std::printf("\ncheck %-16s median %.3fx (min %.3fx, max %.3fx), floor "
+              "%.2fx; rows+digests identical in %zu/%zu pairs  %s\n",
+              g.name, g.median(), *lo, *hi, g.floor,
+              g.ratios.size() - static_cast<std::size_t>(g.differing),
+              g.ratios.size(), verdict);
+}
+
+void append_gate_json(std::string& out, const PairGate& g, bool last) {
+  const auto [lo, hi] = std::minmax_element(g.ratios.begin(), g.ratios.end());
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "    \"%s\": {\"pairs\": %zu, \"homes\": %llu, "
+                "\"ratio_median\": %.3f, \"ratio_min\": %.3f, "
+                "\"ratio_max\": %.3f, \"floor\": %.2f, "
+                "\"differing_pairs\": %d, \"wall_s\": %.3f}%s\n",
+                g.name, g.ratios.size(),
+                static_cast<unsigned long long>(g.homes), g.median(), *lo, *hi,
+                g.floor, g.differing, g.wall_s, last ? "" : ",");
+  out += buf;
+}
+
+// --- host fingerprint -----------------------------------------------------
+// What an events/s baseline depends on besides the code. Informational:
+// --check prints the baseline's next to this run's, and gates nothing.
+struct Host {
+  std::string cpu{"unknown"};
+  unsigned threads{0};
+  std::string compiler;
+  std::string build_type;
+
+  bool operator==(const Host&) const = default;
+  std::string describe() const {
+    return cpu + ", " + std::to_string(threads) + " hardware threads, " +
+           compiler + ", " + build_type;
+  }
+};
+
+Host this_host() {
+  Host h;
+  h.threads = std::thread::hardware_concurrency();
+  h.compiler = RIV_COMPILER;
+  h.build_type = RIV_BUILD_TYPE;
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) != 0 || colon == std::string::npos)
+      continue;
+    const auto first = line.find_first_not_of(" \t", colon + 1);
+    if (first != std::string::npos) h.cpu = line.substr(first);
+    break;
+  }
+  // The JSON is written and read without escapes.
+  std::erase_if(h.cpu, [](char c) { return c == '"' || c == '\\'; });
+  return h;
 }
 
 // --- reporting -----------------------------------------------------------
@@ -520,18 +716,29 @@ void append_json(std::string& out, const char* name, const Result& r,
   out += last ? "}\n" : "},\n";
 }
 
-// Pull "scenario" -> `key` out of a previously written BENCH_kernel.json.
-// Minimal parser for exactly the format append_json writes (one object per
-// scenario, no nesting); returns -1 when the scenario or key is absent.
-double baseline_value(const std::string& json, const std::string& scenario,
-                      const std::string& key) {
-  auto at = json.find("\"" + scenario + "\"");
-  if (at == std::string::npos) return -1;
+// The raw text of `object` -> `key` in a previously written
+// BENCH_kernel.json (a string without its quotes), or "" when either is
+// absent. Minimal parser for exactly the format this file writes: flat
+// objects, one per scenario, no escapes.
+std::string baseline_field(const std::string& json, const std::string& object,
+                           const std::string& key) {
+  const auto at = json.find("\"" + object + "\"");
+  if (at == std::string::npos) return {};
   const auto close = json.find('}', at);
-  const std::string needle = "\"" + key + "\":";
+  const std::string needle = "\"" + key + "\": ";
   auto found = json.find(needle, at);
-  if (found == std::string::npos || found > close) return -1;
-  return std::atof(json.c_str() + found + needle.size());
+  if (found == std::string::npos || found > close) return {};
+  found += needle.size();
+  if (json[found] == '"')
+    return json.substr(found + 1, json.find('"', found + 1) - found - 1);
+  return json.substr(found, json.find_first_of(",}", found) - found);
+}
+
+// A number from the baseline; -1 when it is absent.
+double baseline_value(const std::string& json, const std::string& object,
+                      const std::string& key) {
+  const std::string text = baseline_field(json, object, key);
+  return text.empty() ? -1 : std::atof(text.c_str());
 }
 
 std::string read_file(const std::string& path) {
@@ -554,16 +761,17 @@ int main(int argc, char** argv) {
   std::string check_path;
   std::string json_path;
   riv::bench::Output out;
+  auto usage = [&argv] {
+    std::fprintf(stderr,
+                 "usage: %s [--jobs N] [--check BENCH_kernel.json] "
+                 "[--json PATH] [--out DIR]\n",
+                 argv[0]);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "usage: %s [--jobs N] [--check BENCH_kernel.json] "
-                     "[--json PATH] [--out DIR]\n",
-                     argv[0]);
-        std::exit(2);
-      }
+      if (i + 1 >= argc) usage();
       return argv[++i];
     };
     if (arg == "--jobs") {
@@ -574,13 +782,19 @@ int main(int argc, char** argv) {
       json_path = next();
     } else if (arg == "--out") {
       out.dir = next();
+    } else {
+      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      usage();
     }
   }
   if (jobs < 1) jobs = 1;
 
   print_header("bench_kernel — simulation-kernel hot path",
                "repo artifact (no paper figure): events/sec, wall-s per "
-               "simulated hour, allocs/event");
+               "simulated hour, allocs/event; fleet sampling and warm-start "
+               "floors");
+  const Host host = this_host();
+  std::printf("host           %s\n", host.describe().c_str());
 
   Result timer_churn = bench_timer_churn();
   print_result("timer_churn", timer_churn);
@@ -590,21 +804,26 @@ int main(int argc, char** argv) {
   print_result("traced_flight", traced_flight);
   Result steady_home = bench_steady_home();
   print_result("steady_home", steady_home);
-  bool hashes_match = true;
-  Result seed_sweep = bench_seed_sweep(jobs, &hashes_match);
-  print_result("seed_sweep", seed_sweep);
-  std::printf("seed_sweep: parallel (--jobs %d) per-seed hashes %s serial\n",
-              jobs, hashes_match ? "MATCH" : "DIFFER FROM");
   CheckpointResult checkpoint = bench_checkpoint(jobs);
   print_checkpoint(checkpoint);
+  const PairGate observed = observed_gate();
+  print_gate(observed);
+  const PairGate warm = warm_gate();
+  print_gate(warm);
 
-  std::string json = "{\n  \"bench\": \"kernel\",\n  \"scenarios\": {\n";
+  std::string json = "{\n  \"bench\": \"kernel\",\n";
+  json += "  \"host\": {\"cpu\": \"" + host.cpu +
+          "\", \"threads\": " + std::to_string(host.threads) +
+          ", \"compiler\": \"" + host.compiler + "\", \"build_type\": \"" +
+          host.build_type + "\"},\n";
+  json += "  \"scenarios\": {\n";
   append_json(json, "timer_churn", timer_churn, false);
   append_json(json, "chaos_flight", chaos_flight, false);
   append_json(json, "traced_flight", traced_flight, false);
   append_json(json, "steady_home", steady_home, false);
-  append_json(json, "seed_sweep", seed_sweep, false);
   append_checkpoint_json(json, checkpoint);
+  append_gate_json(json, observed, false);
+  append_gate_json(json, warm, true);
   json += "  }\n}\n";
 
   if (!json_path.empty()) {
@@ -627,14 +846,28 @@ int main(int argc, char** argv) {
     }
   }
 
-  int failures = hashes_match ? 0 : 1;
-  if (!checkpoint.ok) ++failures;
+  int failures = (checkpoint.ok ? 0 : 1) + (observed.ok() ? 0 : 1) +
+                 (warm.ok() ? 0 : 1);
   if (!check_path.empty()) {
     const std::string baseline = read_file(check_path);
     if (baseline.empty()) {
       std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
       return 1;
     }
+    const Host base_host{
+        baseline_field(baseline, "host", "cpu"),
+        static_cast<unsigned>(
+            std::max(0.0, baseline_value(baseline, "host", "threads"))),
+        baseline_field(baseline, "host", "compiler"),
+        baseline_field(baseline, "host", "build_type")};
+    std::printf("check host           this run  %s\n",
+                host.describe().c_str());
+    std::printf("check host           baseline  %s  (%s)\n",
+                base_host.cpu.empty() ? "none recorded"
+                                      : base_host.describe().c_str(),
+                base_host == host
+                    ? "same"
+                    : "DIFFERS: events/s is compared across hosts");
     struct {
       const char* name;
       double current;

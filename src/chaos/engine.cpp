@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 
 #include "chaos/injector.hpp"
 #include "common/assert.hpp"
@@ -20,6 +21,50 @@ FaultInjector::QuiesceHook converged_checks(InvariantChecker& checker) {
 }
 
 }  // namespace
+
+std::string validate(const EngineOptions& options) {
+  constexpr int kMaxProcesses = 64;
+  const ScenarioOptions& sc = options.scenario;
+  const PlanOptions& plan = options.plan;
+  // Written so that a NaN fails every check it meets.
+  auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  auto span = [](Duration d, Duration lo) {
+    return d >= lo && d <= seconds(86'400);
+  };
+  if (sc.guarantee != appmodel::Guarantee::kGap &&
+      sc.guarantee != appmodel::Guarantee::kGapless)
+    return "guarantee must be gap or gapless";
+  if (sc.n_processes < 1 || sc.n_processes > kMaxProcesses)
+    return "n_processes must be in [1, " + std::to_string(kMaxProcesses) + "]";
+  // More receivers than processes is clamped to the processes there are.
+  if (sc.receivers < 1 || sc.receivers > kMaxProcesses)
+    return "receivers must be in [1, " + std::to_string(kMaxProcesses) + "]";
+  if (!probability(sc.device_link_loss))
+    return "device_link_loss must be in [0, 1]";
+  if (!(sc.rate_hz > 0.0 && sc.rate_hz <= 1000.0))
+    return "rate_hz must be in (0, 1000]";
+  if (!span(plan.horizon, microseconds(1)))
+    return "horizon must be in (0, 1 day]";
+  if (!span(plan.mean_gap, microseconds(1)))
+    return "mean_gap must be in (0, 1 day]";
+  if (!span(plan.quiesce_every, {}) || !span(plan.quiesce_len, {}))
+    return "quiesce_every and quiesce_len must be in [0, 1 day]";
+  if (!span(plan.max_fault_hold, microseconds(1)))
+    return "max_fault_hold must be in (0, 1 day]";
+  if (!span(plan.max_delay_spike, {}))
+    return "max_delay_spike must be in [0, 1 day]";
+  if (!probability(plan.max_edge_loss) ||
+      !probability(plan.max_device_link_loss))
+    return "max_edge_loss and max_device_link_loss must be in [0, 1]";
+  if (!span(options.check_interval, milliseconds(1)))
+    return "check_interval must be in [1 ms, 1 day]";
+  if ((options.flight_mask & ~riv::trace::kAllComponents) != 0)
+    return "flight_mask names an unknown component";
+  if (options.metrics_period != Duration{} &&
+      !span(options.metrics_period, milliseconds(1)))
+    return "metrics_period must be 0 (off) or in [1 ms, 1 day]";
+  return {};
+}
 
 // Declaration order is teardown order in reverse and is load-bearing:
 // the deployment (and the checker/injector that reference it) must tear

@@ -80,6 +80,17 @@ struct EngineOptions {
   bool defer_plan{false};
 };
 
+// The one range check for options that come from outside the program
+// (chaos_run's command line, a RIVC params blob): "" when the engine can
+// run them, otherwise the first field out of range and its bounds. A
+// home has 1..64 processes (ProcessId is 16-bit, and a quiescence window
+// grows with n), probabilities lie in [0, 1], spans are at most a day of
+// virtual time, and the checker and metric periods are at least 1 ms (a
+// zero period re-arms its timer at the same instant forever). The plan's
+// n_processes, devices and device_links are derived from the scenario,
+// not checked.
+std::string validate(const EngineOptions& options);
+
 struct ChaosResult {
   std::vector<Violation> violations;
   std::vector<std::string> trace;

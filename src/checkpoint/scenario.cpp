@@ -298,6 +298,12 @@ std::vector<std::byte> encode_chaos_params(const chaos::EngineOptions& o) {
 bool decode_chaos_params(const std::vector<std::byte>& params,
                          chaos::EngineOptions* out, std::string* error) {
   BinaryReader r(params);
+  bool flags_ok = true;
+  auto flag = [&r, &flags_ok] {
+    const std::uint8_t b = r.u8();
+    flags_ok = flags_ok && b <= 1;
+    return b == 1;
+  };
   chaos::EngineOptions o;
   o.scenario.seed = r.u64();
   o.scenario.guarantee = static_cast<appmodel::Guarantee>(r.u8());
@@ -310,16 +316,16 @@ bool decode_chaos_params(const std::vector<std::byte>& params,
   o.plan.quiesce_every = r.duration();
   o.plan.quiesce_len = r.duration();
   o.plan.max_fault_hold = r.duration();
-  o.plan.crashes = r.u8() != 0;
-  o.plan.partitions = r.u8() != 0;
-  o.plan.asym_partitions = r.u8() != 0;
-  o.plan.delay_spikes = r.u8() != 0;
-  o.plan.edge_loss = r.u8() != 0;
-  o.plan.device_link_loss = r.u8() != 0;
-  o.plan.device_crashes = r.u8() != 0;
-  o.plan.spoof_events = r.u8() != 0;
-  o.plan.replay_events = r.u8() != 0;
-  o.plan.corrupt_process = r.u8() != 0;
+  o.plan.crashes = flag();
+  o.plan.partitions = flag();
+  o.plan.asym_partitions = flag();
+  o.plan.delay_spikes = flag();
+  o.plan.edge_loss = flag();
+  o.plan.device_link_loss = flag();
+  o.plan.device_crashes = flag();
+  o.plan.spoof_events = flag();
+  o.plan.replay_events = flag();
+  o.plan.corrupt_process = flag();
   o.plan.max_edge_loss = r.f64();
   o.plan.max_device_link_loss = r.f64();
   o.plan.max_delay_spike = r.duration();
@@ -328,9 +334,11 @@ bool decode_chaos_params(const std::vector<std::byte>& params,
   o.flight_mask = r.u32();
   o.flight_ring_bytes = r.u64();
   o.metrics_period = r.duration();
-  o.byzantine_defense = r.u8() != 0;
-  o.defer_plan = r.u8() != 0;
-  if (!r.ok() || !r.at_end()) {
+  o.byzantine_defense = flag();
+  o.defer_plan = flag();
+  // A blob with a fresh footer can still carry any value: every field
+  // is range-checked before a deployment is built from it.
+  if (!r.ok() || !r.at_end() || !flags_ok || !chaos::validate(o).empty()) {
     if (error != nullptr) *error = "bad chaos-scenario params blob";
     return false;
   }

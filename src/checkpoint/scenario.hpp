@@ -93,6 +93,9 @@ std::unique_ptr<Scenario> scenario_from_snapshot(const Snapshot& snap,
                                                  std::string* error);
 
 std::vector<std::byte> encode_chaos_params(const chaos::EngineOptions& opt);
+// Total over outside bytes: a short or long blob, a flag byte other than
+// 0 or 1, or any field chaos::validate rejects fails with the pinned
+// "bad chaos-scenario params blob".
 bool decode_chaos_params(const std::vector<std::byte>& params,
                          chaos::EngineOptions* out, std::string* error);
 

@@ -165,7 +165,7 @@ std::uint64_t registry_fingerprint(const metrics::Registry& reg);
 std::uint64_t total_delivered(const metrics::Registry& reg);
 
 // Population-level rollup of a result + wall-clock rates, rendered as the
-// fleet dashboard (fleet_run, bench_fleet).
+// fleet dashboard (fleet_run).
 struct Dashboard {
   double homes_per_sec{0};
   double events_per_sec_per_core{0};

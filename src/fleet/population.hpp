@@ -46,7 +46,8 @@ struct TechMix {
 
 // The distributions a fleet draws each home from. Defaults describe a
 // small steady-state home — 2-4 hosts, a handful of low-rate sensors —
-// sized so a single core clears >1k homes/s (bench_fleet measures this).
+// sized so a single core clears >1k homes/s (the benchmark's steady_fleet
+// workload measures this).
 struct PopulationModel {
   IntRange processes{2, 4};
   IntRange sensors{1, 3};

@@ -16,6 +16,7 @@
 //     iteration, timer cancel order, chunked-vs-monolithic runs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -351,6 +352,68 @@ TEST(CheckpointRivc, EncodeDecodeRoundTrips) {
   EXPECT_EQ(back.find("nonexistent"), nullptr);
   // Re-encoding the decoded snapshot is byte-identical (canonical form).
   EXPECT_EQ(checkpoint::encode(back), wire);
+}
+
+// A RIVC file re-encoded under a fresh footer decodes whatever its params
+// blob says, so each field is outside input: an out-of-range one must be
+// refused before a deployment is built from it. Unchecked, n_processes 0
+// trips an assert, 70,000 overflows the 16-bit ProcessId and
+// check_interval 0 re-arms the checker at the same instant forever.
+TEST(CheckpointRivc, OutOfRangeChaosParamsAreRejected) {
+  chaos::EngineOptions base;
+  base.scenario.seed = 7;
+  base.plan.horizon = seconds(10);
+  std::unique_ptr<checkpoint::Scenario> sc =
+      checkpoint::make_chaos_scenario(base);
+  sc->start();
+  sc->run_to(TimePoint{} + seconds(1));
+  const checkpoint::Snapshot captured = sc->capture();
+  auto reload = [&captured](std::vector<std::byte> params) {
+    checkpoint::Snapshot snap = captured;
+    snap.params = std::move(params);
+    checkpoint::Snapshot back;
+    std::string err;
+    EXPECT_TRUE(checkpoint::decode(checkpoint::encode(snap), &back, &err))
+        << err;
+    return back;
+  };
+  std::string err;
+  EXPECT_NE(checkpoint::scenario_from_snapshot(reload(captured.params), &err),
+            nullptr)
+      << err;
+
+  const std::vector<void (*)(chaos::EngineOptions&)> mutations = {
+      [](chaos::EngineOptions& o) { o.check_interval = Duration{}; },
+      [](chaos::EngineOptions& o) { o.scenario.n_processes = 0; },
+      [](chaos::EngineOptions& o) { o.scenario.n_processes = 70'000; },
+      [](chaos::EngineOptions& o) {
+        o.scenario.guarantee = static_cast<appmodel::Guarantee>(9);
+      },
+      [](chaos::EngineOptions& o) { o.scenario.device_link_loss = -3.0; },
+  };
+  std::vector<std::vector<std::byte>> bad;
+  for (auto mutate : mutations) {
+    chaos::EngineOptions o = base;
+    mutate(o);
+    bad.push_back(checkpoint::encode_chaos_params(o));
+  }
+  // A flag byte must be 0 or 1: find the crashes flag by flipping it.
+  chaos::EngineOptions no_crashes = base;
+  no_crashes.plan.crashes = false;
+  const std::vector<std::byte> on = checkpoint::encode_chaos_params(base);
+  std::vector<std::byte> two = checkpoint::encode_chaos_params(no_crashes);
+  const auto at = std::mismatch(on.begin(), on.end(), two.begin()).first;
+  ASSERT_NE(at, on.end());
+  two[static_cast<std::size_t>(at - on.begin())] = std::byte{2};
+  bad.push_back(std::move(two));
+
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    err.clear();
+    EXPECT_EQ(checkpoint::scenario_from_snapshot(reload(bad[i]), &err),
+              nullptr)
+        << "case " << i;
+    EXPECT_EQ(err, "bad chaos-scenario params blob") << "case " << i;
+  }
 }
 
 TEST(CheckpointRivc, DiffNamesFirstDivergentSectionAndByte) {

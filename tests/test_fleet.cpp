@@ -23,7 +23,7 @@ namespace {
 // actually depends on is that the mapping never changes: home 17 of fleet
 // seed 1 must be the same home forever. The digest below pins the first
 // million derived seeds bit-for-bit; if it moves, every committed fleet
-// digest, BENCH_fleet.json and golden row set silently remaps.
+// digest and golden row set silently remaps.
 TEST(SeedDerivation, MillionSeedsCollisionFreeAndPinned) {
   constexpr std::uint64_t kN = 1'000'000;
   hash::Fnv1aStream stream;

@@ -1,8 +1,8 @@
 // Tier-2 gate for the fleet runner's headline guarantee: a 256-home fleet
 // (campaign included) is bit-identical under --jobs 1 and --jobs 8 —
 // merged metrics fingerprint, fleet fault digest, and every per-home
-// outcome row. This is the CI-side twin of bench_fleet's determinism
-// scenario, big enough that shards genuinely interleave across workers.
+// outcome row, big enough that shards genuinely interleave across
+// workers. The benchmark's 1-vs-N-worker digest check is its twin.
 #include <gtest/gtest.h>
 
 #include <cstdint>

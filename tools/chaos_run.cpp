@@ -11,6 +11,7 @@
 //
 // Exit status: 0 clean; 1 invariant violation / determinism mismatch /
 // failed drain; 2 usage error.
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -265,9 +266,14 @@ chaos::EngineOptions build_engine_options(const CliOptions& cli,
   opt.scenario.n_processes = cli.procs;
   opt.scenario.receivers = cli.receivers;
   opt.scenario.device_link_loss = cli.loss;
-  opt.plan.horizon = seconds(cli.duration_s);
+  // Clamped so that the conversion to microseconds cannot overflow; a
+  // value this far out fails chaos::validate either way.
+  auto clamp = [](std::int64_t v) {
+    return std::clamp<std::int64_t>(v, -1'000'000'000, 1'000'000'000);
+  };
+  opt.plan.horizon = seconds(clamp(cli.duration_s));
   if (!cli.kinds.empty()) apply_kinds(cli.kinds, opt.plan);  // pre-validated
-  opt.check_interval = milliseconds(cli.check_interval_ms);
+  opt.check_interval = milliseconds(clamp(cli.check_interval_ms));
   opt.flight = !cli.trace_dir.empty() || cli.trace_ring_bytes > 0 ||
                !cli.stream_dir.empty();
   opt.flight_ring_bytes = cli.trace_ring_bytes;
@@ -636,9 +642,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (cli.procs < 1 || cli.receivers < 1 || cli.duration_s < 1 ||
-      cli.jobs < 1) {
-    std::fprintf(stderr, "bad scenario parameters\n");
+  const std::string bad =
+      chaos::validate(build_engine_options(cli, cli.seeds[0]));
+  if (!bad.empty()) {
+    std::fprintf(stderr, "bad scenario parameters: %s\n", bad.c_str());
     return 2;
   }
   if (cli.checkpoint_every_s > 0 && cli.demo_violation) {
