@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <string>
 
+#include "chaos/engine.hpp"
 #include "checkpoint/rivc.hpp"
 #include "common/codec.hpp"
 #include "workload/fig1.hpp"
@@ -59,12 +60,15 @@ std::vector<std::byte> encode_fig1_params(const workload::Fig1Options& o) {
   return w.take();
 }
 
+// A blob with a fresh footer can still carry any value: the duration
+// must be positive and the process count within chaos::validate's bound.
 bool decode_fig1_params(const std::vector<std::byte>& params,
                         workload::Fig1Options* out) {
   BinaryReader r(params);
   out->duration = r.duration();
   out->n_processes = static_cast<int>(r.u32());
-  return r.ok() && r.at_end();
+  return r.ok() && r.at_end() && out->duration > Duration{} &&
+         out->n_processes >= 1 && out->n_processes <= chaos::kMaxProcesses;
 }
 
 checkpoint::Snapshot capture_fig1(workload::Fig1Deployment& d,
@@ -99,6 +103,11 @@ int run_from_checkpoint(const std::string& path) {
   opt.seed = snap.seed;
   if (!decode_fig1_params(snap.params, &opt)) {
     std::fprintf(stderr, "%s: undecodable fig1 params\n", path.c_str());
+    return 2;
+  }
+  if (snap.at < TimePoint{} || snap.at > TimePoint{} + opt.duration) {
+    std::fprintf(stderr, "%s: snapshot time outside the scenario's run\n",
+                 path.c_str());
     return 2;
   }
   const double at_days =

@@ -216,84 +216,46 @@ void LogicInstance::on_staleness_violation(SensorId sensor,
   if (staleness_handler_) staleness_handler_(sensor, epoch);
 }
 
-void LogicInstance::clone_state(BinaryWriter& w) const {
-  w.u64(ops_.size());
-  for (const auto& [name, op] : ops_) {
-    w.str(name);
-    w.u64(op.streams.size());
-    for (const Stream& stream : op.streams) {
-      const std::deque<devices::SensorEvent>& buf = stream.window.buffer();
-      w.u64(buf.size());
-      for (const devices::SensorEvent& e : buf) devices::encode_clone(w, e);
-      w.u8(stream.pending ? 1 : 0);
-      if (stream.pending) {
-        w.u64(stream.pending->events.size());
-        for (const devices::SensorEvent& e : stream.pending->events)
-          devices::encode_clone(w, e);
-      }
-      w.u64(timers_->sim().is_pending(stream.periodic_timer)
-                ? stream.periodic_timer
-                : 0);
-    }
-  }
-  w.u64(local_kv_.size());
-  for (const auto& [key, value] : local_kv_) {
-    w.str(key);
-    w.f64(value);
-  }
-  w.u32(emit_seq_);
-  w.u8(started_ ? 1 : 0);
-  w.provenance_id(last_cause_);
-  w.provenance_id(trigger_cause_);
-  w.u64(events_consumed_);
-  w.u64(triggers_fired_);
-  w.u64(combiner_blocked_);
-  w.u64(commands_issued_);
-  w.u64(staleness_violations_);
-}
+void LogicInstance::clone_state(BinaryWriter& w) const { io_state(w, *this); }
 
-void LogicInstance::restore_clone(BinaryReader& r) {
-  RIV_ASSERT(!started_, "clone restore requires a not-started instance");
-  const std::uint64_t n_ops = r.u64();
-  RIV_ASSERT(n_ops == ops_.size(), "clone restore: operator count mismatch");
-  for (auto& [name, op] : ops_) {
-    RIV_ASSERT(r.str() == name, "clone restore: operator order mismatch");
-    const std::uint64_t n_streams = r.u64();
-    RIV_ASSERT(n_streams == op.streams.size(),
-               "clone restore: stream count mismatch");
-    for (Stream& stream : op.streams) {
-      std::deque<devices::SensorEvent> buf;
-      const std::uint64_t n_buf = r.u64();
-      for (std::uint64_t i = 0; i < n_buf; ++i)
-        buf.push_back(devices::decode_clone_event(r));
-      stream.window.restore_buffer(std::move(buf));
-      if (r.u8() != 0) {
-        StreamWindow pending;
-        pending.stream = stream.key;
-        const std::uint64_t n_pending = r.u64();
-        pending.events.reserve(n_pending);
-        for (std::uint64_t i = 0; i < n_pending; ++i)
-          pending.events.push_back(devices::decode_clone_event(r));
-        stream.pending = std::move(pending);
-      }
-      stream.periodic_timer = r.u64();
+void LogicInstance::restore_clone(BinaryReader& r) { io_state(r, *this); }
+
+template <class A, class Self>
+void LogicInstance::io_state(A& a, Self& s) {
+  if constexpr (A::kReads)
+    RIV_ASSERT(!s.started_, "clone restore requires a not-started instance");
+  const sim::Simulation& kernel = s.timers_->sim();
+  expect(a, std::uint64_t{s.ops_.size()},
+         "clone restore: operator count mismatch");
+  for (auto& [name, op] : s.ops_) {
+    expect(a, name, "clone restore: operator order mismatch");
+    expect(a, std::uint64_t{op.streams.size()},
+           "clone restore: stream count mismatch");
+    for (auto& stream : op.streams) {
+      io(a, stream.window);
+      io_optional(a, stream.pending, [&](auto& pending) {
+        if constexpr (A::kReads) pending.stream = stream.key;
+        io(a, pending.events);
+      });
+      // A fired or cancelled timer leaves its id behind: captured as 0.
+      io_via(
+          a, stream.periodic_timer,
+          [&kernel](sim::TimerId id) {
+            return kernel.is_pending(id) ? id : 0;
+          },
+          std::identity{});
     }
   }
-  local_kv_.clear();
-  const std::uint64_t n_kv = r.u64();
-  for (std::uint64_t i = 0; i < n_kv; ++i) {
-    std::string key = r.str();
-    local_kv_[std::move(key)] = r.f64();
-  }
-  emit_seq_ = r.u32();
-  started_ = r.u8() != 0;
-  last_cause_ = r.provenance_id();
-  trigger_cause_ = r.provenance_id();
-  events_consumed_ = r.u64();
-  triggers_fired_ = r.u64();
-  combiner_blocked_ = r.u64();
-  commands_issued_ = r.u64();
-  staleness_violations_ = r.u64();
+  io(a, s.local_kv_);
+  io(a, s.emit_seq_);
+  io(a, s.started_);
+  io(a, s.last_cause_);
+  io(a, s.trigger_cause_);
+  io(a, s.events_consumed_);
+  io(a, s.triggers_fired_);
+  io(a, s.combiner_blocked_);
+  io(a, s.commands_issued_);
+  io(a, s.staleness_violations_);
 }
 
 }  // namespace riv::appmodel

@@ -110,6 +110,10 @@ class LogicInstance {
   }
   static std::string op_key(const std::string& name) { return "o:" + name; }
 
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
+
   void feed(OpState& op, Stream& stream, const devices::SensorEvent& e);
   void arm_periodic(Stream& stream);
   void periodic_fire(OpState& op, Stream& stream);

@@ -95,11 +95,10 @@ class Window {
   bool empty() const { return buffer_.empty(); }
   std::size_t size() const { return buffer_.size(); }
 
-  // Snapshot-clone support (DESIGN.md §16): raw buffer access so the
-  // logic engine can serialize and restore live window contents exactly.
-  const std::deque<devices::SensorEvent>& buffer() const { return buffer_; }
-  void restore_buffer(std::deque<devices::SensorEvent> buffer) {
-    buffer_ = std::move(buffer);
+  // Snapshot state (DESIGN.md §16): the live window contents, exactly.
+  template <class A, class Self>
+  static void io_state(A& a, Self& w) {
+    io(a, w.buffer_);
   }
 
  private:

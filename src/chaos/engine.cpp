@@ -23,7 +23,6 @@ FaultInjector::QuiesceHook converged_checks(InvariantChecker& checker) {
 }  // namespace
 
 std::string validate(const EngineOptions& options) {
-  constexpr int kMaxProcesses = 64;
   const ScenarioOptions& sc = options.scenario;
   const PlanOptions& plan = options.plan;
   // Written so that a NaN fails every check it meets.
@@ -162,7 +161,7 @@ void ChaosSession::build(std::vector<std::unique_ptr<Invariant>> extra) {
   // A quiescence window must cover ring-wide anti-entropy propagation
   // ((n-1) sync periods) plus failure-detection and a safety margin, or
   // the converged checks would run before convergence is promised.
-  Duration min_quiesce = core::Config{}.sync_period * (sc.n_processes - 1) +
+  Duration min_quiesce = core::kSyncPeriod * (sc.n_processes - 1) +
                          seconds(6);
   im.plan_opt.quiesce_len = std::max(im.plan_opt.quiesce_len, min_quiesce);
 
@@ -215,21 +214,7 @@ ChaosSession::ChaosSession(EngineOptions options,
   // checker's tick and the plan's actions.
   restore_home(*im.home);
   BinaryReader r(state);
-  im.plan_armed = r.u8() != 0;
-  if (im.plan_armed) {
-    im.plan_seed = r.u64();
-    im.plan_offset = r.duration();
-    im.end = r.time_point();
-  }
-  const std::uint64_t n_lines = r.u64();
-  for (std::uint64_t i = 0; i < n_lines && r.ok(); ++i)
-    im.trace.record(r.str());
-  im.checker->restore_clone(r);
-  if (im.plan_armed) {
-    im.injector->load(generate_plan(im.plan_seed, im.plan_opt),
-                      converged_checks(*im.checker), im.plan_offset);
-  }
-  im.injector->restore_clone(r);
+  io_state(r, im);
   RIV_ASSERT(r.ok() && r.remaining() == 0,
              "session clone: malformed session blob");
 }
@@ -328,18 +313,27 @@ std::shared_ptr<riv::trace::Recorder> ChaosSession::flight() const {
 
 const TraceRecorder& ChaosSession::fault_trace() const { return impl_->trace; }
 
-void ChaosSession::clone_state(BinaryWriter& w) const {
-  const Impl& im = *impl_;
-  w.u8(im.plan_armed ? 1 : 0);
+void ChaosSession::clone_state(BinaryWriter& w) const { io_state(w, *impl_); }
+
+template <class A, class Self>
+void ChaosSession::io_state(A& a, Self& im) {
+  io(a, im.plan_armed);
   if (im.plan_armed) {
-    w.u64(im.plan_seed);
-    w.duration(im.plan_offset);
-    w.time_point(im.end);
+    io(a, im.plan_seed);
+    io(a, im.plan_offset);
+    io(a, im.end);
   }
-  w.u64(im.trace.size());
-  for (const std::string& line : im.trace.lines()) w.str(line);
-  im.checker->clone_state(w);
-  im.injector->clone_state(w);
+  io(a, im.trace);
+  io(a, *im.checker);
+  // A clone regenerates an armed plan from its seed; the kernel restored
+  // its pending actions, so the injector loads it without scheduling.
+  if constexpr (A::kReads) {
+    if (im.plan_armed) {
+      im.injector->load(generate_plan(im.plan_seed, im.plan_opt),
+                        converged_checks(*im.checker), im.plan_offset);
+    }
+  }
+  io(a, *im.injector);
 }
 
 ChaosEngine::ChaosEngine(EngineOptions options)

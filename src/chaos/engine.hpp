@@ -90,6 +90,8 @@ struct EngineOptions {
 // n_processes, devices and device_links are derived from the scenario,
 // not checked.
 std::string validate(const EngineOptions& options);
+// validate()'s bound on a home's processes.
+inline constexpr int kMaxProcesses = 64;
 
 struct ChaosResult {
   std::vector<Violation> violations;
@@ -203,6 +205,9 @@ class ChaosSession {
   // standard home (built, not started), the plan options, the checker
   // and the injector. No timer exists yet when this returns.
   void build(std::vector<std::unique_ptr<Invariant>> extra);
+  // The one field list behind clone_state and the clone constructor.
+  template <class A, class Self>
+  static void io_state(A& a, Self& im);
 
   std::unique_ptr<Impl> impl_;
 };

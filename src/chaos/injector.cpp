@@ -1,7 +1,6 @@
 #include "chaos/injector.hpp"
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -46,45 +45,22 @@ void FaultInjector::on_timer(sim::TimerId /*id*/, std::uint16_t /*kind*/,
   apply(plan_.actions[arg]);
 }
 
-void FaultInjector::clone_state(BinaryWriter& w) const {
-  w.u64(seq_);
-  w.u64(injected_);
-  w.u64(noops_);
-  w.u64(attacks_);
-  w.u8(integrity_ ? 1 : 0);
-  for (std::uint64_t word : byz_rng_.state()) w.u64(word);
-  w.time_point(window_start_);
-  w.u8(corrupt_pid_.has_value() ? 1 : 0);
-  if (corrupt_pid_.has_value()) w.process_id(*corrupt_pid_);
-  w.u64(corrupt_fault_id_);
-  w.u64(base_link_loss_.size());
-  for (const auto& [link, loss] : base_link_loss_) {
-    w.sensor_id(link.first);
-    w.process_id(link.second);
-    w.f64(loss);
-  }
-}
+void FaultInjector::clone_state(BinaryWriter& w) const { io_state(w, *this); }
 
-void FaultInjector::restore_clone(BinaryReader& r) {
-  seq_ = r.u64();
-  injected_ = r.u64();
-  noops_ = r.u64();
-  attacks_ = r.u64();
-  integrity_ = r.u8() != 0;
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  byz_rng_.set_state(rng_state);
-  window_start_ = r.time_point();
-  corrupt_pid_.reset();
-  if (r.u8() != 0) corrupt_pid_ = r.process_id();
-  corrupt_fault_id_ = r.u64();
-  base_link_loss_.clear();
-  const std::uint64_t n_links = r.u64();
-  for (std::uint64_t i = 0; i < n_links && r.ok(); ++i) {
-    const SensorId sensor = r.sensor_id();
-    const ProcessId process = r.process_id();
-    base_link_loss_.emplace(std::make_pair(sensor, process), r.f64());
-  }
+void FaultInjector::restore_clone(BinaryReader& r) { io_state(r, *this); }
+
+template <class A, class Self>
+void FaultInjector::io_state(A& a, Self& s) {
+  io(a, s.seq_);
+  io(a, s.injected_);
+  io(a, s.noops_);
+  io(a, s.attacks_);
+  io(a, s.integrity_);
+  io(a, s.byz_rng_);
+  io(a, s.window_start_);
+  io(a, s.corrupt_pid_);
+  io(a, s.corrupt_fault_id_);
+  io(a, s.base_link_loss_);
 }
 
 void FaultInjector::restore_device_links() {

@@ -89,6 +89,9 @@ class FaultInjector : public sim::TimerOwner {
   // copies to transmit (0 eats the frame).
   int interpose(net::Message& msg);
   void mark_net_attack(const net::Message& msg, const char* what);
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
 
   workload::HomeDeployment* home_;
   TraceRecorder* trace_;

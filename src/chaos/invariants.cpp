@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/assert.hpp"
 #include "common/codec.hpp"
 
 namespace riv::chaos {
@@ -56,12 +55,10 @@ void NoDuplicateDelivery::check(const CheckContext& ctx,
 }
 
 void NoDuplicateDelivery::clone_state(BinaryWriter& w) const {
-  w.u64(reported_);
+  io_state(w, *this);
 }
 
-void NoDuplicateDelivery::restore_clone(BinaryReader& r) {
-  reported_ = r.u64();
-}
+void NoDuplicateDelivery::restore_clone(BinaryReader& r) { io_state(r, *this); }
 
 void NoOverDelivery::check(const CheckContext& ctx,
                            std::vector<Violation>& out) const {
@@ -182,21 +179,10 @@ void NoForgedActuation::check(const CheckContext& ctx,
 }
 
 void NoForgedActuation::clone_state(BinaryWriter& w) const {
-  w.u64(scanned_.size());
-  for (const auto& [aid, cursor] : scanned_) {
-    w.actuator_id(aid);
-    w.u64(cursor);
-  }
+  io_state(w, *this);
 }
 
-void NoForgedActuation::restore_clone(BinaryReader& r) {
-  scanned_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    const ActuatorId aid = r.actuator_id();
-    scanned_[aid] = r.u64();
-  }
-}
+void NoForgedActuation::restore_clone(BinaryReader& r) { io_state(r, *this); }
 
 void NoOriginSeqRegression::check(const CheckContext& ctx,
                                   std::vector<Violation>& out) const {
@@ -246,31 +232,18 @@ void InvariantChecker::on_timer(sim::TimerId /*id*/, std::uint16_t /*kind*/,
 }
 
 void InvariantChecker::clone_state(BinaryWriter& w) const {
-  w.u64(checks_run_);
-  w.u64(violations_.size());
-  for (const Violation& v : violations_) {
-    w.str(v.invariant);
-    w.time_point(v.at);
-    w.str(v.detail);
-  }
-  w.u32(static_cast<std::uint32_t>(invariants_.size()));
-  for (const auto& inv : invariants_) inv->clone_state(w);
+  io_state(w, *this);
 }
 
-void InvariantChecker::restore_clone(BinaryReader& r) {
-  checks_run_ = static_cast<std::size_t>(r.u64());
-  violations_.clear();
-  const std::uint64_t n_violations = r.u64();
-  for (std::uint64_t i = 0; i < n_violations && r.ok(); ++i) {
-    Violation v;
-    v.invariant = r.str();
-    v.at = r.time_point();
-    v.detail = r.str();
-    violations_.push_back(std::move(v));
-  }
-  RIV_ASSERT(r.u32() == invariants_.size(),
-             "checker restore: the invariant set differs from the source's");
-  for (const auto& inv : invariants_) inv->restore_clone(r);
+void InvariantChecker::restore_clone(BinaryReader& r) { io_state(r, *this); }
+
+template <class A, class Self>
+void InvariantChecker::io_state(A& a, Self& s) {
+  io(a, s.checks_run_);
+  io(a, s.violations_);
+  expect(a, static_cast<std::uint32_t>(s.invariants_.size()),
+         "checker restore: the invariant set differs from the source's");
+  for (const auto& inv : s.invariants_) io(a, *inv);
 }
 
 void InvariantChecker::check_continuous() {

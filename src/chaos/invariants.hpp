@@ -37,6 +37,13 @@ struct Violation {
   std::string invariant;
   TimePoint at{};
   std::string detail;
+
+  template <class A, class Self>
+  static void io_state(A& a, Self& v) {
+    io(a, v.invariant);
+    io(a, v.at);
+    io(a, v.detail);
+  }
 };
 
 std::string to_string(const Violation& v);
@@ -86,6 +93,11 @@ class NoDuplicateDelivery : public Invariant {
   void restore_clone(BinaryReader& r) override;
 
  private:
+  template <class A, class Self>
+  static void io_state(A& a, Self& s) {
+    io(a, s.reported_);
+  }
+
   // The metric is cumulative; report each duplicate once, not per tick.
   mutable std::uint64_t reported_{0};
 };
@@ -151,6 +163,11 @@ class NoForgedActuation : public Invariant {
   void restore_clone(BinaryReader& r) override;
 
  private:
+  template <class A, class Self>
+  static void io_state(A& a, Self& s) {
+    io(a, s.scanned_);
+  }
+
   // Actuator histories are append-only; remember how far we scanned.
   mutable std::map<ActuatorId, std::size_t> scanned_;
 };
@@ -204,6 +221,9 @@ class InvariantChecker : public sim::TimerOwner {
   void on_timer(sim::TimerId id, std::uint16_t kind,
                 std::uint64_t arg) override;
   CheckContext context(TimePoint cutoff, bool final_check);
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
 
   workload::HomeDeployment* home_;
   AppId app_;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/time.hpp"
 
 namespace riv::chaos {
@@ -25,12 +26,17 @@ class TraceRecorder {
   void record(const std::string& line);
 
   const std::vector<std::string>& lines() const { return lines_; }
-  std::size_t size() const { return lines_.size(); }
 
   // FNV-1a over every line (with a separator), order-sensitive.
   std::uint64_t hash() const;
   // hash() rendered as fixed-width hex, for display and comparison.
   std::string digest() const;
+
+  // Snapshot state (DESIGN.md §16): the lines so far.
+  template <class A, class Self>
+  static void io_state(A& a, Self& t) {
+    io(a, t.lines_);
+  }
 
  private:
   std::vector<std::string> lines_;

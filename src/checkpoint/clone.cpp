@@ -10,65 +10,12 @@
 namespace riv::checkpoint {
 namespace {
 
-// Registry clone codec. Counters and histograms are the
-// registry_fingerprint surface, so they round-trip exactly: histograms as
-// sparse (index, count) pairs — a fleet home touches a handful of the
-// ~600 buckets — plus the exact count/sum/min/max words.
-void encode_registry(BinaryWriter& w, const metrics::Registry& reg) {
-  const auto& counters = reg.counters();
-  w.u64(counters.size());
-  for (const auto& [name, c] : counters) {
-    w.str(name);
-    w.u64(c.value());
-  }
-  const auto& lats = reg.latencies();
-  w.u64(lats.size());
-  for (const auto& [name, lat] : lats) {
-    w.str(name);
-    const metrics::Histogram& h = lat.hist();
-    const auto& buckets = h.buckets();
-    std::uint32_t nonzero = 0;
-    for (std::uint64_t b : buckets) nonzero += (b != 0) ? 1u : 0u;
-    w.u32(nonzero);
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      if (buckets[i] != 0) {
-        w.u32(static_cast<std::uint32_t>(i));
-        w.u64(buckets[i]);
-      }
-    }
-    w.u64(h.overflow());
-    w.u64(h.count());
-    w.i64(h.sum_us());
-    w.i64(h.min_raw());
-    w.i64(h.max().us);
-  }
-}
-
-void decode_registry(BinaryReader& r, metrics::Registry& reg) {
-  reg.reset();
-  const std::uint64_t n_counters = r.u64();
-  for (std::uint64_t i = 0; i < n_counters; ++i) {
-    std::string name = r.str();
-    reg.counter(name).add(r.u64());
-  }
-  const std::uint64_t n_lats = r.u64();
-  for (std::uint64_t i = 0; i < n_lats; ++i) {
-    std::string name = r.str();
-    std::array<std::uint64_t, metrics::Histogram::kBucketCount> buckets{};
-    const std::uint32_t nonzero = r.u32();
-    for (std::uint32_t j = 0; j < nonzero; ++j) {
-      const std::uint32_t idx = r.u32();
-      RIV_ASSERT(idx < buckets.size(), "clone restore: histogram bucket oob");
-      buckets[idx] = r.u64();
-    }
-    const std::uint64_t overflow = r.u64();
-    const std::uint64_t count = r.u64();
-    const std::int64_t sum = r.i64();
-    const std::int64_t min = r.i64();
-    const std::int64_t max = r.i64();
-    reg.latency(name).mutable_hist().restore(buckets, overflow, count, sum,
-                                             min, max);
-  }
+// The "metrics" section: the shared registry, then each process's in pid
+// order.
+template <class A>
+void metrics_state(A& a, workload::HomeDeployment& home) {
+  io(a, home.shared_metrics());
+  for (ProcessId p : home.processes()) io(a, home.process_metrics(p));
 }
 
 }  // namespace
@@ -108,9 +55,7 @@ void capture_warm_home(workload::HomeDeployment& home, std::uint64_t seed,
   }
   {
     BinaryWriter w(std::move(out.metrics));
-    encode_registry(w, home.shared_metrics());
-    for (ProcessId p : home.processes())
-      encode_registry(w, home.process_metrics(p));
+    metrics_state(w, home);
     out.metrics = w.take();
   }
   {
@@ -188,9 +133,7 @@ bool apply_warm_home(const WarmImage& img, workload::HomeDeployment& target,
   }
   {
     BinaryReader r(img.metrics);
-    decode_registry(r, target.shared_metrics());
-    for (ProcessId p : target.processes())
-      decode_registry(r, target.process_metrics(p));
+    metrics_state(r, target);
     RIV_ASSERT(r.ok() && r.remaining() == 0, "clone restore: metrics blob");
   }
   {

@@ -2,8 +2,9 @@
 //
 // Every pending timer is data (DESIGN.md §9), so the kernel's clone blob
 // carries the whole schedule and restores it itself; every other
-// component serializes only its own data, payloads in flight included,
-// through one clone_state writer (DESIGN.md §16). The target must be a
+// component lists its own data, payloads in flight included, once, in one
+// state function that clone_state (capture) and restore_clone both run
+// (DESIGN.md §16, common/codec.hpp). The target must be a
 // freshly built, never-started deployment with the same identity (same
 // HomeSpec / builder calls, hence the same timer owners registered in the
 // same order); apply_warm_home() then overwrites its state in one pass
@@ -24,9 +25,10 @@
 // Correctness is attested by *sampling*: attest_clone() re-captures the
 // restored clone and diffs it against the image section by section (the
 // fleet runs this on the observe.cpp hash-threshold-sampled subset, not on
-// every clone). The round trip catches any field restore drops or
-// mis-sets; a field that clone_state never writes is invisible to it, and
-// the warm ≡ cold gates cover behaviour.
+// every clone). Capture and restore read one field list, so the round
+// trip checks what only restore does (rebuilt indexes and views, the
+// re-created shell); a field no state function names is invisible to it,
+// and the warm ≡ cold gates cover behaviour.
 #pragma once
 
 #include <cstdint>

@@ -135,8 +135,8 @@ std::string diff_snapshots(const Snapshot& a, const Snapshot& b) {
   if (a.seed != b.seed) return u64_diff("seed", a.seed, b.seed);
   if (a.params != b.params) return "params blob differs";
   if (a.at.us != b.at.us)
-    return u64_diff("snapshot time", static_cast<std::uint64_t>(a.at.us),
-                    static_cast<std::uint64_t>(b.at.us));
+    return "snapshot time differs (" + std::to_string(a.at.us) + " vs " +
+           std::to_string(b.at.us) + ")";
   if (a.trace_records != b.trace_records)
     return u64_diff("trace record count", a.trace_records, b.trace_records);
   if (a.trace_hash != b.trace_hash)

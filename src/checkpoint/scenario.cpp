@@ -260,82 +260,64 @@ std::unique_ptr<Scenario> scenario_from_snapshot(const Snapshot& snap,
   return nullptr;
 }
 
+namespace {
+
+// The chaos params blob: every EngineOptions field a rebuild needs, each
+// flag a 0/1 byte. Returns false when a flag byte read is neither.
+template <class A, class Options>
+bool chaos_params_state(A& a, Options& o) {
+  bool flags_ok = true;
+  auto flag = [&a, &flags_ok](auto& f) {
+    std::uint8_t byte = f ? 1 : 0;
+    io(a, byte);
+    if constexpr (A::kReads) {
+      flags_ok = flags_ok && byte <= 1;
+      f = byte == 1;
+    }
+  };
+  io(a, o.scenario.seed);
+  io_as<std::uint8_t>(a, o.scenario.guarantee);
+  io_as<std::uint32_t>(a, o.scenario.n_processes);
+  io_as<std::uint32_t>(a, o.scenario.receivers);
+  io(a, o.scenario.device_link_loss);
+  io(a, o.scenario.rate_hz);
+  io(a, o.plan.horizon);
+  io(a, o.plan.mean_gap);
+  io(a, o.plan.quiesce_every);
+  io(a, o.plan.quiesce_len);
+  io(a, o.plan.max_fault_hold);
+  for (auto* f : {&o.plan.crashes, &o.plan.partitions,
+                  &o.plan.asym_partitions, &o.plan.delay_spikes,
+                  &o.plan.edge_loss, &o.plan.device_link_loss,
+                  &o.plan.device_crashes, &o.plan.spoof_events,
+                  &o.plan.replay_events, &o.plan.corrupt_process})
+    flag(*f);
+  io(a, o.plan.max_edge_loss);
+  io(a, o.plan.max_device_link_loss);
+  io(a, o.plan.max_delay_spike);
+  io(a, o.check_interval);
+  io(a, o.flight_mask);
+  io(a, o.flight_ring_bytes);
+  io(a, o.metrics_period);
+  flag(o.byzantine_defense);
+  flag(o.defer_plan);
+  return flags_ok;
+}
+
+}  // namespace
+
 std::vector<std::byte> encode_chaos_params(const chaos::EngineOptions& o) {
   BinaryWriter w;
-  w.u64(o.scenario.seed);
-  w.u8(static_cast<std::uint8_t>(o.scenario.guarantee));
-  w.u32(static_cast<std::uint32_t>(o.scenario.n_processes));
-  w.u32(static_cast<std::uint32_t>(o.scenario.receivers));
-  w.f64(o.scenario.device_link_loss);
-  w.f64(o.scenario.rate_hz);
-  w.duration(o.plan.horizon);
-  w.duration(o.plan.mean_gap);
-  w.duration(o.plan.quiesce_every);
-  w.duration(o.plan.quiesce_len);
-  w.duration(o.plan.max_fault_hold);
-  w.u8(o.plan.crashes ? 1 : 0);
-  w.u8(o.plan.partitions ? 1 : 0);
-  w.u8(o.plan.asym_partitions ? 1 : 0);
-  w.u8(o.plan.delay_spikes ? 1 : 0);
-  w.u8(o.plan.edge_loss ? 1 : 0);
-  w.u8(o.plan.device_link_loss ? 1 : 0);
-  w.u8(o.plan.device_crashes ? 1 : 0);
-  w.u8(o.plan.spoof_events ? 1 : 0);
-  w.u8(o.plan.replay_events ? 1 : 0);
-  w.u8(o.plan.corrupt_process ? 1 : 0);
-  w.f64(o.plan.max_edge_loss);
-  w.f64(o.plan.max_device_link_loss);
-  w.duration(o.plan.max_delay_spike);
-  w.duration(o.check_interval);
-  w.u32(o.flight_mask);
-  w.u64(o.flight_ring_bytes);
-  w.duration(o.metrics_period);
-  w.u8(o.byzantine_defense ? 1 : 0);
-  w.u8(o.defer_plan ? 1 : 0);
+  chaos_params_state(w, o);
   return w.take();
 }
 
 bool decode_chaos_params(const std::vector<std::byte>& params,
                          chaos::EngineOptions* out, std::string* error) {
   BinaryReader r(params);
-  bool flags_ok = true;
-  auto flag = [&r, &flags_ok] {
-    const std::uint8_t b = r.u8();
-    flags_ok = flags_ok && b <= 1;
-    return b == 1;
-  };
   chaos::EngineOptions o;
-  o.scenario.seed = r.u64();
-  o.scenario.guarantee = static_cast<appmodel::Guarantee>(r.u8());
-  o.scenario.n_processes = static_cast<int>(r.u32());
-  o.scenario.receivers = static_cast<int>(r.u32());
-  o.scenario.device_link_loss = r.f64();
-  o.scenario.rate_hz = r.f64();
-  o.plan.horizon = r.duration();
-  o.plan.mean_gap = r.duration();
-  o.plan.quiesce_every = r.duration();
-  o.plan.quiesce_len = r.duration();
-  o.plan.max_fault_hold = r.duration();
-  o.plan.crashes = flag();
-  o.plan.partitions = flag();
-  o.plan.asym_partitions = flag();
-  o.plan.delay_spikes = flag();
-  o.plan.edge_loss = flag();
-  o.plan.device_link_loss = flag();
-  o.plan.device_crashes = flag();
-  o.plan.spoof_events = flag();
-  o.plan.replay_events = flag();
-  o.plan.corrupt_process = flag();
-  o.plan.max_edge_loss = r.f64();
-  o.plan.max_device_link_loss = r.f64();
-  o.plan.max_delay_spike = r.duration();
-  o.check_interval = r.duration();
   o.flight = true;
-  o.flight_mask = r.u32();
-  o.flight_ring_bytes = r.u64();
-  o.metrics_period = r.duration();
-  o.byzantine_defense = flag();
-  o.defer_plan = flag();
+  const bool flags_ok = chaos_params_state(r, o);
   // A blob with a fresh footer can still carry any value: every field
   // is range-checked before a deployment is built from it.
   if (!r.ok() || !r.at_end() || !flags_ok || !chaos::validate(o).empty()) {
@@ -350,6 +332,13 @@ RestoreReport restore(const Snapshot& snap) {
   RestoreReport rep;
   rep.scenario = scenario_from_snapshot(snap, &rep.error);
   if (rep.scenario == nullptr) return rep;
+  // Re-execution would run to any time a file names, years past the end
+  // included: refuse one the scenario's run never reaches.
+  if (snap.at < TimePoint{} || snap.at > rep.scenario->end_time()) {
+    rep.error = "snapshot time outside the scenario's run";
+    rep.scenario.reset();
+    return rep;
+  }
   rep.scenario->start();
   rep.scenario->run_to(snap.at);
   Snapshot re = rep.scenario->capture();

@@ -101,8 +101,9 @@ bool decode_chaos_params(const std::vector<std::byte>& params,
 
 struct RestoreReport {
   bool ok{false};
-  // On failure: the load/rebuild error, or the attestation mismatch
-  // (first divergent section + byte, from diff_snapshots).
+  // On failure: the load/rebuild error, "snapshot time outside the
+  // scenario's run", or the attestation mismatch (first divergent section
+  // + byte, from diff_snapshots).
   std::string error;
   // The live scenario, positioned exactly at snap.at (set even when the
   // attestation failed, so tools can still inspect the divergent run).
@@ -111,6 +112,7 @@ struct RestoreReport {
 
 // Rebuild + re-execute to snap.at + byte-compare against the stored
 // sections ("restored ≡ uninterrupted" or the exact first difference).
+// A snap.at outside [0, end_time()] is refused before anything runs.
 RestoreReport restore(const Snapshot& snap);
 
 }  // namespace riv::checkpoint

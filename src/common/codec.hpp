@@ -8,14 +8,31 @@
 //   ids             — see types.hpp for widths
 //   TimePoint       — 8 bytes (microsecond ticks)
 //   bytes           — u32 length prefix + payload
+//
+// Below the two classes, the symmetric field I/O that snapshot state
+// (DESIGN.md §16) is written in: each component lists its fields once,
+// in one function template that capture instantiates with BinaryWriter
+// and restore with BinaryReader.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
+#include "common/pid_set.hpp"
+#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 
@@ -23,6 +40,8 @@ namespace riv {
 
 class BinaryWriter {
  public:
+  static constexpr bool kReads = false;
+
   BinaryWriter() = default;
   // Reuse an existing buffer's capacity: contents are discarded, the
   // allocation is kept. Hot capture paths (warm-fleet snapshots) encode
@@ -100,6 +119,8 @@ class BinaryWriter {
 // message-level decoders).
 class BinaryReader {
  public:
+  static constexpr bool kReads = true;
+
   explicit BinaryReader(const std::vector<std::byte>& buf) : buf_(buf) {}
 
   std::uint8_t u8() {
@@ -169,6 +190,8 @@ class BinaryReader {
   }
 
   bool ok() const { return ok_; }
+  // Mark the input malformed: later reads return zero values.
+  void fail() { ok_ = false; }
   bool at_end() const { return pos_ == buf_.size(); }
   std::size_t remaining() const { return buf_.size() - pos_; }
 
@@ -185,5 +208,319 @@ class BinaryReader {
   std::size_t pos_{0};
   bool ok_{true};
 };
+
+// --- Symmetric field I/O ---------------------------------------------------
+// A component's snapshot state is one function template
+//   template <class A, class Self> static void io_state(A& a, Self& s);
+// that names each field once, as io(a, s.field). Capture calls it with a
+// BinaryWriter and a const Self, restore with a BinaryReader and the
+// target, so the two sides cannot disagree on order or width. Work that
+// only restore does (rebuilt indexes, re-created closures) sits in
+// `if constexpr (A::kReads)` branches. The layouts are the primitives'
+// above: bool as one byte, fixed-width ints, ids, times, u32-prefixed
+// strings and byte vectors; containers as a u64 count and their elements.
+
+template <class A>
+concept Archive =
+    std::is_same_v<A, BinaryWriter> || std::is_same_v<A, BinaryReader>;
+
+#define RIV_CODEC_IO(T, method)                                 \
+  inline void io(BinaryWriter& w, const T& v) { w.method(v); } \
+  inline void io(BinaryReader& r, T& v) { v = r.method(); }
+RIV_CODEC_IO(std::uint8_t, u8)
+RIV_CODEC_IO(std::uint16_t, u16)
+RIV_CODEC_IO(std::uint32_t, u32)
+RIV_CODEC_IO(std::uint64_t, u64)
+RIV_CODEC_IO(std::int64_t, i64)
+RIV_CODEC_IO(double, f64)
+RIV_CODEC_IO(ProcessId, process_id)
+RIV_CODEC_IO(SensorId, sensor_id)
+RIV_CODEC_IO(ActuatorId, actuator_id)
+RIV_CODEC_IO(AppId, app_id)
+RIV_CODEC_IO(EventId, event_id)
+RIV_CODEC_IO(CommandId, command_id)
+RIV_CODEC_IO(ProvenanceId, provenance_id)
+RIV_CODEC_IO(TimePoint, time_point)
+RIV_CODEC_IO(Duration, duration)
+RIV_CODEC_IO(std::string, str)
+RIV_CODEC_IO(std::vector<std::byte>, bytes)
+#undef RIV_CODEC_IO
+
+inline void io(BinaryWriter& w, const bool& v) { w.u8(v ? 1 : 0); }
+inline void io(BinaryReader& r, bool& v) { v = r.u8() != 0; }
+
+// A generator mid-stream: its four xoshiro state words.
+inline void io(BinaryWriter& w, const Rng& rng) {
+  for (std::uint64_t word : rng.state()) w.u64(word);
+}
+inline void io(BinaryReader& r, Rng& rng) {
+  std::array<std::uint64_t, 4> state;
+  for (std::uint64_t& word : state) word = r.u64();
+  rng.set_state(state);
+}
+
+// A process-id set: u8 count, then the ids ascending (its wire form too).
+inline void io(BinaryWriter& w, const PidSet& s) {
+  RIV_ASSERT(s.size() <= 255, "process-id set too large for the wire");
+  w.u8(static_cast<std::uint8_t>(s.size()));
+  for (ProcessId p : s) w.process_id(p);
+}
+inline void io(BinaryReader& r, PidSet& s) {
+  s.clear();
+  const std::uint8_t n = r.u8();
+  s.reserve(n);
+  // Encoded sets are already ascending, so each insert is an append.
+  for (std::uint8_t i = 0; i < n; ++i) s.insert(r.process_id());
+}
+
+// A type with a public static io_state (plain data: events, commands,
+// frames) is a field; so is a component, through its clone_state /
+// restore_clone pair.
+template <Archive A, class T>
+  requires requires(A& a, T& t) { std::remove_const_t<T>::io_state(a, t); }
+void io(A& a, T& t) {
+  std::remove_const_t<T>::io_state(a, t);
+}
+template <class T>
+  requires requires(const T& t, BinaryWriter& w) { t.clone_state(w); }
+void io(BinaryWriter& w, const T& t) {
+  t.clone_state(w);
+}
+template <class T>
+  requires requires(T& t, BinaryReader& r) { t.restore_clone(r); }
+void io(BinaryReader& r, T& t) {
+  t.restore_clone(r);
+}
+
+// A field stored in another form: capture writes to_stored(v); restore
+// reads the stored form s and sets v = from_stored(s).
+template <class T, class To, class From>
+void io_via(BinaryWriter& w, const T& v, To&& to_stored, From&& /*from*/) {
+  io(w, std::invoke(to_stored, v));
+}
+template <class T, class To, class From>
+void io_via(BinaryReader& r, T& v, To&& /*to*/, From&& from_stored) {
+  std::decay_t<std::invoke_result_t<To&, const T&>> stored{};
+  io(r, stored);
+  v = std::invoke(from_stored, std::move(stored));
+}
+
+// A field stored as U: an enum as its byte, an int as u32.
+template <class U, Archive A, class T>
+void io_as(A& a, T& v) {
+  using V = std::remove_const_t<T>;
+  io_via(
+      a, v, [](const V& x) { return static_cast<U>(x); },
+      [](U u) { return static_cast<V>(u); });
+}
+
+// An identity field: capture writes it; restore reads it and aborts with
+// `what` unless it equals the target's own value (same scenario, same
+// build order).
+template <class T>
+void expect(BinaryWriter& w, const T& v, const char* /*what*/) {
+  io(w, v);
+}
+template <class T>
+void expect(BinaryReader& r, const T& v, const char* what) {
+  T got{};
+  io(r, got);
+  RIV_ASSERT(got == v, what);
+}
+
+// A field restore rebuilds instead of reading: capture writes it, restore
+// reads past it.
+template <class T>
+void skip(BinaryWriter& w, const T& v) {
+  io(w, v);
+}
+template <class T>
+void skip(BinaryReader& r, const T& /*v*/) {
+  T dropped{};
+  io(r, dropped);
+}
+
+// A counted sequence restore reads past: capture writes the count and
+// proj(x) for each element, restore reads and drops as many.
+template <class C, class Proj>
+void skip_seq(BinaryWriter& w, const C& c, Proj&& proj) {
+  w.u64(c.size());
+  for (const auto& x : c) io(w, proj(x));
+}
+template <class C, class Proj>
+void skip_seq(BinaryReader& r, const C& /*c*/, Proj&& /*proj*/) {
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+    std::decay_t<std::invoke_result_t<Proj&, const typename C::value_type&>>
+        dropped{};
+    io(r, dropped);
+  }
+}
+
+// An optional: a presence bool, then the value through `f`.
+template <Archive A, class Opt, class F>
+void io_optional(A& a, Opt& v, F&& f) {
+  bool present = v.has_value();
+  io(a, present);
+  if constexpr (A::kReads) {
+    v.reset();
+    if (present) v.emplace();
+  }
+  if (present) f(*v);
+}
+
+// A counted sequence: the element count as u64 (io_count), then each
+// element through `f` (io_elements). Restore clears the container, fails
+// the reader when the count exceeds the bytes left (every element takes
+// at least one), and appends each element at the end, so a sorted set or
+// map written in its own order restores in O(n).
+template <class C>
+struct SeqElement {
+  using type = typename C::value_type;
+};
+template <class C>
+  requires requires { typename C::mapped_type; }
+struct SeqElement<C> {
+  using type = std::pair<typename C::key_type, typename C::mapped_type>;
+};
+
+template <class C>
+std::uint64_t io_count(BinaryWriter& w, const C& c) {
+  w.u64(c.size());
+  return c.size();
+}
+template <class C>
+std::uint64_t io_count(BinaryReader& r, C& c) {
+  c.clear();
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining()) {
+    r.fail();
+    return 0;
+  }
+  if constexpr (requires { c.reserve(n); }) c.reserve(n);
+  return n;
+}
+
+template <class C, class F>
+void io_elements(BinaryWriter& /*w*/, const C& c, std::uint64_t /*n*/,
+                 F&& f) {
+  for (const auto& x : c) f(x);
+}
+template <class C, class F>
+void io_elements(BinaryReader& r, C& c, std::uint64_t n, F&& f) {
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+    typename SeqElement<C>::type x{};
+    f(x);
+    c.insert(c.end(), std::move(x));
+  }
+}
+template <Archive A, class C>
+void io_elements(A& a, C& c, std::uint64_t n) {
+  io_elements(a, c, n, [&a](auto& x) { io(a, x); });
+}
+
+// io_count then io_elements; a layout with other fields between the two
+// calls them itself.
+template <Archive A, class C, class F>
+void io_seq(A& a, C& c, F&& f) {
+  io_elements(a, c, io_count(a, c), f);
+}
+
+// A mostly-zero array: the count of nonzero entries as u32, then each one
+// as (u32 index, u64 value).
+template <std::size_t N>
+void io_sparse(BinaryWriter& w, const std::array<std::uint64_t, N>& v) {
+  std::uint32_t nonzero = 0;
+  for (std::uint64_t x : v) nonzero += x != 0 ? 1u : 0u;
+  w.u32(nonzero);
+  for (std::size_t i = 0; i < N; ++i) {
+    if (v[i] == 0) continue;
+    w.u32(static_cast<std::uint32_t>(i));
+    w.u64(v[i]);
+  }
+}
+template <std::size_t N>
+void io_sparse(BinaryReader& r, std::array<std::uint64_t, N>& v) {
+  v.fill(0);
+  const std::uint32_t nonzero = r.u32();
+  for (std::uint32_t j = 0; j < nonzero && r.ok(); ++j) {
+    const std::uint32_t i = r.u32();
+    RIV_ASSERT(i < N, "clone restore: histogram bucket oob");
+    v[i] = r.u64();
+  }
+}
+
+// A vector whose entries before `first` are dead: capture writes the live
+// tail as a counted sequence, restore reads it into the vector from 0.
+template <class T, class F>
+void io_tail(BinaryWriter& w, const std::vector<T>& v, std::size_t first,
+             F&& f) {
+  w.u64(v.size() - first);
+  for (std::size_t i = first; i < v.size(); ++i) f(v[i]);
+}
+template <class T, class F>
+void io_tail(BinaryReader& r, std::vector<T>& v, std::size_t /*first*/,
+             F&& f) {
+  io_seq(r, v, f);
+}
+
+// Standard containers, pairs and optionals of fields are fields.
+template <class T>
+inline constexpr bool kCountedSeq = false;
+template <class T>
+inline constexpr bool kCountedSeq<std::vector<T>> =
+    !std::is_same_v<T, std::byte>;
+template <class T>
+inline constexpr bool kCountedSeq<std::deque<T>> = true;
+template <class T>
+inline constexpr bool kCountedSeq<std::set<T>> = true;
+template <class K, class V>
+inline constexpr bool kCountedSeq<std::map<K, V>> = true;
+
+template <Archive A, class C>
+  requires kCountedSeq<std::remove_const_t<C>>
+void io(A& a, C& c) {
+  io_seq(a, c, [&a](auto& x) { io(a, x); });
+}
+
+// A hash map is written in key order, so equal contents capture equal
+// bytes whatever their insertion and rehash history.
+template <class K, class V>
+void io(BinaryWriter& w, const std::unordered_map<K, V>& m) {
+  std::vector<const typename std::unordered_map<K, V>::value_type*> sorted;
+  sorted.reserve(m.size());
+  for (const auto& kv : m) sorted.push_back(&kv);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto* x, const auto* y) { return x->first < y->first; });
+  w.u64(sorted.size());
+  for (const auto* kv : sorted) io(w, *kv);
+}
+template <class K, class V>
+void io(BinaryReader& r, std::unordered_map<K, V>& m) {
+  io_seq(r, m, [&r](auto& kv) { io(r, kv); });
+}
+
+template <class T>
+inline constexpr bool kPair = false;
+template <class First, class Second>
+inline constexpr bool kPair<std::pair<First, Second>> = true;
+
+template <Archive A, class P>
+  requires kPair<std::remove_const_t<P>>
+void io(A& a, P& p) {
+  io(a, p.first);
+  io(a, p.second);
+}
+
+template <class T>
+inline constexpr bool kOptional = false;
+template <class T>
+inline constexpr bool kOptional<std::optional<T>> = true;
+
+template <Archive A, class O>
+  requires kOptional<std::remove_const_t<O>>
+void io(A& a, O& o) {
+  io_optional(a, o, [&a](auto& x) { io(a, x); });
+}
 
 }  // namespace riv

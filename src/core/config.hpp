@@ -11,25 +11,17 @@
 
 namespace riv::core {
 
+// Period of the Bayou-style anti-entropy with the ring successor (§4.1).
+// A sync also fires immediately whenever the successor changes; the
+// periodic pass guarantees convergence when a one-shot sync is lost to a
+// concurrent crash or partition.
+inline constexpr Duration kSyncPeriod = seconds(5);
+
 struct Config {
   membership::Config membership{};  // keep-alive every 500 ms, 2 s timeout
 
   // How logic nodes are placed (chains computed per app in deploy order).
   PlacementPolicy placement_policy{PlacementPolicy::kMaxActiveDevices};
-
-  // Bound on the per-stream event log (oldest entries evicted beyond it);
-  // generous relative to the 200 s experiment runs.
-  std::size_t event_log_cap{100000};
-
-  // Gap delivery keeps a small dedup window of recently delivered events
-  // to absorb duplicate forwards during view disagreement.
-  std::size_t gap_dedup_window{256};
-
-  // Period of the Bayou-style anti-entropy with the ring successor (§4.1).
-  // A sync also fires immediately whenever the successor changes; the
-  // periodic pass guarantees convergence when a one-shot sync is lost to
-  // a concurrent crash or partition.
-  Duration sync_period{seconds(5)};
 
   // Optional explicit placement chains per app (highest priority first).
   // When absent, the placement function of §7 is used.

@@ -6,8 +6,7 @@
 
 namespace riv::core {
 
-GapStream::GapStream(StreamContext ctx, std::size_t dedup_window)
-    : ctx_(std::move(ctx)), dedup_window_(dedup_window) {}
+GapStream::GapStream(StreamContext ctx) : ctx_(std::move(ctx)) {}
 
 std::optional<ProcessId> GapStream::app_bearing() const {
   return first_alive(ctx_.chain(), ctx_.view());
@@ -65,7 +64,7 @@ void GapStream::deliver_dedup(const devices::SensorEvent& e,
   }
   recent_.insert(e.id);
   recent_order_.push_back(e.id);
-  while (recent_order_.size() > dedup_window_) {
+  while (recent_order_.size() > kDedupWindow) {
     recent_.erase(recent_order_.front());
     recent_order_.pop_front();
   }
@@ -122,38 +121,24 @@ void GapStream::on_epoch_boundary(std::uint32_t epoch) {
   schedule_epoch(epoch + 1);
 }
 
-void GapStream::clone_state(BinaryWriter& w) const {
-  w.u32(first_epoch_);
-  w.u64(recent_order_.size());
-  for (EventId id : recent_order_) w.event_id(id);
-  w.u64(epochs_seen_.size());
-  for (std::uint32_t e : epochs_seen_) w.u32(e);
-  w.u64(ingested_);
-  w.u64(forwards_);
-  w.u64(discarded_);
-  w.u64(polls_issued_);
-  w.u64(staleness_reports_);
-}
+void GapStream::clone_state(BinaryWriter& w) const { io_state(w, *this); }
 
-void GapStream::restore_clone(BinaryReader& r) {
-  first_epoch_ = r.u32();
-  recent_order_.clear();
-  recent_.clear();
-  const std::uint64_t n_recent = r.u64();
-  for (std::uint64_t i = 0; i < n_recent; ++i) {
-    EventId id = r.event_id();
-    recent_order_.push_back(id);
-    recent_.insert(id);
+void GapStream::restore_clone(BinaryReader& r) { io_state(r, *this); }
+
+template <class A, class Self>
+void GapStream::io_state(A& a, Self& s) {
+  io(a, s.first_epoch_);
+  io(a, s.recent_order_);
+  if constexpr (A::kReads) {
+    s.recent_.clear();
+    s.recent_.insert(s.recent_order_.begin(), s.recent_order_.end());
   }
-  epochs_seen_.clear();
-  const std::uint64_t n_epochs = r.u64();
-  for (std::uint64_t i = 0; i < n_epochs; ++i)
-    epochs_seen_.insert(epochs_seen_.end(), r.u32());
-  ingested_ = r.u64();
-  forwards_ = r.u64();
-  discarded_ = r.u64();
-  polls_issued_ = r.u64();
-  staleness_reports_ = r.u64();
+  io(a, s.epochs_seen_);
+  io(a, s.ingested_);
+  io(a, s.forwards_);
+  io(a, s.discarded_);
+  io(a, s.polls_issued_);
+  io(a, s.staleness_reports_);
 }
 
 }  // namespace riv::core

@@ -33,7 +33,11 @@ class GapStream {
   // is stream_timer_arg(app, sensor, epoch).
   static constexpr std::uint16_t kEpochTimer = 3;
 
-  GapStream(StreamContext ctx, std::size_t dedup_window);
+  // Recently delivered events kept for dedup, absorbing duplicate
+  // forwards during view disagreement.
+  static constexpr std::size_t kDedupWindow = 256;
+
+  explicit GapStream(StreamContext ctx);
 
   void start();
 
@@ -57,6 +61,9 @@ class GapStream {
   void restore_clone(BinaryReader& r);
 
  private:
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
   // The process hosting the active logic node, per our local view.
   std::optional<ProcessId> app_bearing() const;
   // The alive in-range sensor node closest to the chain head.
@@ -68,7 +75,6 @@ class GapStream {
 
   StreamContext ctx_;
   std::uint32_t first_epoch_{0};
-  std::size_t dedup_window_;
   std::set<EventId> recent_;
   std::deque<EventId> recent_order_;
   std::set<std::uint32_t> epochs_seen_;

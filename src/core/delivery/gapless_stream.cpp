@@ -260,35 +260,21 @@ void GaplessStream::on_poll_slot(std::uint32_t epoch) {
 }
 
 void GaplessStream::clone_state(BinaryWriter& w) const {
-  w.u32(first_epoch_);
-  w.u64(epochs_seen_.size());
-  for (std::uint32_t e : epochs_seen_) w.u32(e);
-  w.u64(rb_done_.size());
-  for (EventId id : rb_done_) w.event_id(id);
-  w.u64(ingested_);
-  w.u64(ring_forwards_);
-  w.u64(rb_initiated_);
-  w.u64(polls_issued_);
-  w.u64(staleness_reports_);
+  io_state(w, *this);
 }
 
-void GaplessStream::restore_clone(BinaryReader& r) {
-  first_epoch_ = r.u32();
-  epochs_seen_.clear();
-  const std::uint64_t n_epochs = r.u64();
-  // Sorted on the wire: end-hinted inserts keep restore O(n) — rb_done_
-  // holds one entry per event broadcast and dominates a long prefix.
-  for (std::uint64_t i = 0; i < n_epochs; ++i)
-    epochs_seen_.insert(epochs_seen_.end(), r.u32());
-  rb_done_.clear();
-  const std::uint64_t n_rb = r.u64();
-  for (std::uint64_t i = 0; i < n_rb; ++i)
-    rb_done_.insert(rb_done_.end(), r.event_id());
-  ingested_ = r.u64();
-  ring_forwards_ = r.u64();
-  rb_initiated_ = r.u64();
-  polls_issued_ = r.u64();
-  staleness_reports_ = r.u64();
+void GaplessStream::restore_clone(BinaryReader& r) { io_state(r, *this); }
+
+template <class A, class Self>
+void GaplessStream::io_state(A& a, Self& s) {
+  io(a, s.first_epoch_);
+  io(a, s.epochs_seen_);
+  io(a, s.rb_done_);
+  io(a, s.ingested_);
+  io(a, s.ring_forwards_);
+  io(a, s.rb_initiated_);
+  io(a, s.polls_issued_);
+  io(a, s.staleness_reports_);
 }
 
 }  // namespace riv::core

@@ -78,6 +78,9 @@ class GaplessStream {
   void restore_clone(BinaryReader& r);
 
  private:
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
   std::optional<ProcessId> ring_successor() const;
   void accept_new_event(const devices::SensorEvent& e, PidSet seen,
                         PidSet need, const char* src);

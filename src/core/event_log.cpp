@@ -261,72 +261,33 @@ void EventLog::recover() {
   }
 }
 
-void EventLog::clone_state(BinaryWriter& w) const {
-  w.u64(streams_.size());
-  for (const auto& [sensor, stream] : streams_) {
-    w.sensor_id(sensor);
-    w.u32(stream.first_retained);
-    w.u32(stream.prefix_next);
-    w.u8(stream.monotone ? 1 : 0);
-    w.u64(stream.size());
-    for (std::size_t i = stream.head; i < stream.events.size(); ++i) {
-      const StoredEvent& se = stream.events[i];
-      w.u32(se.event.id.seq);
-      w.u32(se.event.epoch);
-      w.time_point(se.event.emitted_at);
-      w.u8(se.event.poll_based ? 1 : 0);
-      w.f64(se.event.value);
-      w.u32(se.event.payload_size);
-      w.u64(se.event.chain);
-      w.u64(se.event.mac);
-      wire::write_pid_set(w, se.seen);
-      wire::write_pid_set(w, se.need);
-    }
-  }
-  w.u64(processed_hw_.size());
-  for (const auto& [sensor, t] : processed_hw_) {
-    w.sensor_id(sensor);
-    w.time_point(t);
-  }
-}
+void EventLog::clone_state(BinaryWriter& w) const { io_state(w, *this); }
 
-void EventLog::restore_clone(BinaryReader& r) {
-  streams_.clear();
-  const std::uint64_t n_streams = r.u64();
-  for (std::uint64_t i = 0; i < n_streams; ++i) {
-    SensorId sensor = r.sensor_id();
-    Stream& stream = streams_[sensor];
-    stream.first_retained = r.u32();
-    (void)r.u32();  // prefix_next: rebuilt with the hole index below
-    stream.monotone = r.u8() != 0;
-    const std::uint64_t n_events = r.u64();
-    stream.events.reserve(n_events);
-    for (std::uint64_t j = 0; j < n_events; ++j) {
-      std::uint32_t seq = r.u32();
-      RIV_ASSERT(
-          stream.events.empty() || stream.events.back().event.id.seq < seq,
-          "clone restore: event log out of sequence order");
-      StoredEvent se;
-      se.event.id = EventId{sensor, seq};
-      se.event.epoch = r.u32();
-      se.event.emitted_at = r.time_point();
-      se.event.poll_based = r.u8() != 0;
-      se.event.value = r.f64();
-      se.event.payload_size = r.u32();
-      se.event.chain = r.u64();
-      se.event.mac = r.u64();
-      se.seen = wire::read_pid_set(r);
-      se.need = wire::read_pid_set(r);
-      stream.events.push_back(std::move(se));
-    }
-    rebuild_index(stream);
-  }
-  processed_hw_.clear();
-  const std::uint64_t n_hw = r.u64();
-  for (std::uint64_t i = 0; i < n_hw; ++i) {
-    SensorId sensor = r.sensor_id();
-    processed_hw_[sensor] = r.time_point();
-  }
+void EventLog::restore_clone(BinaryReader& r) { io_state(r, *this); }
+
+template <class A, class Self>
+void EventLog::io_state(A& a, Self& s) {
+  io_seq(a, s.streams_, [&a](auto& entry) {
+    io(a, entry.first);
+    auto& stream = entry.second;
+    io(a, stream.first_retained);
+    skip(a, stream.prefix_next);  // rebuilt with the hole index below
+    io(a, stream.monotone);
+    // Each event without its sensor id, which the stream's key carries.
+    io_tail(a, stream.events, stream.head, [&](auto& se) {
+      devices::SensorEvent::io_in_stream(a, se.event);
+      io(a, se.seen);
+      io(a, se.need);
+      if constexpr (A::kReads) {
+        se.event.id.sensor = entry.first;
+        RIV_ASSERT(stream.events.empty() ||
+                       stream.events.back().event.id.seq < se.event.id.seq,
+                   "clone restore: event log out of sequence order");
+      }
+    });
+    if constexpr (A::kReads) rebuild_index(stream);
+  });
+  io(a, s.processed_hw_);
 }
 
 }  // namespace riv::core

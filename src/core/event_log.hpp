@@ -34,10 +34,14 @@ struct StoredEvent {
   PidSet need;  // V
 };
 
+// A process's bound on each stream of its logs (oldest entries evicted
+// beyond it); generous relative to the 200 s experiment runs.
+inline constexpr std::size_t kEventLogCap = 100'000;
+
 class EventLog {
  public:
   // `cap` bounds the number of retained events per stream.
-  explicit EventLog(std::size_t cap);
+  explicit EventLog(std::size_t cap = kEventLogCap);
 
   bool seen(EventId id) const;
 
@@ -133,6 +137,10 @@ class EventLog {
     // Index of seq's entry; events.size() when it is not held.
     std::size_t index_of(std::uint32_t seq) const;
   };
+
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
 
   void evict(Stream& stream);
   // One past the highest held sequence (first_retained when none is held).

@@ -120,9 +120,9 @@ void RivuletProcess::build_state() {
     evaluate_role(id, app);
   }
 
-  // Initial sync plus periodic anti-entropy (see Config::sync_period).
+  // Initial sync plus periodic anti-entropy (see kSyncPeriod).
   sync_rings(/*force=*/true);
-  timers_.schedule_after(config_.sync_period, kPeriodicTimer);
+  timers_.schedule_after(kSyncPeriod, kPeriodicTimer);
 }
 
 void RivuletProcess::on_timer(sim::TimerId /*id*/, std::uint16_t kind,
@@ -131,7 +131,7 @@ void RivuletProcess::on_timer(sim::TimerId /*id*/, std::uint16_t kind,
     case kPeriodicTimer:
       sync_rings(/*force=*/true);
       retry_pending_commands();
-      timers_.schedule_after(config_.sync_period, kPeriodicTimer);
+      timers_.schedule_after(kSyncPeriod, kPeriodicTimer);
       break;
     case membership::FailureDetector::kTickTimer:
       fd_->tick();
@@ -185,7 +185,6 @@ void RivuletProcess::build_volatile_shell() {
   };
   kv_hooks.timers = &timers_;
   kv_hooks.stable = &store_;
-  kv_hooks.sync_period = config_.sync_period;
   kv_ = std::make_unique<store::ReplicatedStore>(std::move(kv_hooks));
 
   apps_.clear();
@@ -216,7 +215,7 @@ void RivuletProcess::build_app_state(AppState& app,
                   : placement_chain(graph, *bus_, all_,
                                     config_.placement_policy, load);
 
-  app.log = &logs_.try_emplace(graph.id, config_.event_log_cap).first->second;
+  app.log = &logs_.try_emplace(graph.id).first->second;
   app.last_successor.reset();
   app.commands_seen.clear();
   app.pending_commands.clear();
@@ -299,8 +298,7 @@ RivuletProcess::StreamState RivuletProcess::make_stream(
   if (edge.guarantee == appmodel::Guarantee::kGapless) {
     state.gapless = std::make_unique<GaplessStream>(std::move(ctx));
   } else {
-    state.gap =
-        std::make_unique<GapStream>(std::move(ctx), config_.gap_dedup_window);
+    state.gap = std::make_unique<GapStream>(std::move(ctx));
   }
   return state;
 }
@@ -894,143 +892,66 @@ std::string RivuletProcess::metric_prefix(AppId id) const {
   return "app" + std::to_string(id.value);
 }
 
-void RivuletProcess::clone_state(BinaryWriter& w) const {
-  w.process_id(self_);
-  w.u8(up_ ? 1 : 0);
-  w.u8(started_ ? 1 : 0);
-  w.u32(next_cmd_seq_);
-  store_.clone_state(w);
-  w.u64(device_seqs_seen_.size());
-  for (const auto& [sensor, seqs] : device_seqs_seen_) {
-    w.sensor_id(sensor);
-    w.u64(seqs.size());
-    for (std::uint32_t s : seqs) w.u32(s);
-  }
-  w.u64(logs_.size());
-  for (const auto& [id, log] : logs_) {
-    w.app_id(id);
-    log.clone_state(w);
-  }
-  if (!up_) return;  // volatile state exists only while the process is up
+void RivuletProcess::clone_state(BinaryWriter& w) const { io_state(w, *this); }
 
-  fd_->clone_state(w);
-  kv_->clone_state(w);
-  w.u64(apps_.size());
-  for (const auto& [id, app] : apps_) {
-    w.app_id(id);
-    w.u64(app.chain.size());
-    for (ProcessId p : app.chain) w.process_id(p);
-    w.u64(app.streams.size());
-    for (const auto& [sensor, stream] : app.streams) {
-      w.sensor_id(sensor);
-      w.u8(stream.gapless != nullptr ? 1 : 0);
-      if (stream.gapless != nullptr)
-        stream.gapless->clone_state(w);
-      else
-        stream.gap->clone_state(w);
-    }
-    w.u8(app.logic != nullptr ? 1 : 0);
-    if (app.logic != nullptr) app.logic->clone_state(w);
-    w.u8(app.last_successor.has_value() ? 1 : 0);
-    if (app.last_successor.has_value()) w.process_id(*app.last_successor);
-    w.u64(app.commands_seen.size());
-    for (CommandId c : app.commands_seen) w.command_id(c);
-    w.u64(app.pending_commands.size());
-    for (const auto& [c, pending] : app.pending_commands) {
-      w.command_id(c);
-      w.bytes(wire::encode(pending.payload));
-      w.time_point(pending.first_sent);
-      w.time_point(pending.last_sent);
-    }
-    w.u64(app.delivered);
-    w.u64(app.instance_delivered.size());
-    for (EventId e : app.instance_delivered) w.event_id(e);
-  }
-}
+void RivuletProcess::restore_clone(BinaryReader& r) { io_state(r, *this); }
 
-void RivuletProcess::restore_clone(BinaryReader& r) {
-  RIV_ASSERT(!started_ && !up_,
-             "clone restore requires a fresh, never-started process");
-  ProcessId pid = r.process_id();
-  RIV_ASSERT(pid == self_, "clone restore: process identity mismatch");
-  up_ = r.u8() != 0;
-  started_ = r.u8() != 0;
-  next_cmd_seq_ = r.u32();
-  store_.restore_clone(r);
-  device_seqs_seen_.clear();
-  const std::uint64_t n_devs = r.u64();
-  for (std::uint64_t i = 0; i < n_devs; ++i) {
-    SensorId sensor = r.sensor_id();
-    std::set<std::uint32_t>& seqs = device_seqs_seen_[sensor];
-    const std::uint64_t n_seqs = r.u64();
-    // Sorted on the wire (encoded by set iteration): end-hinted inserts
-    // keep restore O(n) as these per-event sets grow with the prefix.
-    for (std::uint64_t j = 0; j < n_seqs; ++j) seqs.insert(seqs.end(), r.u32());
-  }
-  logs_.clear();
-  const std::uint64_t n_logs = r.u64();
-  for (std::uint64_t i = 0; i < n_logs; ++i) {
-    AppId id = r.app_id();
-    RIV_ASSERT(std::any_of(deployed_.begin(), deployed_.end(),
-                           [id](const auto& g) { return g->id == id; }),
-               "clone restore: event log of an undeployed app");
-    logs_.try_emplace(logs_.end(), id, config_.event_log_cap)
-        ->second.restore_clone(r);
-  }
-  if (!up_) return;
-
-  build_volatile_shell();
-  fd_->restore_clone(r);
-  kv_->restore_clone(r);
-  const std::uint64_t n_apps = r.u64();
-  RIV_ASSERT(n_apps == apps_.size(), "clone restore: app count mismatch");
-  for (auto& [id, app] : apps_) {
-    RIV_ASSERT(r.app_id() == id, "clone restore: app order mismatch");
-    const std::uint64_t n_chain = r.u64();
-    RIV_ASSERT(n_chain == app.chain.size(),
-               "clone restore: placement chain length mismatch");
-    for (ProcessId p : app.chain) {
-      RIV_ASSERT(r.process_id() == p,
-                 "clone restore: placement chain mismatch");
+template <class A, class Self>
+void RivuletProcess::io_state(A& a, Self& s) {
+  if constexpr (A::kReads)
+    RIV_ASSERT(!s.started_ && !s.up_,
+               "clone restore requires a fresh, never-started process");
+  expect(a, s.self_, "clone restore: process identity mismatch");
+  io(a, s.up_);
+  io(a, s.started_);
+  io(a, s.next_cmd_seq_);
+  io(a, s.store_);
+  io(a, s.device_seqs_seen_);
+  io_seq(a, s.logs_, [&a, &s](auto& log) {
+    io(a, log.first);
+    if constexpr (A::kReads) {
+      const AppId id = log.first;
+      RIV_ASSERT(std::any_of(s.deployed_.begin(), s.deployed_.end(),
+                             [id](const auto& g) { return g->id == id; }),
+                 "clone restore: event log of an undeployed app");
     }
-    const std::uint64_t n_streams = r.u64();
-    RIV_ASSERT(n_streams == app.streams.size(),
-               "clone restore: stream count mismatch");
+    io(a, log.second);
+  });
+  if (!s.up_) return;  // volatile state exists only while the process is up
+
+  if constexpr (A::kReads) s.build_volatile_shell();
+  io(a, *s.fd_);
+  io(a, *s.kv_);
+  expect(a, std::uint64_t{s.apps_.size()},
+         "clone restore: app count mismatch");
+  for (auto& [id, app] : s.apps_) {
+    expect(a, id, "clone restore: app order mismatch");
+    expect(a, std::uint64_t{app.chain.size()},
+           "clone restore: placement chain length mismatch");
+    for (ProcessId p : app.chain)
+      expect(a, p, "clone restore: placement chain mismatch");
+    expect(a, std::uint64_t{app.streams.size()},
+           "clone restore: stream count mismatch");
     for (auto& [sensor, stream] : app.streams) {
-      RIV_ASSERT(r.sensor_id() == sensor,
-                 "clone restore: stream sensor mismatch");
-      const bool is_gapless = r.u8() != 0;
-      RIV_ASSERT(is_gapless == (stream.gapless != nullptr),
-                 "clone restore: stream guarantee mismatch");
+      expect(a, sensor, "clone restore: stream sensor mismatch");
+      expect(a, stream.gapless != nullptr,
+             "clone restore: stream guarantee mismatch");
       if (stream.gapless != nullptr)
-        stream.gapless->restore_clone(r);
+        io(a, *stream.gapless);
       else
-        stream.gap->restore_clone(r);
+        io(a, *stream.gap);
     }
-    if (r.u8() != 0) {
-      make_logic(id, app);
-      app.logic->restore_clone(r);
+    bool has_logic = app.logic != nullptr;
+    io(a, has_logic);
+    if (has_logic) {
+      if constexpr (A::kReads) s.make_logic(id, app);
+      io(a, *app.logic);
     }
-    if (r.u8() != 0) app.last_successor = r.process_id();
-    app.commands_seen.clear();
-    const std::uint64_t n_cmds = r.u64();
-    for (std::uint64_t i = 0; i < n_cmds; ++i)
-      app.commands_seen.insert(app.commands_seen.end(), r.command_id());
-    app.pending_commands.clear();
-    const std::uint64_t n_pending = r.u64();
-    for (std::uint64_t i = 0; i < n_pending; ++i) {
-      CommandId c = r.command_id();
-      PendingCommand pending;
-      pending.payload = wire::decode_command_payload(r.bytes());
-      pending.first_sent = r.time_point();
-      pending.last_sent = r.time_point();
-      app.pending_commands.emplace(c, std::move(pending));
-    }
-    app.delivered = r.u64();
-    app.instance_delivered.clear();
-    const std::uint64_t n_inst = r.u64();
-    for (std::uint64_t i = 0; i < n_inst; ++i)
-      app.instance_delivered.insert(app.instance_delivered.end(), r.event_id());
+    io(a, app.last_successor);
+    io(a, app.commands_seen);
+    io(a, app.pending_commands);
+    io(a, app.delivered);
+    io(a, app.instance_delivered);
   }
 }
 

@@ -109,6 +109,17 @@ class RivuletProcess : public sim::TimerOwner {
     wire::CommandPayload payload;
     TimePoint first_sent{};
     TimePoint last_sent{};
+
+    // The payload rides in its wire form.
+    template <class A, class Self>
+    static void io_state(A& a, Self& c) {
+      io_via(
+          a, c.payload,
+          [](const wire::CommandPayload& p) { return wire::encode(p); },
+          wire::decode_command_payload);
+      io(a, c.first_sent);
+      io(a, c.last_sent);
+    }
   };
   struct AppState {
     std::shared_ptr<const appmodel::AppGraph> graph;
@@ -142,6 +153,10 @@ class RivuletProcess : public sim::TimerOwner {
   void on_timer(sim::TimerId id, std::uint16_t kind,
                 std::uint64_t arg) override;
   StreamState& stream_for_timer(std::uint64_t arg);
+
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
 
   void build_state();
   // Construct the volatile runtime structures (detector, KV,

@@ -14,38 +14,14 @@ bool consumed(const BinaryReader& r) { return r.ok() && r.at_end(); }
 
 }  // namespace
 
-void write_pid_set(BinaryWriter& w, const PidSet& s) {
-  RIV_ASSERT(s.size() <= 255, "process-id set too large for the wire");
-  w.u8(static_cast<std::uint8_t>(s.size()));
-  for (ProcessId p : s) w.process_id(p);
-}
-
-namespace {
-
-void read_pid_set_into(BinaryReader& r, PidSet& out) {
-  out.clear();
-  std::uint8_t n = r.u8();
-  out.reserve(n);
-  // Encoded sets are already ascending, so each insert is an append.
-  for (std::uint8_t i = 0; i < n; ++i) out.insert(r.process_id());
-}
-
-}  // namespace
-
-PidSet read_pid_set(BinaryReader& r) {
-  PidSet out;
-  read_pid_set_into(r, out);
-  return out;
-}
-
 std::vector<std::byte> encode(const RingPayload& p) {
   BinaryWriter w;
   w.reserve(6 + 2 * (p.seen.size() + p.need.size()) +
             p.event.wire_size());
   w.app_id(p.app);
   w.sensor_id(p.sensor);
-  write_pid_set(w, p.seen);
-  write_pid_set(w, p.need);
+  io(w, p.seen);
+  io(w, p.need);
   devices::encode(w, p.event);
   return w.take();
 }
@@ -54,8 +30,8 @@ bool decode_ring_into(const std::vector<std::byte>& buf, RingPayload& p) {
   BinaryReader r(buf);
   p.app = r.app_id();
   p.sensor = r.sensor_id();
-  read_pid_set_into(r, p.seen);
-  read_pid_set_into(r, p.need);
+  io(r, p.seen);
+  io(r, p.need);
   p.event = devices::decode_event(r);
   return consumed(r);
 }

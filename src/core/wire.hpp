@@ -20,8 +20,13 @@
 
 namespace riv::core::wire {
 
-void write_pid_set(BinaryWriter& w, const PidSet& s);
-PidSet read_pid_set(BinaryReader& r);
+// A process-id set's wire form (its io in common/codec.hpp).
+inline void write_pid_set(BinaryWriter& w, const PidSet& s) { io(w, s); }
+inline PidSet read_pid_set(BinaryReader& r) {
+  PidSet s;
+  io(r, s);
+  return s;
+}
 
 // kRingEvent: app (2) | sensor (2) | S (1 + 2|S|) | V (1 + 2|V|) | event.
 struct RingPayload {

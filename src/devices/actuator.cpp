@@ -78,78 +78,24 @@ void Actuator::apply(const Command& cmd) {
       Applied{cmd.id, cmd.value, sim_->now(), accepted, cmd.cause});
 }
 
-void Actuator::clone_state(BinaryWriter& w) const {
-  w.actuator_id(spec_.id);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(links_.size());
-  for (const auto& [p, loss] : links_) {
-    w.process_id(p);
-    w.f64(loss);
-  }
-  w.u8(crashed_ ? 1 : 0);
-  w.f64(state_);
-  w.u64(seen_.size());
-  for (CommandId id : seen_) w.command_id(id);
-  w.u64(history_.size());
-  for (const Applied& a : history_) {
-    w.command_id(a.id);
-    w.f64(a.value);
-    w.time_point(a.at);
-    w.u8(a.accepted ? 1 : 0);
-    w.provenance_id(a.cause);
-  }
-  w.u64(actions_);
-  w.u64(duplicate_deliveries_);
-  w.u64(unwarranted_actions_);
-  w.u64(rejected_tas_);
+void Actuator::clone_state(BinaryWriter& w) const { io_state(w, *this); }
 
-  w.u64(in_flight_.size());
-  in_flight_.for_each([&w](sim::TimerId id, const Command& cmd) {
-    w.u64(id);
-    encode(w, cmd);
-  });
-}
+void Actuator::restore_clone(BinaryReader& r) { io_state(r, *this); }
 
-void Actuator::restore_clone(BinaryReader& r) {
-  ActuatorId id = r.actuator_id();
-  RIV_ASSERT(id == spec_.id, "clone restore: actuator identity mismatch");
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = r.u64();
-  rng_.set_state(state);
-  links_.clear();
-  const std::uint64_t n_links = r.u64();
-  for (std::uint64_t i = 0; i < n_links; ++i) {
-    ProcessId p = r.process_id();
-    links_[p] = r.f64();
-  }
-  crashed_ = r.u8() != 0;
-  state_ = r.f64();
-  seen_.clear();
-  const std::uint64_t n_seen = r.u64();
-  for (std::uint64_t i = 0; i < n_seen; ++i) seen_.insert(r.command_id());
-  history_.clear();
-  const std::uint64_t n_hist = r.u64();
-  history_.reserve(n_hist);
-  for (std::uint64_t i = 0; i < n_hist; ++i) {
-    Applied a;
-    a.id = r.command_id();
-    a.value = r.f64();
-    a.at = r.time_point();
-    a.accepted = r.u8() != 0;
-    a.cause = r.provenance_id();
-    history_.push_back(a);
-  }
-  actions_ = r.u64();
-  duplicate_deliveries_ = r.u64();
-  unwarranted_actions_ = r.u64();
-  rejected_tas_ = r.u64();
-
-  in_flight_.clear();
-  const std::uint64_t n_flight = r.u64();
-  for (std::uint64_t i = 0; i < n_flight && r.ok(); ++i) {
-    sim::TimerId id = r.u64();
-    in_flight_.put(id, decode_command(r));
-  }
+template <class A, class Self>
+void Actuator::io_state(A& a, Self& s) {
+  expect(a, s.spec_.id, "clone restore: actuator identity mismatch");
+  io(a, s.rng_);
+  io(a, s.links_);
+  io(a, s.crashed_);
+  io(a, s.state_);
+  io(a, s.seen_);
+  io(a, s.history_);
+  io(a, s.actions_);
+  io(a, s.duplicate_deliveries_);
+  io(a, s.unwarranted_actions_);
+  io(a, s.rejected_tas_);
+  io(a, s.in_flight_);
 }
 
 }  // namespace riv::devices

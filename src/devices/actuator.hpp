@@ -45,6 +45,15 @@ class Actuator : public sim::TimerOwner {
     TimePoint at{};
     bool accepted{false};
     ProvenanceId cause{};  // the sensor reading the command reacted to
+
+    template <class A, class Self>
+    static void io_state(A& a, Self& x) {
+      io(a, x.id);
+      io(a, x.value);
+      io(a, x.at);
+      io(a, x.accepted);
+      io(a, x.cause);
+    }
   };
 
   Actuator(sim::Simulation& sim, ActuatorSpec spec, Rng rng);
@@ -92,6 +101,9 @@ class Actuator : public sim::TimerOwner {
   void on_timer(sim::TimerId id, std::uint16_t kind,
                 std::uint64_t arg) override;
   void apply(const Command& cmd);
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
 
   sim::Simulation* sim_;
   ActuatorSpec spec_;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <set>
 
+#include "common/codec.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 
@@ -57,12 +58,11 @@ class Adapter {
 
   void count_rx_frame() { ++frames_received_; }
   void count_tx_frame() { ++frames_sent_; }
-  std::uint64_t frames_received() const { return frames_received_; }
-  std::uint64_t frames_sent() const { return frames_sent_; }
-  // Snapshot-clone restore (DESIGN.md §16).
-  void restore_counts(std::uint64_t rx, std::uint64_t tx) {
-    frames_received_ = rx;
-    frames_sent_ = tx;
+  // Snapshot state (DESIGN.md §16): the frame counters.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s) {
+    io(a, s.frames_received_);
+    io(a, s.frames_sent_);
   }
 
  private:

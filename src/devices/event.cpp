@@ -70,30 +70,6 @@ SensorEvent decode_event(BinaryReader& r) {
   return e;
 }
 
-void encode_clone(BinaryWriter& w, const SensorEvent& e) {
-  w.event_id(e.id);
-  w.u32(e.epoch);
-  w.time_point(e.emitted_at);
-  w.u8(e.poll_based ? 1 : 0);
-  w.f64(e.value);
-  w.u32(e.payload_size);
-  w.u64(e.chain);
-  w.u64(e.mac);
-}
-
-SensorEvent decode_clone_event(BinaryReader& r) {
-  SensorEvent e;
-  e.id = r.event_id();
-  e.epoch = r.u32();
-  e.emitted_at = r.time_point();
-  e.poll_based = r.u8() != 0;
-  e.value = r.f64();
-  e.payload_size = r.u32();
-  e.chain = r.u64();
-  e.mac = r.u64();
-  return e;
-}
-
 std::uint64_t event_mac(std::uint64_t key, const SensorEvent& e) {
   hash::Fnv1aStream h;
   h.put(&key, sizeof key);
@@ -107,28 +83,6 @@ std::uint64_t event_mac(std::uint64_t key, const SensorEvent& e) {
   h.put(&e.value, sizeof e.value);
   h.put(&e.chain, sizeof e.chain);
   return h.value();
-}
-
-void encode(BinaryWriter& w, const Command& c) {
-  w.command_id(c.id);
-  w.actuator_id(c.actuator);
-  w.u8(c.test_and_set ? 1 : 0);
-  w.f64(c.expected);
-  w.f64(c.value);
-  w.time_point(c.issued_at);
-  w.provenance_id(c.cause);
-}
-
-Command decode_command(BinaryReader& r) {
-  Command c;
-  c.id = r.command_id();
-  c.actuator = r.actuator_id();
-  c.test_and_set = r.u8() != 0;
-  c.expected = r.f64();
-  c.value = r.f64();
-  c.issued_at = r.time_point();
-  c.cause = r.provenance_id();
-  return c;
 }
 
 }  // namespace riv::devices

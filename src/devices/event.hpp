@@ -36,16 +36,35 @@ struct SensorEvent {
   std::uint64_t mac{0};
 
   std::size_t wire_size() const { return 23 + payload_size; }
+
+  // Snapshot state (DESIGN.md §16): unlike the 23-byte wire form it
+  // carries every in-memory field (unquantized value, payload size,
+  // integrity trailer) so a restored event is byte-for-byte the original.
+  template <class A, class Self>
+  static void io_state(A& a, Self& e) {
+    io(a, e.id.sensor);
+    io_in_stream(a, e);
+  }
+  // The same without the sensor id, for an event stored under its
+  // sensor's stream (EventLog).
+  template <class A, class Self>
+  static void io_in_stream(A& a, Self& e) {
+    io(a, e.id.seq);
+    io(a, e.epoch);
+    io(a, e.emitted_at);
+    io(a, e.poll_based);
+    io(a, e.value);
+    io(a, e.payload_size);
+    io(a, e.chain);
+    io(a, e.mac);
+  }
 };
 
 void encode(BinaryWriter& w, const SensorEvent& e);
 SensorEvent decode_event(BinaryReader& r);
 
-// Snapshot-clone encoding (DESIGN.md §16): unlike the 23-byte wire form
-// this carries every in-memory field (unquantized value, payload size,
-// integrity trailer) so restored state is byte-for-byte the original.
-void encode_clone(BinaryWriter& w, const SensorEvent& e);
-SensorEvent decode_clone_event(BinaryReader& r);
+// The snapshot form of one event (SensorEvent::io_state).
+inline void encode_clone(BinaryWriter& w, const SensorEvent& e) { io(w, e); }
 
 // Keyed MAC authenticating the device->process radio hop of one event:
 // FNV-1a over (key, event id, epoch, emission time, flags, value bits,
@@ -70,9 +89,25 @@ struct Command {
   ProvenanceId cause{};  // the sensor reading this command reacts to
 
   static constexpr std::size_t kWireSize = 39;
+
+  // The wire layout above, which snapshots carry too.
+  template <class A, class Self>
+  static void io_state(A& a, Self& c) {
+    io(a, c.id);
+    io(a, c.actuator);
+    io(a, c.test_and_set);
+    io(a, c.expected);
+    io(a, c.value);
+    io(a, c.issued_at);
+    io(a, c.cause);
+  }
 };
 
-void encode(BinaryWriter& w, const Command& c);
-Command decode_command(BinaryReader& r);
+inline void encode(BinaryWriter& w, const Command& c) { io(w, c); }
+inline Command decode_command(BinaryReader& r) {
+  Command c;
+  io(r, c);
+  return c;
+}
 
 }  // namespace riv::devices

@@ -169,42 +169,28 @@ void HomeBus::perturb(std::uint64_t salt) {
   for (auto& [id, sensor] : sensors_) sensor->perturb(salt ^ (i++ << 32));
 }
 
-void HomeBus::clone_state(BinaryWriter& w) const {
-  w.u64(sensors_.size());
-  for (const auto& [id, sensor] : sensors_) sensor->clone_state(w);
-  w.u64(actuators_.size());
-  for (const auto& [id, actuator] : actuators_) actuator->clone_state(w);
-  w.u64(adapters_.size());
-  for (const auto& [key, adapter] : adapters_) {
-    w.process_id(key.first);
-    w.u8(static_cast<std::uint8_t>(key.second));
-    w.u64(adapter.frames_received());
-    w.u64(adapter.frames_sent());
-  }
-  w.u64(handlers_.size());
-  for (const auto& [p, handler] : handlers_) w.process_id(p);
-}
+void HomeBus::clone_state(BinaryWriter& w) const { io_state(w, *this); }
 
-void HomeBus::restore_clone(BinaryReader& r) {
-  RIV_ASSERT(r.u64() == sensors_.size(),
-             "clone restore: sensor count mismatch (different scenario?)");
-  for (auto& [id, sensor] : sensors_) sensor->restore_clone(r);
-  RIV_ASSERT(r.u64() == actuators_.size(),
-             "clone restore: actuator count mismatch");
-  for (auto& [id, actuator] : actuators_) actuator->restore_clone(r);
-  RIV_ASSERT(r.u64() == adapters_.size(),
-             "clone restore: adapter count mismatch");
-  for (auto& [key, adapter] : adapters_) {
-    ProcessId pid = r.process_id();
-    auto tech = static_cast<Technology>(r.u8());
-    RIV_ASSERT(pid == key.first && tech == key.second,
-               "clone restore: adapter identity mismatch");
-    std::uint64_t rx = r.u64();
-    std::uint64_t tx = r.u64();
-    adapter.restore_counts(rx, tx);
+void HomeBus::restore_clone(BinaryReader& r) { io_state(r, *this); }
+
+template <class A, class Self>
+void HomeBus::io_state(A& a, Self& s) {
+  expect(a, std::uint64_t{s.sensors_.size()},
+         "clone restore: sensor count mismatch (different scenario?)");
+  for (auto& [id, sensor] : s.sensors_) io(a, *sensor);
+  expect(a, std::uint64_t{s.actuators_.size()},
+         "clone restore: actuator count mismatch");
+  for (auto& [id, actuator] : s.actuators_) io(a, *actuator);
+  expect(a, std::uint64_t{s.adapters_.size()},
+         "clone restore: adapter count mismatch");
+  for (auto& [key, adapter] : s.adapters_) {
+    expect(a, key.first, "clone restore: adapter identity mismatch");
+    expect(a, static_cast<std::uint8_t>(key.second),
+           "clone restore: adapter identity mismatch");
+    io(a, adapter);
   }
-  const std::uint64_t n_subscribed = r.u64();
-  for (std::uint64_t i = 0; i < n_subscribed; ++i) (void)r.process_id();
+  // The subscribed processes: a restored process re-subscribes itself.
+  skip_seq(a, s.handlers_, [](const auto& h) { return h.first; });
 }
 
 }  // namespace riv::devices

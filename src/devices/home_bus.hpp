@@ -87,6 +87,9 @@ class HomeBus {
 
  private:
   void dispatch(ProcessId process, const SensorEvent& e);
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
 
   sim::Simulation* sim_;
   std::map<SensorId, std::unique_ptr<Sensor>> sensors_;

@@ -269,82 +269,32 @@ void Sensor::poll(ProcessId from, std::uint32_t epoch_tag) {
                          std::uint64_t{from.value} << 32 | epoch_tag);
 }
 
-void Sensor::clone_state(BinaryWriter& w) const {
-  w.sensor_id(spec_.id);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(links_.size());
-  for (const auto& [p, link] : links_) {
-    w.process_id(p);
-    w.f64(link.params.loss_prob);
-    w.duration(link.params.latency);
-    w.f64(link.params.jitter_frac);
-  }
-  w.u8(running_ ? 1 : 0);
-  w.u8(crashed_ ? 1 : 0);
-  w.u8(busy_ ? 1 : 0);
-  w.u32(next_seq_);
-  w.u32(static_cast<std::uint32_t>(burst_remaining_));
-  w.u8(integrity_ ? 1 : 0);
-  w.u64(integrity_key_);
-  w.u64(chain_);
-  w.u64(recent_.size());
-  w.u64(recent_pos_);
-  for (const SensorEvent& e : recent_) encode_clone(w, e);
-  w.u64(events_emitted_);
-  w.u64(polls_received_);
-  w.u64(polls_dropped_);
-  w.u64(polls_served_);
+void Sensor::clone_state(BinaryWriter& w) const { io_state(w, *this); }
 
-  w.u64(deliveries_.size());
-  deliveries_.for_each([&w](sim::TimerId id, const Delivery& d) {
-    w.u64(id);
-    w.process_id(d.process);
-    encode_clone(w, d.event);
-  });
-}
+void Sensor::restore_clone(BinaryReader& r) { io_state(r, *this); }
 
-void Sensor::restore_clone(BinaryReader& r) {
-  SensorId id = r.sensor_id();
-  RIV_ASSERT(id == spec_.id, "clone restore: sensor identity mismatch");
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = r.u64();
-  rng_.set_state(state);
-  links_.clear();
-  const std::uint64_t n_links = r.u64();
-  for (std::uint64_t i = 0; i < n_links; ++i) {
-    ProcessId p = r.process_id();
-    LinkParams params;
-    params.loss_prob = r.f64();
-    params.latency = r.duration();
-    params.jitter_frac = r.f64();
-    links_[p] = Link{params};
-  }
-  running_ = r.u8() != 0;
-  crashed_ = r.u8() != 0;
-  busy_ = r.u8() != 0;
-  next_seq_ = r.u32();
-  burst_remaining_ = static_cast<int>(r.u32());
-  integrity_ = r.u8() != 0;
-  integrity_key_ = r.u64();
-  chain_ = r.u64();
-  const std::uint64_t n_recent = r.u64();
-  recent_pos_ = r.u64();
-  recent_.clear();
-  recent_.reserve(n_recent);
-  for (std::uint64_t i = 0; i < n_recent; ++i)
-    recent_.push_back(decode_clone_event(r));
-  events_emitted_ = r.u64();
-  polls_received_ = r.u64();
-  polls_dropped_ = r.u64();
-  polls_served_ = r.u64();
-
-  deliveries_.clear();
-  const std::uint64_t n_flight = r.u64();
-  for (std::uint64_t i = 0; i < n_flight && r.ok(); ++i) {
-    sim::TimerId id = r.u64();
-    ProcessId process = r.process_id();
-    deliveries_.put(id, Delivery{process, decode_clone_event(r)});
-  }
+template <class A, class Self>
+void Sensor::io_state(A& a, Self& s) {
+  expect(a, s.spec_.id, "clone restore: sensor identity mismatch");
+  io(a, s.rng_);
+  io(a, s.links_);
+  io(a, s.running_);
+  io(a, s.crashed_);
+  io(a, s.busy_);
+  io(a, s.next_seq_);
+  io_as<std::uint32_t>(a, s.burst_remaining_);
+  io(a, s.integrity_);
+  io(a, s.integrity_key_);
+  io(a, s.chain_);
+  // The window's count comes before its write cursor.
+  const std::uint64_t n_recent = io_count(a, s.recent_);
+  io(a, s.recent_pos_);
+  io_elements(a, s.recent_, n_recent);
+  io(a, s.events_emitted_);
+  io(a, s.polls_received_);
+  io(a, s.polls_dropped_);
+  io(a, s.polls_served_);
+  io(a, s.deliveries_);
 }
 
 }  // namespace riv::devices

@@ -94,6 +94,13 @@ struct LinkParams {
   double loss_prob{0.0};     // Bernoulli loss per transmission
   Duration latency{};        // defaults to the technology profile if zero
   double jitter_frac{-1.0};  // < 0 means: use the technology profile
+
+  template <class A, class Self>
+  static void io_state(A& a, Self& p) {
+    io(a, p.loss_prob);
+    io(a, p.latency);
+    io(a, p.jitter_frac);
+  }
 };
 
 class Sensor : public sim::TimerOwner {
@@ -169,6 +176,11 @@ class Sensor : public sim::TimerOwner {
  private:
   struct Link {
     LinkParams params;
+
+    template <class A, class Self>
+    static void io_state(A& a, Self& l) {
+      io(a, l.params);
+    }
   };
   enum TimerKind : std::uint16_t {
     kEmitTimer,      // the emission loop
@@ -178,7 +190,17 @@ class Sensor : public sim::TimerOwner {
   struct Delivery {
     ProcessId process;
     SensorEvent event;
+
+    template <class A, class Self>
+    static void io_state(A& a, Self& d) {
+      io(a, d.process);
+      io(a, d.event);
+    }
   };
+
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
 
   void on_timer(sim::TimerId id, std::uint16_t kind,
                 std::uint64_t arg) override;

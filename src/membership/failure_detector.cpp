@@ -46,30 +46,20 @@ void FailureDetector::tick() {
 }
 
 void FailureDetector::clone_state(BinaryWriter& w) const {
-  w.u8(started_ ? 1 : 0);
-  w.u64(last_heard_.size());
-  for (const auto& [p, t] : last_heard_) {
-    w.process_id(p);
-    w.time_point(t);
-  }
-  w.u64(view_flat_.size());
-  for (ProcessId p : view_flat_) w.process_id(p);
+  io_state(w, *this);
 }
 
-void FailureDetector::restore_clone(BinaryReader& r) {
-  started_ = r.u8() != 0;
-  last_heard_.clear();
-  const std::uint64_t n_heard = r.u64();
-  for (std::uint64_t i = 0; i < n_heard; ++i) {
-    ProcessId p = r.process_id();
-    last_heard_[p] = r.time_point();
+void FailureDetector::restore_clone(BinaryReader& r) { io_state(r, *this); }
+
+template <class A, class Self>
+void FailureDetector::io_state(A& a, Self& s) {
+  io(a, s.started_);
+  io(a, s.last_heard_);
+  io(a, s.view_flat_);
+  if constexpr (A::kReads) {
+    s.view_.clear();
+    s.view_.insert(s.view_flat_.begin(), s.view_flat_.end());
   }
-  view_flat_.clear();
-  const std::uint64_t n_view = r.u64();
-  for (std::uint64_t i = 0; i < n_view; ++i)
-    view_flat_.push_back(r.process_id());
-  view_.clear();
-  view_.insert(view_flat_.begin(), view_flat_.end());
 }
 
 void FailureDetector::on_keepalive(const net::Message& msg) {

@@ -72,6 +72,9 @@ class FailureDetector {
 
  private:
   void recompute_view();
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
 
   sim::ProcessTimers* timers_;
   net::Transport* transport_;

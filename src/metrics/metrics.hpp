@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 
@@ -27,6 +28,11 @@ class Counter {
   void add(std::uint64_t v = 1) { value_ += v; }
   std::uint64_t value() const { return value_; }
   void reset() { value_ = 0; }
+
+  template <class A, class Self>
+  static void io_state(A& a, Self& c) {
+    io(a, c.value_);
+  }
 
  private:
   std::uint64_t value_{0};
@@ -111,20 +117,19 @@ class Histogram {
     return buckets_;
   }
   std::int64_t sum_us() const { return sum_; }
-  std::int64_t min_raw() const { return min_; }
 
-  // Snapshot-clone restore (DESIGN.md §16): rebuild from serialized raw
-  // contents. min/max are the raw tracked values (min is the sentinel
-  // int64 max when the histogram is empty).
-  void restore(const std::array<std::uint64_t, kBucketCount>& buckets,
-               std::uint64_t overflow, std::uint64_t count, std::int64_t sum,
-               std::int64_t min, std::int64_t max) {
-    buckets_ = buckets;
-    overflow_ = overflow;
-    count_ = count;
-    sum_ = sum;
-    min_ = min;
-    max_ = max;
+  // Snapshot state (DESIGN.md §16): the buckets as sparse (index, count)
+  // pairs — a fleet home touches a handful of the ~600 — then the exact
+  // words. min is the raw tracked value (the int64 max sentinel when the
+  // histogram is empty).
+  template <class A, class Self>
+  static void io_state(A& a, Self& h) {
+    io_sparse(a, h.buckets_);
+    io(a, h.overflow_);
+    io(a, h.count_);
+    io(a, h.sum_);
+    io(a, h.min_);
+    io(a, h.max_);
   }
 
  private:
@@ -168,8 +173,11 @@ class LatencyRecorder {
   void merge(const LatencyRecorder& other) { hist_.merge(other.hist_); }
   void reset() { hist_.reset(); }
   const Histogram& hist() const { return hist_; }
-  // Snapshot-clone restore (DESIGN.md §16): writable histogram access.
-  Histogram& mutable_hist() { return hist_; }
+
+  template <class A, class Self>
+  static void io_state(A& a, Self& l) {
+    io(a, l.hist_);
+  }
 
  private:
   Histogram hist_;
@@ -241,6 +249,14 @@ class Registry {
   void merge_scalars_from(const Registry& other);
 
   void reset();
+
+  // Snapshot state (DESIGN.md §16): counters and histograms round-trip
+  // exactly, since they are the registry_fingerprint surface.
+  template <class A, class Self>
+  static void io_state(A& a, Self& r) {
+    io(a, r.counters_);
+    io(a, r.latencies_);
+  }
 
  private:
   std::map<std::string, Counter> counters_;

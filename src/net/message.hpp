@@ -61,6 +61,15 @@ struct Message {
   Payload payload;
 
   std::size_t wire_size() const { return kHeaderBytes + payload.size(); }
+
+  // Snapshot state (DESIGN.md §16): a frame in flight.
+  template <class A, class Self>
+  static void io_state(A& a, Self& m) {
+    io(a, m.src);
+    io(a, m.dst);
+    io_as<std::uint8_t>(a, m.type);
+    io(a, m.payload);
+  }
 };
 
 }  // namespace riv::net

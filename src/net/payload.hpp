@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/codec.hpp"
+
 namespace riv::net {
 
 class Payload {
@@ -54,5 +56,9 @@ class Payload {
 
   std::shared_ptr<const std::vector<std::byte>> buf_;
 };
+
+// Snapshot field I/O (common/codec.hpp): the bytes, length-prefixed.
+inline void io(BinaryWriter& w, const Payload& p) { w.bytes(p.bytes()); }
+inline void io(BinaryReader& r, Payload& p) { p = r.bytes(); }
 
 }  // namespace riv::net

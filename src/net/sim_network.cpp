@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
 #include "common/codec.hpp"
 #include "trace/trace.hpp"
 
@@ -311,69 +310,36 @@ void SimNetwork::on_timer(sim::TimerId id, std::uint16_t /*kind*/,
   ep->deliver(msg);
 }
 
-void SimNetwork::clone_state(BinaryWriter& w) const {
-  const std::size_t n = procs_.size();
-  w.u64(n);
-  for (const Proc& p : procs_) {
-    w.process_id(p.pid);
-    w.u8(p.ep ? 1 : 0);
-    w.u8(p.up ? 1 : 0);
-    w.u8(p.up_set ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(p.group));
-  }
-  w.u32(static_cast<std::uint32_t>(up_count_));
-  w.u8(partitioned_ ? 1 : 0);
-  for (std::size_t e = 0; e < n * n; ++e) w.u8(edge_down_[e]);
-  for (std::size_t e = 0; e < n * n; ++e) w.i64(edge_delay_us_[e]);
-  for (std::size_t e = 0; e < n * n; ++e) w.f64(edge_loss_[e]);
-  for (std::size_t e = 0; e < n * n; ++e) w.i64(last_delivery_us_[e]);
+void SimNetwork::clone_state(BinaryWriter& w) const { io_state(w, *this); }
 
-  w.u64(frames_.size());
-  frames_.for_each([&w](sim::TimerId id, const Message& msg) {
-    w.u64(id);
-    w.process_id(msg.src);
-    w.process_id(msg.dst);
-    w.u8(static_cast<std::uint8_t>(msg.type));
-    w.bytes(msg.payload);
-  });
-}
+void SimNetwork::restore_clone(BinaryReader& r) { io_state(r, *this); }
 
-void SimNetwork::restore_clone(BinaryReader& r) {
-  const std::size_t n = r.u64();
-  RIV_ASSERT(n == procs_.size(),
-             "clone restore: process count mismatch (different scenario?)");
-  up_count_ = 0;
-  for (Proc& p : procs_) {
-    ProcessId pid = r.process_id();
-    RIV_ASSERT(pid == p.pid, "clone restore: process registration order "
-                             "diverged from the captured deployment");
-    bool had_ep = r.u8() != 0;
-    RIV_ASSERT(had_ep == (p.ep != nullptr),
-               "clone restore: endpoint presence mismatch");
-    p.up = r.u8() != 0;
-    p.up_set = r.u8() != 0;
-    p.group = static_cast<int>(r.u32());
-    if (p.up) ++up_count_;
+template <class A, class Self>
+void SimNetwork::io_state(A& a, Self& s) {
+  expect(a, std::uint64_t{s.procs_.size()},
+         "clone restore: process count mismatch (different scenario?)");
+  for (auto& p : s.procs_) {
+    expect(a, p.pid,
+           "clone restore: process registration order diverged from the "
+           "captured deployment");
+    expect(a, p.ep != nullptr, "clone restore: endpoint presence mismatch");
+    io(a, p.up);
+    io(a, p.up_set);
+    io_as<std::uint32_t>(a, p.group);
   }
-  RIV_ASSERT(r.u32() == static_cast<std::uint32_t>(up_count_),
-             "clone restore: up count disagrees with process liveness");
-  partitioned_ = r.u8() != 0;
-  for (std::size_t e = 0; e < n * n; ++e) edge_down_[e] = r.u8();
-  for (std::size_t e = 0; e < n * n; ++e) edge_delay_us_[e] = r.i64();
-  for (std::size_t e = 0; e < n * n; ++e) edge_loss_[e] = r.f64();
-  for (std::size_t e = 0; e < n * n; ++e) last_delivery_us_[e] = r.i64();
-
-  frames_.clear();
-  const std::uint64_t frames = r.u64();
-  for (std::uint64_t i = 0; i < frames && r.ok(); ++i) {
-    sim::TimerId id = r.u64();
-    Message msg;
-    msg.src = r.process_id();
-    msg.dst = r.process_id();
-    msg.type = static_cast<MsgType>(r.u8());
-    msg.payload = r.bytes();
-    frames_.put(id, std::move(msg));
+  if constexpr (A::kReads) {
+    s.up_count_ = static_cast<int>(std::count_if(
+        s.procs_.begin(), s.procs_.end(), [](const Proc& p) { return p.up; }));
   }
+  expect(a, static_cast<std::uint32_t>(s.up_count_),
+         "clone restore: up count disagrees with process liveness");
+  io(a, s.partitioned_);
+  // The n×n matrices, sized by the processes above.
+  for (auto& down : s.edge_down_) io(a, down);
+  for (auto& delay : s.edge_delay_us_) io(a, delay);
+  for (auto& loss : s.edge_loss_) io(a, loss);
+  for (auto& clamp : s.last_delivery_us_) io(a, clamp);
+  io(a, s.frames_);
 }
 
 }  // namespace riv::net

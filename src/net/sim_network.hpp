@@ -157,6 +157,10 @@ class SimNetwork : public sim::TimerOwner {
            static_cast<std::size_t>(d);
   }
 
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
+
   void send_frame(Message msg);
   void transmit(Message msg);
   // A frame's delivery timer fired: liveness/reachability re-check plus

@@ -1,7 +1,6 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <limits>
 #include <string>
@@ -375,7 +374,7 @@ void Simulation::clone_state(BinaryWriter& w) const {
   w.u64(next_seq_);
   w.u64(events_fired_);
   w.u64(next_id_);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
+  io(w, rng_);
   // A node is live iff it is in use (free nodes have id 0) and was not
   // cancelled (tombstones wait in the wheel until drained).
   std::vector<const Node*> live;
@@ -404,9 +403,7 @@ void Simulation::restore_clone(BinaryReader& r) {
   next_seq_ = r.u64();
   events_fired_ = r.u64();
   next_id_ = r.u64();
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = r.u64();
-  rng_.set_state(rng_state);
+  io(r, rng_);
   const std::uint64_t n_live = r.u64();
   constexpr std::uint64_t kTimerBytes = 8 + 8 + 8 + 4 + 2 + 8;
   RIV_ASSERT(n_live <= r.remaining() / kTimerBytes,

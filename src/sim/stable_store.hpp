@@ -37,34 +37,9 @@ class StableStore {
   bool contains(const std::string& key) const { return data_.count(key) != 0; }
   std::size_t size() const { return data_.size(); }
 
-  // Serialize every (key, value) pair in lexicographic key order. The
-  // index is a hash map whose iteration order depends on insertion and
-  // rehash history, so the sort here is load-bearing: two stores holding
-  // the same pairs must snapshot byte-identically no matter how they
-  // got there (pinned by CheckpointDeterminismPins.StableStoreOrder).
-  void clone_state(BinaryWriter& w) const {
-    std::vector<const std::string*> keys;
-    keys.reserve(data_.size());
-    for (const auto& [key, value] : data_) keys.push_back(&key);
-    std::sort(keys.begin(), keys.end(),
-              [](const std::string* a, const std::string* b) { return *a < *b; });
-    w.u64(keys.size());
-    for (const std::string* key : keys) {
-      w.str(*key);
-      w.bytes(data_.find(*key)->second);
-    }
-  }
-
-  // Snapshot restore (DESIGN.md §16): the exact inverse of clone_state.
-  void restore_clone(BinaryReader& r) {
-    data_.clear();
-    const std::uint64_t n = r.u64();
-    data_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::string key = r.str();
-      data_.insert_or_assign(std::move(key), r.bytes());
-    }
-  }
+  // Snapshot support (DESIGN.md §16): both run io_state.
+  void clone_state(BinaryWriter& w) const { io_state(w, *this); }
+  void restore_clone(BinaryReader& r) { io_state(r, *this); }
 
   // Keys with the given prefix, in lexicographic order (deterministic).
   std::vector<std::string> keys_with_prefix(const std::string& prefix) const {
@@ -77,6 +52,13 @@ class StableStore {
   }
 
  private:
+  // Every (key, value) pair, in key order however the hash map got there
+  // (pinned by CheckpointDeterminismPins.StableStoreOrder).
+  template <class A, class Self>
+  static void io_state(A& a, Self& s) {
+    io(a, s.data_);
+  }
+
   std::unordered_map<std::string, std::vector<std::byte>> data_;
 };
 

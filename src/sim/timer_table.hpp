@@ -2,7 +2,7 @@
 //
 // A frame on the air, a radio delivery or an actuator command is data its
 // owner's timer fires on. The owner keeps the one copy here, and takes it
-// back when the timer fires; its clone_state writes the table. Timer ids
+// back when the timer fires; its snapshot state holds the table. Timer ids
 // are issued in increasing order, so entries append in key order and
 // take() finds its entry by binary search. The fired prefix is dropped as
 // it forms and the vector keeps its capacity, so steady-state put/take
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/codec.hpp"
 #include "sim/simulation.hpp"
 
 namespace riv::sim {
@@ -77,5 +78,27 @@ class TimerTable {
   std::size_t head_{0};  // entries before it have all been taken
   std::size_t live_{0};
 };
+
+// Snapshot field I/O (common/codec.hpp): the pending count, then each
+// timer id with its payload. The kernel's blob carries the timers.
+template <typename T>
+void io(BinaryWriter& w, const TimerTable<T>& table) {
+  w.u64(table.size());
+  table.for_each([&w](TimerId id, const T& value) {
+    w.u64(id);
+    io(w, value);
+  });
+}
+template <typename T>
+void io(BinaryReader& r, TimerTable<T>& table) {
+  table.clear();
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+    const TimerId id = r.u64();
+    T value{};
+    io(r, value);
+    table.put(id, std::move(value));
+  }
+}
 
 }  // namespace riv::sim

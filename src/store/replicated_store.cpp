@@ -8,23 +8,17 @@ namespace {
 constexpr const char* kStablePrefix = "kv/";
 
 Entry decode_entry(BinaryReader& r, std::string* key) {
-  *key = r.str();
+  io(r, *key);
   Entry e;
-  e.value = r.f64();
-  e.written_at = r.time_point();
-  e.seq = r.u32();
-  e.writer = r.process_id();
+  io(r, e);
   return e;
 }
 
 }  // namespace
 
 void encode_entry(BinaryWriter& w, const std::string& key, const Entry& e) {
-  w.str(key);
-  w.f64(e.value);
-  w.time_point(e.written_at);
-  w.u32(e.seq);
-  w.process_id(e.writer);
+  io(w, key);
+  io(w, e);
 }
 
 ReplicatedStore::ReplicatedStore(Hooks hooks) : hooks_(std::move(hooks)) {
@@ -33,7 +27,7 @@ ReplicatedStore::ReplicatedStore(Hooks hooks) : hooks_(std::move(hooks)) {
 
 void ReplicatedStore::start() {
   recover();
-  hooks_.timers->schedule_after(hooks_.sync_period, kSyncTimer);
+  hooks_.timers->schedule_after(kSyncPeriod, kSyncTimer);
 }
 
 void ReplicatedStore::put(const std::string& key, double value) {
@@ -122,40 +116,22 @@ void ReplicatedStore::anti_entropy() {
     if (*it != hooks_.self)
       hooks_.send(*it, /*is_sync=*/true, encode_batch());
   }
-  hooks_.timers->schedule_after(hooks_.sync_period, kSyncTimer);
+  hooks_.timers->schedule_after(kSyncPeriod, kSyncTimer);
 }
 
 void ReplicatedStore::clone_state(BinaryWriter& w) const {
-  w.u32(write_seq_);
-  w.u64(writes_);
-  w.u64(merges_applied_);
-  w.u64(merges_ignored_);
-  w.u64(entries_.size());
-  for (const auto& [key, e] : entries_) {
-    w.str(key);
-    w.f64(e.value);
-    w.time_point(e.written_at);
-    w.u32(e.seq);
-    w.process_id(e.writer);
-  }
+  io_state(w, *this);
 }
 
-void ReplicatedStore::restore_clone(BinaryReader& r) {
-  write_seq_ = r.u32();
-  writes_ = r.u64();
-  merges_applied_ = r.u64();
-  merges_ignored_ = r.u64();
-  entries_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string key = r.str();
-    Entry e;
-    e.value = r.f64();
-    e.written_at = r.time_point();
-    e.seq = r.u32();
-    e.writer = r.process_id();
-    entries_[key] = e;
-  }
+void ReplicatedStore::restore_clone(BinaryReader& r) { io_state(r, *this); }
+
+template <class A, class Self>
+void ReplicatedStore::io_state(A& a, Self& s) {
+  io(a, s.write_seq_);
+  io(a, s.writes_);
+  io(a, s.merges_applied_);
+  io(a, s.merges_ignored_);
+  io(a, s.entries_);
 }
 
 void ReplicatedStore::on_update(const std::vector<std::byte>& payload) {

@@ -44,6 +44,15 @@ struct Entry {
     if (writer == other.writer) return seq > other.seq;
     return writer > other.writer;
   }
+
+  // Wire and snapshot layout, after the key.
+  template <class A, class Self>
+  static void io_state(A& a, Self& e) {
+    io(a, e.value);
+    io(a, e.written_at);
+    io(a, e.seq);
+    io(a, e.writer);
+  }
 };
 
 void encode_entry(BinaryWriter& w, const std::string& key, const Entry& e);
@@ -64,8 +73,9 @@ class ReplicatedStore {
     std::function<const std::set<ProcessId>&()> view;
     sim::ProcessTimers* timers{nullptr};
     sim::StableStore* stable{nullptr};  // may be null (volatile store)
-    Duration sync_period{seconds(5)};
   };
+  // Period of the anti-entropy push to the ring successor.
+  static constexpr Duration kSyncPeriod = seconds(5);
 
   explicit ReplicatedStore(Hooks hooks);
 
@@ -99,6 +109,10 @@ class ReplicatedStore {
   void restore_clone(BinaryReader& r);
 
  private:
+  // The one field list behind clone_state and restore_clone.
+  template <class A, class Self>
+  static void io_state(A& a, Self& s);
+
   bool merge(const std::string& key, const Entry& incoming);
   void persist(const std::string& key, const Entry& e);
   void recover();

@@ -58,7 +58,7 @@ Fig1Result run_fig1_deployment(const Fig1Options& options);
 // invisible — the kernel's run_until is chunk-equivalent), harvest with
 // result() at the end. checkpoint_sim() and checkpoint_bus() serialize
 // the two layers a Fig1 run owns ("sim.kernel" + "bus.devices", through
-// the same clone_state writers as every snapshot), which is what
+// the same state functions as every snapshot), which is what
 // bench_fig1_deployment stores per RIVC boundary and byte-compares on
 // resume (restore is re-execution + attestation, as everywhere).
 class Fig1Deployment {

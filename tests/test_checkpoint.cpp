@@ -26,6 +26,7 @@
 #include "checkpoint/clone.hpp"
 #include "checkpoint/rivc.hpp"
 #include "checkpoint/scenario.hpp"
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stable_store.hpp"
@@ -142,6 +143,29 @@ TEST(CheckpointGolden, GaplessRing) { check_golden_scenario("gapless_ring"); }
 TEST(CheckpointGolden, GapChain) { check_golden_scenario("gap_chain"); }
 TEST(CheckpointGolden, Failover) { check_golden_scenario("failover"); }
 TEST(CheckpointGolden, ChaosFlight) { check_golden_scenario("chaos_flight"); }
+
+// The snapshot layout, pinned: the FNV-1a of each golden scenario's RIVC
+// bytes at mid_time. A section whose bytes change without a kRivcVersion
+// bump fails here. A deliberate layout change bumps kRivcVersion and
+// re-pins; a golden re-bless moves the trace position and re-pins too.
+TEST(CheckpointGolden, SnapshotLayoutIsPinned) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"gapless_ring", 0x8c8af930332bfe03ULL},
+      {"gap_chain", 0x05c4033ed0b4b992ULL},
+      {"failover", 0xff090bfcc5015aceULL},
+      {"chaos_flight", 0x4b29a20c7988cd8cULL},
+  };
+  for (const auto& [name, digest] : pinned) {
+    std::unique_ptr<checkpoint::Scenario> sc =
+        checkpoint::make_golden_scenario(name);
+    sc->start();
+    sc->run_to(mid_time(name));
+    const std::vector<std::byte> bytes = checkpoint::encode(sc->capture());
+    const std::uint64_t got = hash::fnv1a(bytes.data(), bytes.size());
+    EXPECT_EQ(got, digest) << name << ": the layout moved; new digest "
+                           << hash::fnv1a_digest(got);
+  }
+}
 
 // A tampered checkpoint must fail the restore attestation with the exact
 // divergent section named — the negative control for the equivalences
@@ -413,6 +437,33 @@ TEST(CheckpointRivc, OutOfRangeChaosParamsAreRejected) {
               nullptr)
         << "case " << i;
     EXPECT_EQ(err, "bad chaos-scenario params blob") << "case " << i;
+  }
+}
+
+// Restore re-executes to the time a file names, so a hostile file could
+// ask for years of simulation or a time before the start. Both are refused
+// with one pinned error before the scenario starts.
+TEST(CheckpointRivc, SnapshotTimeOutsideTheScenarioIsRejected) {
+  chaos::EngineOptions base;
+  base.scenario.seed = 7;
+  base.plan.horizon = seconds(10);
+  std::unique_ptr<checkpoint::Scenario> sc =
+      checkpoint::make_chaos_scenario(base);
+  sc->start();
+  sc->run_to(TimePoint{} + seconds(1));
+  const checkpoint::Snapshot captured = sc->capture();
+  const TimePoint end = sc->end_time();
+  for (TimePoint at : {end + seconds(3), TimePoint{} + seconds(-5)}) {
+    checkpoint::Snapshot snap = captured;
+    snap.at = at;
+    checkpoint::Snapshot back;
+    std::string err;
+    ASSERT_TRUE(checkpoint::decode(checkpoint::encode(snap), &back, &err))
+        << err;
+    const checkpoint::RestoreReport rep = checkpoint::restore(back);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.error, "snapshot time outside the scenario's run") << at.us;
+    EXPECT_EQ(rep.scenario, nullptr);
   }
 }
 

@@ -3,6 +3,8 @@
 // forwarder takeover after crashes.
 #include <gtest/gtest.h>
 
+#include "common/codec.hpp"
+#include "core/delivery/gap_stream.hpp"
 #include "workload/apps.hpp"
 #include "workload/deployment.hpp"
 
@@ -155,6 +157,46 @@ TEST_F(GapFixture, CrashOfAppBearerPromotesNextAndEventsFlow) {
   core::RivuletProcess* active = home->active_logic_process(kApp);
   ASSERT_NE(active, nullptr);
   EXPECT_GT(active->delivered(kApp), 10u);
+}
+
+// The dedup set behind a Gap stream's window is rebuilt on restore from
+// the captured arrival order, not read back: an event the source already
+// delivered must still be refused by its clone.
+TEST(GapStreamClone, RestoredStreamStillRefusesDeliveredEvents) {
+  const std::vector<ProcessId> chain{ProcessId{1}};
+  const std::set<ProcessId> view{ProcessId{1}};
+  std::vector<EventId> delivered;
+  auto make = [&] {
+    core::StreamContext ctx;
+    ctx.self = ProcessId{1};
+    ctx.app = kApp;
+    ctx.all_processes = chain;
+    ctx.in_range_processes = chain;
+    ctx.view = [&view]() -> const std::set<ProcessId>& { return view; };
+    ctx.chain = [&chain]() -> const std::vector<ProcessId>& { return chain; };
+    ctx.deliver = [&delivered](const devices::SensorEvent& e) {
+      delivered.push_back(e.id);
+    };
+    return std::make_unique<core::GapStream>(std::move(ctx));
+  };
+  devices::SensorEvent e;
+  e.id = EventId{kDoor, 7};
+  auto source = make();
+  source->on_device_event(e);
+  ASSERT_EQ(delivered.size(), 1u);
+
+  BinaryWriter w;
+  source->clone_state(w);
+  const std::vector<std::byte> blob = w.take();
+  auto clone = make();
+  BinaryReader r(blob);
+  clone->restore_clone(r);
+  ASSERT_TRUE(r.ok() && r.at_end());
+  clone->on_device_event(e);
+  EXPECT_EQ(delivered.size(), 1u) << "the clone delivered a duplicate";
+  e.id.seq = 8;
+  clone->on_device_event(e);
+  EXPECT_EQ(delivered.size(), 2u);
 }
 
 }  // namespace

@@ -357,6 +357,39 @@ SeedOutcome run_seed(const CliOptions& cli, std::uint64_t seed) {
   return o;
 }
 
+// The seed line and the failure lines under it, as every mode prints
+// them (CI and the corpus scripts diff the `seed ` lines). `verified`:
+// the run was double-checked for determinism.
+std::string seed_lines(const SeedOutcome& o, bool verified, bool quiet) {
+  const chaos::ChaosResult& r = o.result;
+  const bool failed = !r.ok() || !o.deterministic;
+  std::string out;
+  if (!quiet || failed) {
+    // Applied faults and planned-but-inapplicable ones (victim already
+    // down, nothing eligible to replay, ...) are separate counts: a plan
+    // where most actions no-op'd is a very different run from one where
+    // they all landed, even when the totals match.
+    out += "seed " + std::to_string(o.seed) + (failed ? ": FAIL" : ": ok") +
+           "  faults=" + std::to_string(r.faults_injected) +
+           " noop=" + std::to_string(r.faults_noop) +
+           (r.byzantine_attacks > 0
+                ? " byz=" + std::to_string(r.byzantine_attacks)
+                : "") +
+           " emitted=" + std::to_string(r.emitted) +
+           " ingested=" + std::to_string(r.ingested) +
+           " delivered=" + std::to_string(r.delivered) +
+           " trace=" + r.trace_digest +
+           (verified && o.deterministic ? " (deterministic)" : "") + "\n";
+  }
+  if (!o.deterministic)
+    out += "  NONDETERMINISM: second run trace=" + o.second_digest +
+           " differs\n";
+  if (!r.quiesced) out += "  drain did not reach quiescence within bound\n";
+  for (const chaos::Violation& v : r.violations)
+    out += "  " + chaos::to_string(v) + "\n";
+  return out;
+}
+
 // Print one seed's outcome and return whether it failed. Runs only on the
 // main thread (it touches stdout and the trace directory).
 bool report_outcome(const CliOptions& cli, const SeedOutcome& o) {
@@ -366,35 +399,7 @@ bool report_outcome(const CliOptions& cli, const SeedOutcome& o) {
     for (const std::string& line : r.trace)
       std::printf("    %s\n", line.c_str());
   }
-  if (!cli.quiet || failed) {
-    // Applied faults and planned-but-inapplicable ones (victim already
-    // down, nothing eligible to replay, ...) are separate counts: a plan
-    // where most actions no-op'd is a very different run from one where
-    // they all landed, even when the totals match.
-    std::string byz = r.byzantine_attacks > 0
-                          ? " byz=" + std::to_string(r.byzantine_attacks)
-                          : "";
-    std::printf("seed %llu: %s  faults=%zu noop=%zu%s emitted=%llu "
-                "ingested=%llu delivered=%llu trace=%s%s\n",
-                static_cast<unsigned long long>(o.seed),
-                failed ? "FAIL" : "ok", r.faults_injected, r.faults_noop,
-                byz.c_str(),
-                static_cast<unsigned long long>(r.emitted),
-                static_cast<unsigned long long>(r.ingested),
-                static_cast<unsigned long long>(r.delivered),
-                r.trace_digest.c_str(),
-                cli.verify_determinism && o.deterministic
-                    ? " (deterministic)"
-                    : "");
-  }
-  if (!o.deterministic) {
-    std::printf("  NONDETERMINISM: second run trace=%s differs\n",
-                o.second_digest.c_str());
-  }
-  if (!r.quiesced)
-    std::printf("  drain did not reach quiescence within bound\n");
-  for (const chaos::Violation& v : r.violations)
-    std::printf("  %s\n", chaos::to_string(v).c_str());
+  std::fputs(seed_lines(o, cli.verify_determinism, cli.quiet).c_str(), stdout);
   if (failed && !cli.trace_dir.empty() && r.flight &&
       !r.flight->streaming()) {
     std::error_code ec;
@@ -512,36 +517,21 @@ int run_clone_sweep(const CliOptions& cli) {
                 static_cast<unsigned long long>(cli.seeds[0]),
                 static_cast<long long>(cli.fork_warmup_s),
                 cli.seeds.size(), cli.jobs);
-  std::vector<std::string> lines = parallel_map<std::string>(
+  std::vector<SeedOutcome> outcomes = parallel_map<SeedOutcome>(
       cli.jobs, cli.seeds.size(), [&cli, &img, warmup](std::size_t i) {
         std::unique_ptr<chaos::ChaosSession> s =
             checkpoint::clone_session(img);
         s->arm_plan(cli.seeds[i], warmup);
         s->run_to(s->run_end());
-        chaos::ChaosResult r;
-        s->finish(r);
-        std::string line =
-            "seed " + std::to_string(cli.seeds[i]) +
-            (r.ok() ? ": ok" : ": FAIL") +
-            "  faults=" + std::to_string(r.faults_injected) +
-            " noop=" + std::to_string(r.faults_noop) +
-            (r.byzantine_attacks > 0
-                 ? " byz=" + std::to_string(r.byzantine_attacks)
-                 : "") +
-            " emitted=" + std::to_string(r.emitted) +
-            " ingested=" + std::to_string(r.ingested) +
-            " delivered=" + std::to_string(r.delivered) +
-            " trace=" + r.trace_digest;
-        for (const chaos::Violation& v : r.violations)
-          line += "\n  " + chaos::to_string(v);
-        if (!r.quiesced) line += "\n  drain did not reach quiescence";
-        return line;
+        SeedOutcome o;
+        o.seed = cli.seeds[i];
+        s->finish(o.result);
+        return o;
       });
   std::uint64_t failures = 0;
-  for (const std::string& line : lines) {
-    const bool failed = line.find(": FAIL") != std::string::npos;
-    if (!cli.quiet || failed) std::printf("%s\n", line.c_str());
-    if (failed) ++failures;
+  for (const SeedOutcome& o : outcomes) {
+    std::fputs(seed_lines(o, /*verified=*/false, cli.quiet).c_str(), stdout);
+    if (!o.result.ok()) ++failures;
   }
   std::printf("%llu/%llu seeds clean\n",
               static_cast<unsigned long long>(cli.seeds.size() - failures),
