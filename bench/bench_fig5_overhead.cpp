@@ -10,6 +10,14 @@
 //   * at 1 receiving process broadcast is cheaper than Gapless (the ring
 //     pays for its S/V metadata);
 //   * normalized overheads shrink at 20 KB events (metadata amortized).
+//
+// Every run checks the 4 B claims against bands (broadcast/Gapless
+// 1.70 ± 0.15 at m=3 and 2.92 ± 0.25 at m=5, Gapless max/min over m at
+// most 1.10, broadcast/Gapless below 1 at m=1), prints one line per band
+// and exits 1 when any fails.
+#include <algorithm>
+#include <cmath>
+
 #include "baseline/broadcast_delivery.hpp"
 #include "bench_util.hpp"
 
@@ -69,13 +77,19 @@ double broadcast_bytes_per_event(int receivers, std::uint32_t payload,
          emitted;
 }
 
-void run_for_size(std::uint32_t payload, const char* size_name) {
+// Bytes per event of each approach, indexed by receivers m = 1..5.
+struct Overheads {
+  double gap[6], gapless[6], bcast[6];
+};
+
+Overheads run_for_size(std::uint32_t payload, const char* size_name) {
   std::printf("\n--- event size %s ---\n", size_name);
   std::printf("%-12s", "receivers");
   for (int m = 1; m <= 5; ++m) std::printf("      m=%d", m);
   std::printf("\n");
 
-  double gap[6], gapless[6], bcast[6];
+  Overheads o;
+  auto& [gap, gapless, bcast] = o;
   for (int m = 1; m <= 5; ++m) {
     gap[m] = rivulet_bytes_per_event(appmodel::Guarantee::kGap, m, payload,
                                      300 + m);
@@ -98,6 +112,30 @@ void run_for_size(std::uint32_t payload, const char* size_name) {
   for (int m = 1; m <= 5; ++m)
     std::printf("  %7.2f", bcast[m] / gapless[m]);
   std::printf("\n");
+  return o;
+}
+
+// The 4 B bands; returns how many failed.
+int check_bands(const Overheads& o) {
+  int failures = 0;
+  auto band = [&failures](const char* what, double got, bool ok,
+                          const char* bound) {
+    std::printf("check %-28s %5.2f  %-14s %s\n", what, got, bound,
+                ok ? "ok" : "FAIL");
+    failures += ok ? 0 : 1;
+  };
+  const double m3 = o.bcast[3] / o.gapless[3];
+  const double m5 = o.bcast[5] / o.gapless[5];
+  const double m1 = o.bcast[1] / o.gapless[1];
+  const double flat = *std::max_element(o.gapless + 1, o.gapless + 6) /
+                      *std::min_element(o.gapless + 1, o.gapless + 6);
+  band("broadcast/Gapless at m=3", m3, std::fabs(m3 - 1.70) <= 0.15,
+       "1.70 +- 0.15");
+  band("broadcast/Gapless at m=5", m5, std::fabs(m5 - 2.92) <= 0.25,
+       "2.92 +- 0.25");
+  band("Gapless max/min over m", flat, flat <= 1.10, "<= 1.10");
+  band("broadcast/Gapless at m=1", m1, m1 < 1.0, "< 1");
+  return failures;
 }
 
 }  // namespace
@@ -111,7 +149,7 @@ int main(int argc, char** argv) {
       "Gapless constant in m; broadcast ~1.2x Gapless at m=2, ~2x at m=3, "
       "~3x at m=5; broadcast cheaper than Gapless at m=1; ratios smaller "
       "at 20KB");
-  run_for_size(4, "4B");
+  const Overheads small = run_for_size(4, "4B");
   run_for_size(20 * 1024, "20KB");
   {
     ScenarioOptions opt;
@@ -120,5 +158,8 @@ int main(int argc, char** argv) {
     opt.seed = 205;
     dump_reference_run(out, "fig5_overhead", opt, riv::seconds(60));
   }
-  return 0;
+  std::printf("\n--- 4B bands ---\n");
+  const int failures = check_bands(small);
+  std::printf("check: %s\n", failures == 0 ? "PASS" : "FAIL");
+  return failures == 0 ? 0 : 1;
 }

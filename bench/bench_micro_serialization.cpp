@@ -59,7 +59,8 @@ void BM_RingPayloadRoundTrip(benchmark::State& state) {
   p.event = make_event(4);
   for (auto _ : state) {
     std::vector<std::byte> buf = core::wire::encode(p);
-    core::wire::RingPayload d = core::wire::decode_ring(buf);
+    core::wire::RingPayload d;
+    benchmark::DoNotOptimize(core::wire::decode(buf, d));
     benchmark::DoNotOptimize(d);
   }
 }

@@ -29,7 +29,7 @@ void BroadcastDeliveryNode::on_device_event(const devices::SensorEvent& e) {
   p.app = AppId{1};
   p.sensor = e.id.sensor;
   p.event = e;
-  net::Payload payload = core::wire::encode_event_payload(p);  // shared buffer
+  net::Payload payload = core::wire::encode(p);  // shared buffer
   ++broadcasts_;
   for (ProcessId q : all_) {
     if (q != self_)
@@ -39,7 +39,8 @@ void BroadcastDeliveryNode::on_device_event(const devices::SensorEvent& e) {
 
 void BroadcastDeliveryNode::on_message(const net::Message& msg) {
   if (msg.type != net::MsgType::kRbEvent) return;
-  core::wire::EventPayload p = core::wire::decode_event_payload(msg.payload);
+  core::wire::EventPayload p;
+  if (!core::wire::decode(msg.payload, p)) return;  // malformed: dropped
   if (seen_.count(p.event.id) != 0) return;
   note(p.event, /*from_network=*/true);
 }

@@ -37,7 +37,9 @@ namespace riv::checkpoint {
 // Version 5: "sim.kernel" carries the whole schedule (owner, kind and arg
 // per timer), component sections drop their timers' (t, seq), and
 // "chaos.session" records the armed plan and the fault trace.
-inline constexpr std::uint32_t kRivcVersion = 5;
+// Version 6: "bus.devices" lists each adapter's identity only, without
+// frame counters.
+inline constexpr std::uint32_t kRivcVersion = 6;
 
 struct Section {
   std::string name;
@@ -68,7 +70,7 @@ std::vector<std::byte> encode(const Snapshot& snap);
 // Decode; returns false and sets *error on any malformed input. Error
 // strings are pinned (test_checkpoint_fuzz):
 //   "not a RIVC checkpoint (bad magic)"
-//   "unsupported checkpoint version N (this build reads 5)"
+//   "unsupported checkpoint version N (this build reads 6)"
 //   "truncated checkpoint"
 //   "checkpoint footer hash mismatch"
 //   "trailing bytes after checkpoint footer"

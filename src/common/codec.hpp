@@ -17,10 +17,12 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -114,9 +116,8 @@ class BinaryWriter {
 
 // Bounds-checked reader over an encoded buffer. Any out-of-bounds read sets
 // the error flag and subsequent reads return zero values; callers check
-// ok() once after decoding a whole message (torn frames cannot occur on the
-// reliable transport, so failure here is a programming error and asserts in
-// message-level decoders).
+// ok() once after reading a whole message. A wire frame's decode (below)
+// returns false then, and its receiver drops the frame.
 class BinaryReader {
  public:
   static constexpr bool kReads = true;
@@ -168,12 +169,18 @@ class BinaryReader {
   Duration duration() { return {i64()}; }
 
   std::vector<std::byte> bytes() {
-    std::uint32_t n = u32();
-    if (!ensure(n)) return {};
-    std::vector<std::byte> out(buf_.begin() + static_cast<long>(pos_),
-                               buf_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
+    std::vector<std::byte> out;
+    bytes(out);
     return out;
+  }
+  // The same into `out`, reusing its capacity.
+  void bytes(std::vector<std::byte>& out) {
+    out.clear();
+    std::uint32_t n = u32();
+    if (!ensure(n)) return;
+    out.assign(buf_.begin() + static_cast<long>(pos_),
+               buf_.begin() + static_cast<long>(pos_ + n));
+    pos_ += n;
   }
   std::string str() {
     std::uint32_t n = u32();
@@ -243,8 +250,12 @@ RIV_CODEC_IO(ProvenanceId, provenance_id)
 RIV_CODEC_IO(TimePoint, time_point)
 RIV_CODEC_IO(Duration, duration)
 RIV_CODEC_IO(std::string, str)
-RIV_CODEC_IO(std::vector<std::byte>, bytes)
 #undef RIV_CODEC_IO
+
+inline void io(BinaryWriter& w, const std::vector<std::byte>& v) {
+  w.bytes(v);
+}
+inline void io(BinaryReader& r, std::vector<std::byte>& v) { r.bytes(v); }
 
 inline void io(BinaryWriter& w, const bool& v) { w.u8(v ? 1 : 0); }
 inline void io(BinaryReader& r, bool& v) { v = r.u8() != 0; }
@@ -369,11 +380,12 @@ void io_optional(A& a, Opt& v, F&& f) {
   if (present) f(*v);
 }
 
-// A counted sequence: the element count as u64 (io_count), then each
-// element through `f` (io_elements). Restore clears the container, fails
-// the reader when the count exceeds the bytes left (every element takes
-// at least one), and appends each element at the end, so a sorted set or
-// map written in its own order restores in O(n).
+// A counted sequence: the element count as U (io_count; u64 unless a wire
+// frame pins a narrower width), then each element through `f`
+// (io_elements). Restore fails the reader when the count exceeds the bytes
+// left (every element takes at least one), clears the container and
+// appends each element at the end, so a sorted set or map written in its
+// own order restores in O(n).
 template <class C>
 struct SeqElement {
   using type = typename C::value_type;
@@ -384,19 +396,31 @@ struct SeqElement<C> {
   using type = std::pair<typename C::key_type, typename C::mapped_type>;
 };
 
-template <class C>
+template <class T>
+inline constexpr bool kVector = false;
+template <class T>
+inline constexpr bool kVector<std::vector<T>> = true;
+
+template <class U = std::uint64_t, class C>
 std::uint64_t io_count(BinaryWriter& w, const C& c) {
-  w.u64(c.size());
+  if constexpr (sizeof(U) < sizeof(std::uint64_t))
+    RIV_ASSERT(c.size() <= std::numeric_limits<U>::max(),
+               "sequence too long for its count field");
+  io(w, static_cast<U>(c.size()));
   return c.size();
 }
-template <class C>
+template <class U>
+std::uint64_t read_count(BinaryReader& r) {
+  U n{};
+  io(r, n);
+  if (n <= r.remaining()) return n;
+  r.fail();
+  return 0;
+}
+template <class U = std::uint64_t, class C>
 std::uint64_t io_count(BinaryReader& r, C& c) {
   c.clear();
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining()) {
-    r.fail();
-    return 0;
-  }
+  const std::uint64_t n = read_count<U>(r);
   if constexpr (requires { c.reserve(n); }) c.reserve(n);
   return n;
 }
@@ -421,9 +445,24 @@ void io_elements(A& a, C& c, std::uint64_t n) {
 
 // io_count then io_elements; a layout with other fields between the two
 // calls them itself.
-template <Archive A, class C, class F>
+template <class U = std::uint64_t, Archive A, class C, class F>
 void io_seq(A& a, C& c, F&& f) {
-  io_elements(a, c, io_count(a, c), f);
+  io_elements(a, c, io_count<U>(a, c), f);
+}
+// A sequence of fields, each through its own io. Restore reads a vector
+// over in place instead (resized to the count), so a frame decoded again
+// into the same object keeps its elements' buffers.
+template <class U = std::uint64_t, Archive A, class C>
+void io_seq(A& a, C& c) {
+  if constexpr (A::kReads && kVector<C>) {
+    c.resize(read_count<U>(a));
+    for (auto& x : c) {
+      if (!a.ok()) break;
+      io(a, x);
+    }
+  } else {
+    io_elements(a, c, io_count<U>(a, c));
+  }
 }
 
 // A mostly-zero array: the count of nonzero entries as u32, then each one
@@ -480,7 +519,7 @@ inline constexpr bool kCountedSeq<std::map<K, V>> = true;
 template <Archive A, class C>
   requires kCountedSeq<std::remove_const_t<C>>
 void io(A& a, C& c) {
-  io_seq(a, c, [&a](auto& x) { io(a, x); });
+  io_seq(a, c);
 }
 
 // A hash map is written in key order, so equal contents capture equal
@@ -521,6 +560,36 @@ template <Archive A, class O>
   requires kOptional<std::remove_const_t<O>>
 void io(A& a, O& o) {
   io_optional(a, o, [&a](auto& x) { io(a, x); });
+}
+
+// --- Wire frames -------------------------------------------------------------
+// A wire frame is plain data that lists its fields once, in a static
+// io_state like a snapshot component's, and states its exact encoded size
+// in encoded_size(). encode and decode are the only way a frame crosses the
+// wire (core/wire.hpp, and the membership and store frames).
+template <class F>
+concept WireFrame = requires(const F& f, BinaryWriter& w) {
+  { f.encoded_size() } -> std::convertible_to<std::size_t>;
+  F::io_state(w, f);
+};
+
+// The frame's bytes, in one buffer reserved at encoded_size().
+template <WireFrame F>
+std::vector<std::byte> encode(const F& f) {
+  BinaryWriter w;
+  w.reserve(f.encoded_size());
+  io(w, f);
+  return w.take();
+}
+
+// Total: true iff every read stayed in bounds, the frame's validity rule
+// held (a frame with one fails the reader from its io_state's read branch)
+// and `buf` was consumed exactly. On false `f` is unspecified.
+template <WireFrame F>
+bool decode(const std::vector<std::byte>& buf, F& f) {
+  BinaryReader r(buf);
+  io(r, f);
+  return r.ok() && r.at_end();
 }
 
 }  // namespace riv

@@ -111,7 +111,7 @@ void GaplessStream::initiate_reliable_broadcast(EventId id) {
   p.app = ctx_.app;
   p.sensor = id.sensor;
   p.event = stored->event;
-  std::vector<std::byte> buf = wire::encode_event_payload(p);
+  std::vector<std::byte> buf = wire::encode(p);
   if (ctx_.seal) ctx_.seal(buf, stored->event.chain);
   net::Payload payload = std::move(buf);  // shared by all targets
   for (ProcessId t : targets) {
@@ -144,7 +144,7 @@ void GaplessStream::on_rb(ProcessId from, const wire::EventPayload& p) {
 void GaplessStream::reflood(ProcessId origin, const wire::EventPayload& p) {
   if (rb_done_.count(p.event.id) != 0) return;
   rb_done_.insert(p.event.id);
-  std::vector<std::byte> buf = wire::encode_event_payload(p);
+  std::vector<std::byte> buf = wire::encode(p);
   if (ctx_.seal) ctx_.seal(buf, p.event.chain);
   net::Payload payload = std::move(buf);  // shared by all targets
   for (ProcessId t : ctx_.view()) {

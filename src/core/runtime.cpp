@@ -169,9 +169,10 @@ void RivuletProcess::build_volatile_shell() {
     on_view_change();
   });
   fd_->set_payload_provider([this] { return keepalive_payload(); });
-  fd_->set_payload_handler([this](ProcessId from, BinaryReader& r) {
-    on_keepalive_payload(from, r);
-  });
+  fd_->set_payload_handler(
+      [this](ProcessId from, const std::vector<std::byte>& piggyback) {
+        return on_watermarks(from, piggyback);
+      });
 
   store::ReplicatedStore::Hooks kv_hooks;
   kv_hooks.self = self_;
@@ -349,68 +350,75 @@ void RivuletProcess::on_device_event(const devices::SensorEvent& e) {
 
 // --- message dispatch ----------------------------------------------------
 
+template <class Frame>
+bool RivuletProcess::open(const net::Message& msg, Frame& f) {
+  const std::vector<std::byte>* body = &msg.payload.bytes();
+  wire::IntegrityTrailer tr;
+  if constexpr (requires { Frame::kSealed; }) {
+    if (config_.integrity) {
+      if (!wire::verify_and_strip(msg.payload, config_.integrity_key,
+                                  unseal_scratch_, &tr)) {
+        reject(msg, "bad_mac");
+        return false;
+      }
+      body = &unseal_scratch_;
+    }
+  }
+  if (!wire::decode(*body, f)) {
+    reject(msg, "bad_frame");
+    return false;
+  }
+  // chain travels only in the trailer (the base encoding is untouched);
+  // restore it so onward forwards re-seal correctly.
+  if constexpr (requires { f.event.chain; }) f.event.chain = tr.chain;
+  return true;
+}
+
+void RivuletProcess::reject(const net::Message& msg, const char* why) {
+  if (trace::active(trace::Component::kRuntime)) {
+    trace::emit(sim_->now(), self_, trace::Component::kRuntime,
+                trace::Kind::kTamper,
+                trace::fs(trace::Key::kType, net::to_string(msg.type)),
+                trace::fp(trace::Key::kSrc, msg.src),
+                trace::fs(trace::Key::kText, why));
+  }
+}
+
 void RivuletProcess::on_message(const net::Message& msg) {
+  // The stream an event frame is for, if this process runs one.
+  auto stream = [this](AppId app, SensorId sensor) -> StreamState* {
+    auto ait = apps_.find(app);
+    if (ait == apps_.end()) return nullptr;
+    auto sit = ait->second.streams.find(sensor);
+    return sit == ait->second.streams.end() ? nullptr : &sit->second;
+  };
   switch (msg.type) {
     case net::MsgType::kKeepAlive:
-      fd_->on_keepalive(msg);
+      if (!fd_->on_keepalive(msg)) reject(msg, "bad_frame");
       return;
     case net::MsgType::kRingEvent: {
-      // Scratch payload: ring events dominate message traffic, and the
+      // Scratch frame: ring events dominate message traffic, and the
       // handlers below never re-enter this decode (sends only schedule
       // future deliveries), so the S/V buffers can be reused across
       // messages. thread_local for the parallel seed-sweep runner.
       thread_local wire::RingPayload p;
-      if (config_.integrity) {
-        wire::IntegrityTrailer tr;
-        if (!unseal(msg, &tr)) return;
-        RIV_ASSERT(wire::decode_ring_into(unseal_scratch_, p),
-                   "corrupt ring payload");
-        // chain travels only in the trailer (the base encoding is
-        // untouched); restore it so onward forwards re-seal correctly.
-        p.event.chain = tr.chain;
-      } else {
-        RIV_ASSERT(wire::decode_ring_into(msg.payload, p),
-                   "corrupt ring payload");
-      }
-      auto ait = apps_.find(p.app);
-      if (ait == apps_.end()) return;
-      auto sit = ait->second.streams.find(p.sensor);
-      if (sit == ait->second.streams.end() || !sit->second.gapless) return;
-      sit->second.gapless->on_ring(msg.src, p);
+      if (!open(msg, p)) return;
+      StreamState* s = stream(p.app, p.sensor);
+      if (s != nullptr && s->gapless) s->gapless->on_ring(msg.src, p);
       return;
     }
     case net::MsgType::kRbEvent: {
       wire::EventPayload p;
-      if (config_.integrity) {
-        wire::IntegrityTrailer tr;
-        if (!unseal(msg, &tr)) return;
-        p = wire::decode_event_payload(unseal_scratch_);
-        p.event.chain = tr.chain;
-      } else {
-        p = wire::decode_event_payload(msg.payload);
-      }
-      auto ait = apps_.find(p.app);
-      if (ait == apps_.end()) return;
-      auto sit = ait->second.streams.find(p.sensor);
-      if (sit == ait->second.streams.end() || !sit->second.gapless) return;
-      sit->second.gapless->on_rb(msg.src, p);
+      if (!open(msg, p)) return;
+      StreamState* s = stream(p.app, p.sensor);
+      if (s != nullptr && s->gapless) s->gapless->on_rb(msg.src, p);
       return;
     }
     case net::MsgType::kGapForward: {
       wire::EventPayload p;
-      if (config_.integrity) {
-        wire::IntegrityTrailer tr;
-        if (!unseal(msg, &tr)) return;
-        p = wire::decode_event_payload(unseal_scratch_);
-        p.event.chain = tr.chain;
-      } else {
-        p = wire::decode_event_payload(msg.payload);
-      }
-      auto ait = apps_.find(p.app);
-      if (ait == apps_.end()) return;
-      auto sit = ait->second.streams.find(p.sensor);
-      if (sit == ait->second.streams.end() || !sit->second.gap) return;
-      sit->second.gap->on_forward(msg.src, p);
+      if (!open(msg, p)) return;
+      StreamState* s = stream(p.app, p.sensor);
+      if (s != nullptr && s->gap) s->gap->on_forward(msg.src, p);
       return;
     }
     case net::MsgType::kSyncRequest:
@@ -423,16 +431,17 @@ void RivuletProcess::on_message(const net::Message& msg) {
       handle_command(msg);
       return;
     case net::MsgType::kCommandAck: {
-      wire::CommandAck ack = wire::decode_command_ack(msg.payload);
+      wire::CommandAck ack;
+      if (!open(msg, ack)) return;
       auto ait = apps_.find(ack.app);
       if (ait != apps_.end()) ait->second.pending_commands.erase(ack.command);
       return;
     }
     case net::MsgType::kStorePut:
-      kv_->on_update(msg.payload);
+      if (!kv_->on_update(msg.payload)) reject(msg, "bad_frame");
       return;
     case net::MsgType::kStoreSync:
-      kv_->on_sync(msg.payload);
+      if (!kv_->on_sync(msg.payload)) reject(msg, "bad_frame");
       return;
     case net::MsgType::kPromote:
       handle_role_change(msg, /*promote=*/true);
@@ -462,17 +471,18 @@ void RivuletProcess::sync_rings(bool force) {
     app.last_successor = succ;
     if (succ && (changed || force)) {
       net_->endpoint(self_).send(*succ, net::MsgType::kSyncRequest,
-                                 wire::encode_sync_request(id));
+                                 wire::encode(wire::AppFrame{id}));
     }
   }
 }
 
 void RivuletProcess::handle_sync_request(const net::Message& msg) {
-  AppId id = wire::decode_sync_request(msg.payload);
-  auto ait = apps_.find(id);
+  wire::AppFrame req;
+  if (!open(msg, req)) return;
+  auto ait = apps_.find(req.app);
   if (ait == apps_.end()) return;
   wire::SyncResponse resp;
-  resp.app = id;
+  resp.app = req.app;
   for (const auto& [sensor, stream] : ait->second.streams) {
     if (stream.gapless)
       resp.streams.push_back(ait->second.log->summary(sensor));
@@ -482,7 +492,8 @@ void RivuletProcess::handle_sync_request(const net::Message& msg) {
 }
 
 void RivuletProcess::handle_sync_response(const net::Message& msg) {
-  wire::SyncResponse resp = wire::decode_sync_response(msg.payload);
+  wire::SyncResponse resp;
+  if (!open(msg, resp)) return;
   auto ait = apps_.find(resp.app);
   if (ait == apps_.end()) return;
   for (const wire::SyncSummary& theirs : resp.streams) {
@@ -539,7 +550,7 @@ void RivuletProcess::promote(AppId id, AppState& app) {
   app.logic->start();
   metrics_->counter(metric_prefix(id) + ".promotions").add(1);
   replay_backlog(id, app);
-  net::Payload rc = wire::encode_role_change(id);  // shared by all peers
+  net::Payload rc = wire::encode(wire::AppFrame{id});  // shared by all peers
   for (ProcessId p : fd_->view()) {
     if (p != self_)
       net_->endpoint(self_).send(p, net::MsgType::kPromote, rc);
@@ -553,7 +564,7 @@ void RivuletProcess::demote(AppId id, AppState& app) {
   }
   app.logic.reset();
   metrics_->counter(metric_prefix(id) + ".demotions").add(1);
-  net::Payload rc = wire::encode_role_change(id);  // shared by all peers
+  net::Payload rc = wire::encode(wire::AppFrame{id});  // shared by all peers
   for (ProcessId p : fd_->view()) {
     if (p != self_)
       net_->endpoint(self_).send(p, net::MsgType::kDemote, rc);
@@ -573,7 +584,9 @@ void RivuletProcess::replay_backlog(AppId id, AppState& app) {
 
 void RivuletProcess::handle_role_change(const net::Message& msg,
                                         bool promote_msg) {
-  AppId id = wire::decode_role_change(msg.payload);
+  wire::AppFrame rc;
+  if (!open(msg, rc)) return;
+  const AppId id = rc.app;
   auto ait = apps_.find(id);
   if (ait == apps_.end()) return;
   AppState& app = ait->second;
@@ -585,7 +598,7 @@ void RivuletProcess::handle_role_change(const net::Message& msg,
       } else {
         // We outrank the sender; re-assert so it steps down (bully).
         net_->endpoint(self_).send(msg.src, net::MsgType::kPromote,
-                                   wire::encode_role_change(id));
+                                   wire::encode(rc));
       }
     }
   } else {
@@ -735,13 +748,7 @@ void RivuletProcess::submit_command_locally(AppState& app,
 
 void RivuletProcess::handle_command(const net::Message& msg) {
   wire::CommandPayload p;
-  if (config_.integrity) {
-    wire::IntegrityTrailer tr;
-    if (!unseal(msg, &tr)) return;
-    p = wire::decode_command_payload(unseal_scratch_);
-  } else {
-    p = wire::decode_command_payload(msg.payload);
-  }
+  if (!open(msg, p)) return;
   auto ait = apps_.find(p.app);
   if (ait == apps_.end()) return;
   if (!bus_->actuator_in_range(self_, p.command.actuator)) return;
@@ -758,21 +765,6 @@ void RivuletProcess::handle_command(const net::Message& msg) {
 
 // --- tamper evidence -----------------------------------------------------------
 
-bool RivuletProcess::unseal(const net::Message& msg,
-                            wire::IntegrityTrailer* tr) {
-  if (wire::verify_and_strip(msg.payload, config_.integrity_key,
-                             unseal_scratch_, tr))
-    return true;
-  if (trace::active(trace::Component::kRuntime)) {
-    trace::emit(sim_->now(), self_, trace::Component::kRuntime,
-                trace::Kind::kTamper,
-                trace::fs(trace::Key::kType, net::to_string(msg.type)),
-                trace::fp(trace::Key::kSrc, msg.src),
-                trace::fs(trace::Key::kText, "bad_mac"));
-  }
-  return false;
-}
-
 bool RivuletProcess::device_seq_seen(SensorId sensor,
                                      std::uint32_t seq) const {
   auto it = device_seqs_seen_.find(sensor);
@@ -787,51 +779,35 @@ std::size_t RivuletProcess::device_seqs_seen_count(SensorId sensor) const {
 // --- watermark gossip ---------------------------------------------------------
 
 std::vector<std::byte> RivuletProcess::keepalive_payload() {
-  // count (1), then per logic-hosting app: id (2) | streams (1) |
-  // (sensor (2), watermark (8))* — sized first so the buffer is allocated
-  // once (keep-alives go out every period from every process).
-  std::uint8_t count = 0;
-  std::size_t size = 1;
+  // Refilled in place: keep-alives go out every period from every process,
+  // and a steady set of apps and streams reuses gossip_out_'s buffers.
+  std::size_t n = 0;
   for (const auto& [id, app] : apps_) {
     if (app.logic == nullptr) continue;
-    ++count;
-    size += 3;
-    for (const auto& [sensor, stream] : app.streams)
-      if (stream.gapless) size += 10;
-  }
-  BinaryWriter w;
-  w.reserve(size);
-  w.u8(count);
-  for (const auto& [id, app] : apps_) {
-    if (app.logic == nullptr) continue;
-    w.app_id(id);
-    std::uint8_t streams = 0;
-    for (const auto& [sensor, stream] : app.streams)
-      if (stream.gapless) ++streams;
-    w.u8(streams);
+    if (n == gossip_out_.apps.size()) gossip_out_.apps.emplace_back();
+    wire::AppWatermarks& out = gossip_out_.apps[n++];
+    out.app = id;
+    out.streams.clear();
     for (const auto& [sensor, stream] : app.streams) {
-      if (!stream.gapless) continue;
-      w.sensor_id(sensor);
-      w.time_point(app.log->processed_watermark(sensor));
+      if (stream.gapless)
+        out.streams.push_back({sensor, app.log->processed_watermark(sensor)});
     }
   }
-  return w.take();
+  gossip_out_.apps.resize(n);
+  return wire::encode(gossip_out_);
 }
 
-void RivuletProcess::on_keepalive_payload(ProcessId from, BinaryReader& r) {
-  (void)from;
-  std::uint8_t apps = r.u8();
-  for (std::uint8_t i = 0; i < apps; ++i) {
-    AppId id = r.app_id();
-    std::uint8_t streams = r.u8();
-    auto ait = apps_.find(id);
-    for (std::uint8_t j = 0; j < streams; ++j) {
-      SensorId sensor = r.sensor_id();
-      TimePoint hw = r.time_point();
-      if (ait != apps_.end())
-        ait->second.log->advance_processed_watermark(sensor, hw);
-    }
+bool RivuletProcess::on_watermarks(ProcessId from,
+                                   const std::vector<std::byte>& piggyback) {
+  wire::Watermarks& in = gossip_in_[from];
+  if (!wire::decode(piggyback, in)) return false;
+  for (const wire::AppWatermarks& app : in.apps) {
+    auto ait = apps_.find(app.app);
+    if (ait == apps_.end()) continue;
+    for (const wire::StreamWatermark& s : app.streams)
+      ait->second.log->advance_processed_watermark(s.sensor, s.processed);
   }
+  return true;
 }
 
 // --- introspection --------------------------------------------------------------

@@ -110,13 +110,17 @@ class RivuletProcess : public sim::TimerOwner {
     TimePoint first_sent{};
     TimePoint last_sent{};
 
-    // The payload rides in its wire form.
+    // The payload rides in its wire form; bytes that do not decode fail
+    // the reader.
     template <class A, class Self>
     static void io_state(A& a, Self& c) {
-      io_via(
-          a, c.payload,
-          [](const wire::CommandPayload& p) { return wire::encode(p); },
-          wire::decode_command_payload);
+      if constexpr (A::kReads) {
+        std::vector<std::byte> bytes;
+        io(a, bytes);
+        if (!wire::decode(bytes, c.payload)) a.fail();
+      } else {
+        io(a, wire::encode(c.payload));
+      }
       io(a, c.first_sent);
       io(a, c.last_sent);
     }
@@ -183,10 +187,15 @@ class RivuletProcess : public sim::TimerOwner {
   void handle_sync_response(const net::Message& msg);
   void handle_command(const net::Message& msg);
   void handle_role_change(const net::Message& msg, bool promote);
-  // Integrity-armed receive gate: verify and strip the trailer into
-  // unseal_scratch_; emits a kTamper("bad_mac") record and returns false
-  // when the frame fails (the base decoders never see rejected bytes).
-  bool unseal(const net::Message& msg, wire::IntegrityTrailer* tr);
+  // Open a received frame in one step: verify and strip the integrity
+  // trailer when the layer is armed and the frame is sealed, decode, and
+  // restore the event's chain. A frame that fails is dropped with one
+  // kTamper record (reject).
+  template <class Frame>
+  bool open(const net::Message& msg, Frame& f);
+  // The kTamper record of a dropped frame: `why` is bad_mac (the trailer
+  // failed) or bad_frame (the bytes did not decode).
+  void reject(const net::Message& msg, const char* why);
 
   // Execution service.
   std::size_t rank_of(const AppState& app, ProcessId p) const;
@@ -208,9 +217,11 @@ class RivuletProcess : public sim::TimerOwner {
   std::vector<ProcessId> actuator_targets(ActuatorId actuator) const;
   void retry_pending_commands();
 
-  // Watermark gossip.
+  // Watermark gossip: the keep-alive piggyback, built in gossip_out_ and
+  // decoded into the sender's gossip_in_ frame. on_watermarks applies
+  // nothing from bytes that do not decode and returns false.
   std::vector<std::byte> keepalive_payload();
-  void on_keepalive_payload(ProcessId from, BinaryReader& r);
+  bool on_watermarks(ProcessId from, const std::vector<std::byte>& piggyback);
 
   std::string metric_prefix(AppId id) const;
 
@@ -232,6 +243,11 @@ class RivuletProcess : public sim::TimerOwner {
   // sequence history for replay detection, and the verify scratch buffer.
   std::map<SensorId, std::set<std::uint32_t>> device_seqs_seen_;
   std::vector<std::byte> unseal_scratch_;
+  // Keep-alive piggyback scratch, reused in place: one frame to send and
+  // one per sender, since each sender's piggyback keeps its shape from one
+  // keep-alive to the next (only a logic host's lists any apps).
+  wire::Watermarks gossip_out_;
+  std::map<ProcessId, wire::Watermarks> gossip_in_;
 
   // The process's registration with the kernel: it lives as long as the
   // process, and a crash cancels every timer through it.

@@ -1,17 +1,18 @@
 // Payload formats of Rivulet's protocol messages.
 //
-// Sizes here feed the network-overhead numbers (Fig 5), so each struct
+// Sizes here feed the network-overhead numbers (Fig 5), so each frame
 // documents its encoded size. Process-id sets (the ring protocol's S and V)
 // are encoded as a 1-byte count plus 2 bytes per id — the metadata the
 // paper says makes Gapless costlier than plain broadcast at one receiving
 // process.
-// Each message type has two decoders: decode_* asserts on corrupt input
-// (internal paths where the payload was produced by our own encoder) and
-// try_decode_* returns std::nullopt instead — the boundary-safe variant
-// for anything that might see truncated or damaged bytes.
+// Each frame is a plain struct that lists its fields once, in a static
+// io_state, and states its exact size in encoded_size(). The frame codec in
+// common/codec.hpp is this layer's only entry point: encode(frame) writes
+// one buffer reserved at that size, and decode(bytes, frame) is total — it
+// returns false on any truncated, overlong or (for SyncResponse) invalid
+// frame, which the receiver drops.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -20,47 +21,59 @@
 
 namespace riv::core::wire {
 
-// A process-id set's wire form (its io in common/codec.hpp).
-inline void write_pid_set(BinaryWriter& w, const PidSet& s) { io(w, s); }
-inline PidSet read_pid_set(BinaryReader& r) {
-  PidSet s;
-  io(r, s);
-  return s;
-}
+using riv::decode;
+using riv::encode;
 
 // kRingEvent: app (2) | sensor (2) | S (1 + 2|S|) | V (1 + 2|V|) | event.
+// The ring receive path decodes into one reused frame: S and V sit inline
+// in their PidSets, so a decode allocates nothing.
 struct RingPayload {
   AppId app{};
   SensorId sensor{};
   PidSet seen;  // S
   PidSet need;  // V
   devices::SensorEvent event{};
+
+  static constexpr bool kSealed = true;  // see the integrity trailer below
+  std::size_t encoded_size() const {
+    return 6 + 2 * (seen.size() + need.size()) + event.wire_size();
+  }
+  template <class A, class Self>
+  static void io_state(A& a, Self& p) {
+    io(a, p.app);
+    io(a, p.sensor);
+    io(a, p.seen);
+    io(a, p.need);
+    devices::io_wire(a, p.event);
+  }
 };
-std::vector<std::byte> encode(const RingPayload& p);
-RingPayload decode_ring(const std::vector<std::byte>& buf);
-std::optional<RingPayload> try_decode_ring(const std::vector<std::byte>& buf);
-// Decode into a caller-owned payload, reusing its S/V vector capacity.
-// Ring events are the most frequent message on a Gapless deployment, so
-// the receive path keeps a scratch payload instead of allocating per
-// message. Returns false on corrupt input (payload left unspecified).
-bool decode_ring_into(const std::vector<std::byte>& buf, RingPayload& p);
 
 // kRbEvent / kGapForward: app (2) | sensor (2) | event.
 struct EventPayload {
   AppId app{};
   SensorId sensor{};
   devices::SensorEvent event{};
-};
-std::vector<std::byte> encode_event_payload(const EventPayload& p);
-EventPayload decode_event_payload(const std::vector<std::byte>& buf);
-std::optional<EventPayload> try_decode_event_payload(
-    const std::vector<std::byte>& buf);
 
-// kSyncRequest: app (2).
-std::vector<std::byte> encode_sync_request(AppId app);
-AppId decode_sync_request(const std::vector<std::byte>& buf);
-std::optional<AppId> try_decode_sync_request(
-    const std::vector<std::byte>& buf);
+  static constexpr bool kSealed = true;
+  std::size_t encoded_size() const { return 4 + event.wire_size(); }
+  template <class A, class Self>
+  static void io_state(A& a, Self& p) {
+    io(a, p.app);
+    io(a, p.sensor);
+    devices::io_wire(a, p.event);
+  }
+};
+
+// kSyncRequest / kPromote / kDemote: app (2).
+struct AppFrame {
+  AppId app{};
+
+  static constexpr std::size_t encoded_size() { return 2; }
+  template <class A, class Self>
+  static void io_state(A& a, Self& p) {
+    io(a, p.app);
+  }
+};
 
 // kSyncResponse: app (2) | count (2) | per Gapless stream:
 //   sensor (2) | prefix (4) | end (4) | runs (4) | (lo (4), hi (4))*.
@@ -69,53 +82,129 @@ std::optional<AppId> try_decode_sync_request(
 // exactly the `missing` runs [lo, hi) in between (ascending, disjoint,
 // non-empty, inside [prefix, end)). The requester re-sends its stored
 // events inside those runs or at/after `end` — never one the responder
-// holds. The decoders reject any summary that breaks these rules.
+// holds. decode rejects any summary that breaks these rules.
 struct SeqRun {
   std::uint32_t lo{0};
   std::uint32_t hi{0};
   bool operator==(const SeqRun&) const = default;
+
+  template <class A, class Self>
+  static void io_state(A& a, Self& run) {
+    io(a, run.lo);
+    io(a, run.hi);
+  }
 };
 struct SyncSummary {
   SensorId sensor{};
   std::uint32_t prefix{1};
   std::uint32_t end{1};
   std::vector<SeqRun> missing;
+
+  template <class A, class Self>
+  static void io_state(A& a, Self& s) {
+    io(a, s.sensor);
+    io(a, s.prefix);
+    io(a, s.end);
+    io_seq<std::uint32_t>(a, s.missing);
+  }
+  bool valid() const {
+    if (prefix > end) return false;
+    std::uint32_t min_lo = prefix;
+    for (const SeqRun& run : missing) {
+      if (run.lo < min_lo || run.lo >= run.hi || run.hi > end) return false;
+      min_lo = run.hi;
+    }
+    return true;
+  }
 };
 struct SyncResponse {
   AppId app{};
   std::vector<SyncSummary> streams;
-};
-std::vector<std::byte> encode(const SyncResponse& p);
-SyncResponse decode_sync_response(const std::vector<std::byte>& buf);
-std::optional<SyncResponse> try_decode_sync_response(
-    const std::vector<std::byte>& buf);
 
-// kCommand: app (2) | guarantee (1) | command (33).
+  std::size_t encoded_size() const {
+    std::size_t size = 4;
+    for (const SyncSummary& s : streams) size += 14 + 8 * s.missing.size();
+    return size;
+  }
+  template <class A, class Self>
+  static void io_state(A& a, Self& p) {
+    io(a, p.app);
+    io_seq<std::uint16_t>(a, p.streams);
+    if constexpr (A::kReads) {
+      for (const SyncSummary& s : p.streams)
+        if (!s.valid()) a.fail();
+    }
+  }
+};
+
+// kCommand: app (2) | guarantee (1) | command (39).
 struct CommandPayload {
   AppId app{};
   std::uint8_t guarantee{0};
   devices::Command command{};
-};
-std::vector<std::byte> encode(const CommandPayload& p);
-CommandPayload decode_command_payload(const std::vector<std::byte>& buf);
-std::optional<CommandPayload> try_decode_command_payload(
-    const std::vector<std::byte>& buf);
 
-// kPromote / kDemote: app (2).
-std::vector<std::byte> encode_role_change(AppId app);
-AppId decode_role_change(const std::vector<std::byte>& buf);
-std::optional<AppId> try_decode_role_change(
-    const std::vector<std::byte>& buf);
+  static constexpr bool kSealed = true;
+  static constexpr std::size_t encoded_size() {
+    return 3 + devices::Command::kWireSize;
+  }
+  template <class A, class Self>
+  static void io_state(A& a, Self& p) {
+    io(a, p.app);
+    io(a, p.guarantee);
+    io(a, p.command);
+  }
+};
 
 // kCommandAck: app (2) | command id (6).
 struct CommandAck {
   AppId app{};
   CommandId command{};
+
+  static constexpr std::size_t encoded_size() { return 8; }
+  template <class A, class Self>
+  static void io_state(A& a, Self& p) {
+    io(a, p.app);
+    io(a, p.command);
+  }
 };
-std::vector<std::byte> encode(const CommandAck& p);
-CommandAck decode_command_ack(const std::vector<std::byte>& buf);
-std::optional<CommandAck> try_decode_command_ack(
-    const std::vector<std::byte>& buf);
+
+// The piggyback on a keep-alive (membership/failure_detector.hpp): the
+// processed watermark of every Gapless stream of each app whose logic
+// node the sender hosts.
+//   count (1) | per app: app (2) | streams (1) | (sensor (2), watermark (8))*.
+struct StreamWatermark {
+  SensorId sensor{};
+  TimePoint processed{};
+
+  template <class A, class Self>
+  static void io_state(A& a, Self& w) {
+    io(a, w.sensor);
+    io(a, w.processed);
+  }
+};
+struct AppWatermarks {
+  AppId app{};
+  std::vector<StreamWatermark> streams;
+
+  template <class A, class Self>
+  static void io_state(A& a, Self& w) {
+    io(a, w.app);
+    io_seq<std::uint8_t>(a, w.streams);
+  }
+};
+struct Watermarks {
+  std::vector<AppWatermarks> apps;
+
+  std::size_t encoded_size() const {
+    std::size_t size = 1;
+    for (const AppWatermarks& app : apps) size += 3 + 10 * app.streams.size();
+    return size;
+  }
+  template <class A, class Self>
+  static void io_state(A& a, Self& w) {
+    io_seq<std::uint8_t>(a, w.apps);
+  }
+};
 
 // --- Tamper evidence: integrity trailer ----------------------------------
 // When the deployment's integrity layer is armed (Byzantine chaos), the
@@ -130,10 +219,10 @@ std::optional<CommandAck> try_decode_command_ack(
 // in the simulator's one-hash spirit: not cryptographic, but any
 // single-byte change to a sealed frame fails verification.
 //
-// Receivers that know integrity is armed REQUIRE the trailer: a frame
-// without it (or with any mismatching byte) is rejected before the base
-// decoder runs, so the strict consumed-exactly decoders never see the
-// trailer and the unsealed wire format is untouched.
+// The frames with kSealed carry it. Receivers that know integrity is armed
+// REQUIRE the trailer: a frame without it (or with any mismatching byte)
+// is rejected before decode runs, so the strict consumed-exactly decode
+// never sees the trailer and the unsealed wire format is untouched.
 inline constexpr std::size_t kIntegrityTrailerBytes = 17;
 inline constexpr std::uint8_t kIntegrityMarker = 0x5A;
 

@@ -8,15 +8,14 @@
 //   * multicast capability — whether one emission can reach several
 //     processes (Z-Wave mesh: yes; BLE: single bonded host),
 //   * link latency and a loss floor from radio interference.
-// A process owns one Adapter per technology it has hardware for; a process
-// without a Z-Wave radio can never create an active node for a Z-Wave
-// sensor no matter how close it is.
+// A process has an adapter for each technology it has hardware for (the
+// HomeBus keeps the set); a process without a Z-Wave radio can never create
+// an active node for a Z-Wave sensor no matter how close it is.
 #pragma once
 
 #include <cstdint>
 #include <set>
 
-#include "common/codec.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 
@@ -46,30 +45,6 @@ struct TechProfile {
 };
 
 const TechProfile& profile(Technology tech);
-
-// Per-process, per-technology adapter. Tracks frame counts so experiments
-// can report device-link traffic separately from WiFi traffic.
-class Adapter {
- public:
-  explicit Adapter(Technology tech) : tech_(tech) {}
-
-  Technology tech() const { return tech_; }
-  const TechProfile& prof() const { return profile(tech_); }
-
-  void count_rx_frame() { ++frames_received_; }
-  void count_tx_frame() { ++frames_sent_; }
-  // Snapshot state (DESIGN.md §16): the frame counters.
-  template <class A, class Self>
-  static void io_state(A& a, Self& s) {
-    io(a, s.frames_received_);
-    io(a, s.frames_sent_);
-  }
-
- private:
-  Technology tech_;
-  std::uint64_t frames_received_{0};
-  std::uint64_t frames_sent_{0};
-};
 
 // The set of technologies a host has radios for.
 using AdapterSet = std::set<Technology>;

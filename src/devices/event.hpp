@@ -63,6 +63,11 @@ struct SensorEvent {
 void encode(BinaryWriter& w, const SensorEvent& e);
 SensorEvent decode_event(BinaryReader& r);
 
+// An event as a wire-frame field: its 23-byte wire form above, not its
+// snapshot form. A decoded event has chain and mac zero.
+inline void io_wire(BinaryWriter& w, const SensorEvent& e) { encode(w, e); }
+inline void io_wire(BinaryReader& r, SensorEvent& e) { e = decode_event(r); }
+
 // The snapshot form of one event (SensorEvent::io_state).
 inline void encode_clone(BinaryWriter& w, const SensorEvent& e) { io(w, e); }
 

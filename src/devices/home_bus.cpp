@@ -29,17 +29,11 @@ Actuator& HomeBus::add_actuator(const ActuatorSpec& spec) {
 }
 
 void HomeBus::add_adapter(ProcessId process, Technology tech) {
-  adapters_.emplace(std::make_pair(process, tech), Adapter(tech));
+  adapters_.insert({process, tech});
 }
 
 bool HomeBus::has_adapter(ProcessId process, Technology tech) const {
   return adapters_.count({process, tech}) != 0;
-}
-
-Adapter& HomeBus::adapter(ProcessId process, Technology tech) {
-  auto it = adapters_.find({process, tech});
-  RIV_ASSERT(it != adapters_.end(), "no such adapter");
-  return it->second;
 }
 
 void HomeBus::link_sensor(SensorId sensor_id, ProcessId process,
@@ -90,10 +84,7 @@ std::vector<ProcessId> HomeBus::processes_in_range(
 
 void HomeBus::poll(ProcessId from, SensorId sensor_id,
                    std::uint32_t epoch_tag) {
-  Sensor& s = sensor(sensor_id);
-  auto it = adapters_.find({from, s.spec().tech});
-  if (it != adapters_.end()) it->second.count_tx_frame();
-  s.poll(from, epoch_tag);
+  sensor(sensor_id).poll(from, epoch_tag);
 }
 
 void HomeBus::inject_event(ProcessId process, const SensorEvent& e) {
@@ -101,10 +92,7 @@ void HomeBus::inject_event(ProcessId process, const SensorEvent& e) {
 }
 
 void HomeBus::actuate(ProcessId from, const Command& cmd) {
-  Actuator& a = actuator(cmd.actuator);
-  auto it = adapters_.find({from, a.spec().tech});
-  if (it != adapters_.end()) it->second.count_tx_frame();
-  a.submit(from, cmd);
+  actuator(cmd.actuator).submit(from, cmd);
 }
 
 Sensor& HomeBus::sensor(SensorId id) {
@@ -150,8 +138,6 @@ void HomeBus::start_all() {
 }
 
 void HomeBus::dispatch(ProcessId process, const SensorEvent& e) {
-  auto ait = adapters_.find({process, sensor(e.id.sensor).spec().tech});
-  if (ait != adapters_.end()) ait->second.count_rx_frame();
   auto it = handlers_.find(process);
   bool up = it != handlers_.end() && it->second;
   if (trace::active(trace::Component::kDevice)) {
@@ -183,11 +169,10 @@ void HomeBus::io_state(A& a, Self& s) {
   for (auto& [id, actuator] : s.actuators_) io(a, *actuator);
   expect(a, std::uint64_t{s.adapters_.size()},
          "clone restore: adapter count mismatch");
-  for (auto& [key, adapter] : s.adapters_) {
-    expect(a, key.first, "clone restore: adapter identity mismatch");
-    expect(a, static_cast<std::uint8_t>(key.second),
+  for (const auto& [process, tech] : s.adapters_) {
+    expect(a, process, "clone restore: adapter identity mismatch");
+    expect(a, static_cast<std::uint8_t>(tech),
            "clone restore: adapter identity mismatch");
-    io(a, adapter);
   }
   // The subscribed processes: a restored process re-subscribes itself.
   skip_seq(a, s.handlers_, [](const auto& h) { return h.first; });

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "devices/actuator.hpp"
@@ -31,8 +32,6 @@ class HomeBus {
   Actuator& add_actuator(const ActuatorSpec& spec);
   void add_adapter(ProcessId process, Technology tech);
   bool has_adapter(ProcessId process, Technology tech) const;
-  // The adapter instance (frame counters) of a process's radio.
-  Adapter& adapter(ProcessId process, Technology tech);
 
   // Wire a device link. Requires a matching adapter on the process.
   void link_sensor(SensorId sensor, ProcessId process, LinkParams params = {});
@@ -72,10 +71,10 @@ class HomeBus {
   sim::Simulation& sim() { return *sim_; }
 
   // --- snapshot support (DESIGN.md §16) ------------------------------
-  // Every device, adapter frame counters, and which processes are
-  // currently subscribed (handlers are closures; their presence is the
-  // state). Restore skips the subscribed set: a restored process
-  // re-subscribes as part of its own restore, and attestation's
+  // Every device, which adapters exist (an identity check), and which
+  // processes are currently subscribed (handlers are closures; their
+  // presence is the state). Restore skips the subscribed set: a restored
+  // process re-subscribes as part of its own restore, and attestation's
   // re-capture checks the set.
   void clone_state(BinaryWriter& w) const;
   void restore_clone(BinaryReader& r);
@@ -94,7 +93,7 @@ class HomeBus {
   sim::Simulation* sim_;
   std::map<SensorId, std::unique_ptr<Sensor>> sensors_;
   std::map<ActuatorId, std::unique_ptr<Actuator>> actuators_;
-  std::map<std::pair<ProcessId, Technology>, Adapter> adapters_;
+  std::set<std::pair<ProcessId, Technology>> adapters_;
   std::map<ProcessId, EventHandler> handlers_;
 };
 

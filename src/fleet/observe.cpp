@@ -57,19 +57,6 @@ bool divergent(const trace::RecordView& r, std::int64_t end_us) {
   }
 }
 
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-}
-
 }  // namespace
 
 bool home_sampled(std::uint64_t fleet_seed, std::uint64_t home_index,
@@ -351,9 +338,9 @@ std::string render_triage_json(const std::vector<TriageReport>& reports) {
         h.ordering_violations);
     out += buf;
     out += "\"fault\": \"";
-    json_escape(out, r.fault);
+    out += trace::json_escape(r.fault);
     out += "\", \"worst_leg\": \"";
-    json_escape(out, r.worst_leg);
+    out += trace::json_escape(r.worst_leg);
     std::snprintf(buf, sizeof(buf),
                   "\", \"worst_leg_p99_us\": %lld, \"trace_records\": %llu, "
                   "\"trace_hash\": \"%s\", ",
@@ -362,9 +349,9 @@ std::string render_triage_json(const std::vector<TriageReport>& reports) {
                   hash::fnv1a_digest(r.trace_hash).c_str());
     out += buf;
     out += "\"first_divergence\": \"";
-    json_escape(out, r.first_divergence);
+    out += trace::json_escape(r.first_divergence);
     out += "\", \"trace_path\": \"";
-    json_escape(out, r.trace_path);
+    out += trace::json_escape(r.trace_path);
     out += "\"}";
     out += (i + 1 < reports.size()) ? ",\n" : "\n";
   }

@@ -28,15 +28,11 @@ void FailureDetector::start() {
 
 void FailureDetector::tick() {
   // Send keep-alives. The frame is identical for every peer (same
-  // timestamp, same piggyback), so encode once, into a buffer reserved at
-  // its exact size, and share it.
-  std::vector<std::byte> extra;
-  if (provider_) extra = provider_();
-  BinaryWriter w;
-  w.reserve(8 + 4 + extra.size());
-  w.time_point(timers_->now());
-  w.bytes(extra);
-  net::Payload payload = w.take();
+  // timestamp, same piggyback), so encode once and share it.
+  KeepAlive ka;
+  ka.sent_at = timers_->now();
+  if (provider_) ka.piggyback = provider_();
+  net::Payload payload = encode(ka);
   for (ProcessId p : all_) {
     if (p == self_) continue;
     transport_->send(p, net::MsgType::kKeepAlive, payload);
@@ -62,17 +58,14 @@ void FailureDetector::io_state(A& a, Self& s) {
   }
 }
 
-void FailureDetector::on_keepalive(const net::Message& msg) {
+bool FailureDetector::on_keepalive(const net::Message& msg) {
+  if (!decode(msg.payload, received_)) return false;
+  if (handler_ && !received_.piggyback.empty() &&
+      !handler_(msg.src, received_.piggyback))
+    return false;
   last_heard_[msg.src] = timers_->now();
-  if (handler_) {
-    BinaryReader r(msg.payload);
-    (void)r.time_point();  // sender timestamp (unused; clocks are synced)
-    // The piggyback is length-prefixed; decode it in place from the frame
-    // buffer instead of copying it out first.
-    std::uint32_t extra_len = r.u32();
-    if (extra_len > 0) handler_(msg.src, r);
-  }
   recompute_view();
+  return true;
 }
 
 void FailureDetector::recompute_view() {

@@ -11,6 +11,8 @@
 // to gossip per-app processed watermarks, which bounds the backlog a newly
 // promoted logic node replays — the ~20-event spike of Fig 7). The payload
 // provider/handler hooks keep this module independent of the runtime.
+// A keep-alive counts only if it decodes whole, piggyback included: one
+// that does not changes nothing here and is reported to the caller.
 #pragma once
 
 #include <functional>
@@ -23,6 +25,19 @@
 #include "sim/simulation.hpp"
 
 namespace riv::membership {
+
+// kKeepAlive: sent_at (8) | piggyback length (4) | piggyback.
+struct KeepAlive {
+  TimePoint sent_at{};  // unused on receipt: clocks are synced
+  std::vector<std::byte> piggyback;
+
+  std::size_t encoded_size() const { return 12 + piggyback.size(); }
+  template <class A, class Self>
+  static void io_state(A& a, Self& k) {
+    io(a, k.sent_at);
+    io(a, k.piggyback);
+  }
+};
 
 struct Config {
   Duration period{milliseconds(500)};
@@ -38,7 +53,9 @@ class FailureDetector {
 
   using ViewChangeFn = std::function<void(const std::set<ProcessId>& view)>;
   using PayloadProvider = std::function<std::vector<std::byte>()>;
-  using PayloadHandler = std::function<void(ProcessId from, BinaryReader& r)>;
+  // Applies a non-empty piggyback; false when it does not decode.
+  using PayloadHandler = std::function<bool(
+      ProcessId from, const std::vector<std::byte>& piggyback)>;
 
   FailureDetector(sim::ProcessTimers& timers, net::Transport& transport,
                   std::vector<ProcessId> all_processes, Config config);
@@ -52,7 +69,9 @@ class FailureDetector {
   void start();
 
   // Feed an incoming keep-alive (the runtime demultiplexes messages).
-  void on_keepalive(const net::Message& msg);
+  // False, with nothing applied, when the frame or its piggyback does not
+  // decode.
+  bool on_keepalive(const net::Message& msg);
 
   // Send keep-alives, recompute the view and re-arm: the kTickTimer
   // handler.
@@ -92,6 +111,7 @@ class FailureDetector {
   ViewChangeFn on_view_change_;
   PayloadProvider provider_;
   PayloadHandler handler_;
+  KeepAlive received_;  // decode scratch: its piggyback buffer is reused
   bool started_{false};
 };
 

@@ -7,19 +7,7 @@ namespace {
 
 constexpr const char* kStablePrefix = "kv/";
 
-Entry decode_entry(BinaryReader& r, std::string* key) {
-  io(r, *key);
-  Entry e;
-  io(r, e);
-  return e;
-}
-
 }  // namespace
-
-void encode_entry(BinaryWriter& w, const std::string& key, const Entry& e) {
-  io(w, key);
-  io(w, e);
-}
 
 ReplicatedStore::ReplicatedStore(Hooks hooks) : hooks_(std::move(hooks)) {
   RIV_ASSERT(hooks_.timers != nullptr, "store needs timers");
@@ -42,9 +30,7 @@ void ReplicatedStore::put(const std::string& key, double value) {
   // Best-effort push to everyone currently visible; anti-entropy covers
   // whoever this misses.
   if (hooks_.send) {
-    BinaryWriter w;
-    encode_entry(w, key, e);
-    net::Payload payload = w.take();  // shared by every visible peer
+    net::Payload payload = encode(Update{key, e});  // shared by every peer
     for (ProcessId p : hooks_.view()) {
       if (p != hooks_.self) hooks_.send(p, /*is_sync=*/false, payload);
     }
@@ -78,9 +64,7 @@ bool ReplicatedStore::merge(const std::string& key, const Entry& incoming) {
 
 void ReplicatedStore::persist(const std::string& key, const Entry& e) {
   if (hooks_.stable == nullptr) return;
-  BinaryWriter w;
-  encode_entry(w, key, e);
-  hooks_.stable->put(kStablePrefix + key, w.take());
+  hooks_.stable->put(kStablePrefix + key, encode(Update{key, e}));
 }
 
 void ReplicatedStore::recover() {
@@ -89,20 +73,13 @@ void ReplicatedStore::recover() {
        hooks_.stable->keys_with_prefix(kStablePrefix)) {
     auto raw = hooks_.stable->get(skey);
     RIV_ASSERT(raw.has_value(), "key listed but missing");
-    BinaryReader r(*raw);
-    std::string key;
-    Entry e = decode_entry(r, &key);
-    RIV_ASSERT(r.ok(), "corrupt stored kv entry");
-    auto it = entries_.find(key);
-    if (it == entries_.end() || e.dominates(it->second)) entries_[key] = e;
+    // A record that does not decode is dropped, like a frame.
+    Update u;
+    if (!decode(*raw, u)) continue;
+    auto it = entries_.find(u.key);
+    if (it == entries_.end() || u.entry.dominates(it->second))
+      entries_[u.key] = u.entry;
   }
-}
-
-std::vector<std::byte> ReplicatedStore::encode_batch() const {
-  BinaryWriter w;
-  w.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& [key, entry] : entries_) encode_entry(w, key, entry);
-  return w.take();
 }
 
 void ReplicatedStore::anti_entropy() {
@@ -113,8 +90,13 @@ void ReplicatedStore::anti_entropy() {
   if (hooks_.send && view.size() > 1 && !entries_.empty()) {
     auto it = view.upper_bound(hooks_.self);
     if (it == view.end()) it = view.begin();
-    if (*it != hooks_.self)
-      hooks_.send(*it, /*is_sync=*/true, encode_batch());
+    if (*it != hooks_.self) {
+      Batch batch;
+      batch.updates.reserve(entries_.size());
+      for (const auto& [key, entry] : entries_)
+        batch.updates.push_back({key, entry});
+      hooks_.send(*it, /*is_sync=*/true, encode(batch));
+    }
   }
   hooks_.timers->schedule_after(kSyncPeriod, kSyncTimer);
 }
@@ -134,21 +116,18 @@ void ReplicatedStore::io_state(A& a, Self& s) {
   io(a, s.entries_);
 }
 
-void ReplicatedStore::on_update(const std::vector<std::byte>& payload) {
-  BinaryReader r(payload);
-  std::string key;
-  Entry e = decode_entry(r, &key);
-  if (r.ok()) merge(key, e);
+bool ReplicatedStore::on_update(const std::vector<std::byte>& payload) {
+  Update u;
+  if (!decode(payload, u)) return false;
+  merge(u.key, u.entry);
+  return true;
 }
 
-void ReplicatedStore::on_sync(const std::vector<std::byte>& payload) {
-  BinaryReader r(payload);
-  std::uint32_t count = r.u32();
-  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-    std::string key;
-    Entry e = decode_entry(r, &key);
-    if (r.ok()) merge(key, e);
-  }
+bool ReplicatedStore::on_sync(const std::vector<std::byte>& payload) {
+  Batch batch;
+  if (!decode(payload, batch)) return false;
+  for (const Update& u : batch.updates) merge(u.key, u.entry);
+  return true;
 }
 
 }  // namespace riv::store

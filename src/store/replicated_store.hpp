@@ -46,6 +46,7 @@ struct Entry {
   }
 
   // Wire and snapshot layout, after the key.
+  static constexpr std::size_t kWireSize = 22;
   template <class A, class Self>
   static void io_state(A& a, Self& e) {
     io(a, e.value);
@@ -55,7 +56,33 @@ struct Entry {
   }
 };
 
-void encode_entry(BinaryWriter& w, const std::string& key, const Entry& e);
+// kStorePut, and a persisted register: key (4 + |key|) | entry (22).
+struct Update {
+  std::string key;
+  Entry entry;
+
+  std::size_t encoded_size() const { return 4 + key.size() + Entry::kWireSize; }
+  template <class A, class Self>
+  static void io_state(A& a, Self& u) {
+    io(a, u.key);
+    io(a, u.entry);
+  }
+};
+
+// kStoreSync: count (4) | updates.
+struct Batch {
+  std::vector<Update> updates;
+
+  std::size_t encoded_size() const {
+    std::size_t size = 4;
+    for (const Update& u : updates) size += u.encoded_size();
+    return size;
+  }
+  template <class A, class Self>
+  static void io_state(A& a, Self& b) {
+    io_seq<std::uint32_t>(a, b.updates);
+  }
+};
 
 class ReplicatedStore {
  public:
@@ -89,8 +116,10 @@ class ReplicatedStore {
   std::vector<std::string> keys() const;
 
   // --- replication plumbing (called by the runtime) ---------------------
-  void on_update(const std::vector<std::byte>& payload);  // single entry
-  void on_sync(const std::vector<std::byte>& payload);    // batch
+  // Each merges a whole frame, or nothing and returns false when the
+  // frame does not decode.
+  bool on_update(const std::vector<std::byte>& payload);  // Update
+  bool on_sync(const std::vector<std::byte>& payload);    // Batch
 
   std::uint64_t writes() const { return writes_; }
   std::uint64_t merges_applied() const { return merges_applied_; }
@@ -116,7 +145,6 @@ class ReplicatedStore {
   bool merge(const std::string& key, const Entry& incoming);
   void persist(const std::string& key, const Entry& e);
   void recover();
-  std::vector<std::byte> encode_batch() const;
 
   Hooks hooks_;
   std::map<std::string, Entry> entries_;

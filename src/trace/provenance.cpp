@@ -63,6 +63,20 @@ std::string fmt_s(std::int64_t us) {
   return buf;
 }
 
+void hist_json(std::string& out, const char* name,
+               const metrics::Histogram& h) {
+  out += '"';
+  out += name;
+  out += "\":{\"count\":" + std::to_string(h.count());
+  out += ",\"p50_us\":" + std::to_string(h.percentile(0.5).us);
+  out += ",\"p99_us\":" + std::to_string(h.percentile(0.99).us);
+  out += ",\"max_us\":" + std::to_string(h.max().us);
+  out += ",\"mean_us\":" + std::to_string(h.mean().us);
+  out += '}';
+}
+
+}  // namespace
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -81,20 +95,6 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
-
-void hist_json(std::string& out, const char* name,
-               const metrics::Histogram& h) {
-  out += '"';
-  out += name;
-  out += "\":{\"count\":" + std::to_string(h.count());
-  out += ",\"p50_us\":" + std::to_string(h.percentile(0.5).us);
-  out += ",\"p99_us\":" + std::to_string(h.percentile(0.99).us);
-  out += ",\"max_us\":" + std::to_string(h.max().us);
-  out += ",\"mean_us\":" + std::to_string(h.mean().us);
-  out += '}';
-}
-
-}  // namespace
 
 const char* to_string(Stage s) {
   switch (s) {

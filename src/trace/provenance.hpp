@@ -169,6 +169,10 @@ Analysis analyze(const Recorder& rec, const AnalyzeOptions& opt = {});
 std::string render(const Analysis& a);
 // Machine-readable JSON document with the same content.
 std::string render_json(const Analysis& a);
+// `s` as the body of a JSON string: quote and backslash escaped, every
+// other control character as \u00XX. The one escaper every JSON writer
+// here shares.
+std::string json_escape(const std::string& s);
 
 // Health verdict used by CI: a trace passes when it has no unexplained
 // orphans, no duplicate deliveries, and no stage-ordering violations.

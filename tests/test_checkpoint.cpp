@@ -150,10 +150,10 @@ TEST(CheckpointGolden, ChaosFlight) { check_golden_scenario("chaos_flight"); }
 // re-pins; a golden re-bless moves the trace position and re-pins too.
 TEST(CheckpointGolden, SnapshotLayoutIsPinned) {
   const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
-      {"gapless_ring", 0x8c8af930332bfe03ULL},
-      {"gap_chain", 0x05c4033ed0b4b992ULL},
-      {"failover", 0xff090bfcc5015aceULL},
-      {"chaos_flight", 0x4b29a20c7988cd8cULL},
+      {"gapless_ring", 0x33c263ca13be59bdULL},
+      {"gap_chain", 0x042480d18cea3fadULL},
+      {"failover", 0x7da690edcc89e802ULL},
+      {"chaos_flight", 0x0b1909a228573304ULL},
   };
   for (const auto& [name, digest] : pinned) {
     std::unique_ptr<checkpoint::Scenario> sc =

@@ -109,7 +109,7 @@ TEST(CheckpointFuzz, TrailingBytesAreRejected) {
 // build — and must be detected before the footer check, so the message
 // names the version instead of a useless hash mismatch.
 TEST(CheckpointFuzz, WrongVersionsPinnedMessage) {
-  for (std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 7u, 0xffffffffu}) {
+  for (std::uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 0xffffffffu}) {
     // Re-encode with a patched version field and a recomputed (valid)
     // footer, so the version check alone rejects the file.
     std::vector<std::byte> wire = checkpoint::encode(sample_snapshot());
@@ -128,7 +128,7 @@ TEST(CheckpointFuzz, WrongVersionsPinnedMessage) {
     std::string err;
     EXPECT_FALSE(checkpoint::decode(wire, &out, &err));
     EXPECT_EQ(err, "unsupported checkpoint version " +
-                       std::to_string(version) + " (this build reads 5)");
+                       std::to_string(version) + " (this build reads 6)");
   }
 }
 

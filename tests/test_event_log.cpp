@@ -555,8 +555,8 @@ class MapLog {
         w.u32(se.event.payload_size);
         w.u64(se.event.chain);
         w.u64(se.event.mac);
-        wire::write_pid_set(w, se.seen);
-        wire::write_pid_set(w, se.need);
+        io(w, se.seen);
+        io(w, se.need);
       }
     }
     w.u64(0);  // no processed watermarks here
@@ -576,8 +576,8 @@ class MapLog {
 std::vector<std::byte> clone_bytes(const StoredEvent& se) {
   BinaryWriter w;
   devices::encode_clone(w, se.event);
-  wire::write_pid_set(w, se.seen);
-  wire::write_pid_set(w, se.need);
+  io(w, se.seen);
+  io(w, se.need);
   return w.take();
 }
 

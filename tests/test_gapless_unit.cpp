@@ -10,6 +10,13 @@
 namespace riv::core {
 namespace {
 
+// A sent ring frame, decoded.
+wire::RingPayload ring_of(const std::vector<std::byte>& payload) {
+  wire::RingPayload p;
+  EXPECT_TRUE(wire::decode(payload, p));
+  return p;
+}
+
 struct Sent {
   ProcessId dst;
   net::MsgType type;
@@ -95,7 +102,7 @@ TEST(GaplessUnit, IngestDeliversLogsAndForwardsToSuccessor) {
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].dst, ProcessId{3});  // successor of p2 in {1,2,3}
   EXPECT_EQ(h.sent[0].type, net::MsgType::kRingEvent);
-  wire::RingPayload p = wire::decode_ring(h.sent[0].payload);
+  wire::RingPayload p = ring_of(h.sent[0].payload);
   EXPECT_EQ(p.seen, Harness::pids({2}));
   EXPECT_EQ(p.need, Harness::pids({1, 2, 3}));
 }
@@ -133,7 +140,7 @@ TEST(GaplessUnit, UnseenRingMessageExtendsSetsAndForwards) {
   h.stream->on_ring(ProcessId{1}, in);
   EXPECT_EQ(h.delivered.size(), 1u);
   ASSERT_EQ(h.sent.size(), 1u);
-  wire::RingPayload out = wire::decode_ring(h.sent[0].payload);
+  wire::RingPayload out = ring_of(h.sent[0].payload);
   EXPECT_EQ(out.seen, Harness::pids({1, 2}));
   EXPECT_EQ(out.need, Harness::pids({1, 2, 3}));  // ∪ our view
 }
@@ -225,14 +232,14 @@ TEST(GaplessUnit, SyncSuccessorResendsMissingSuffix) {
     EXPECT_EQ(s.dst, ProcessId{3});
     EXPECT_EQ(s.type, net::MsgType::kRingEvent);
   }
-  wire::RingPayload first = wire::decode_ring(h.sent[0].payload);
+  wire::RingPayload first = ring_of(h.sent[0].payload);
   EXPECT_EQ(first.event.id.seq, 3u);
 }
 
 std::vector<std::uint32_t> resent_seqs(const Harness& h) {
   std::vector<std::uint32_t> out;
   for (const Sent& s : h.sent)
-    out.push_back(wire::decode_ring(s.payload).event.id.seq);
+    out.push_back(ring_of(s.payload).event.id.seq);
   return out;
 }
 
@@ -252,7 +259,7 @@ TEST(GaplessUnit, SyncAfterPermanentHoleResendsOnlyWhatSuccessorLacks) {
     succ.append(h.log.find({SensorId{1}, i})->event, {}, {});
   h.stream->sync_successor(ProcessId{3}, succ.summary(SensorId{1}));
   EXPECT_EQ(resent_seqs(h), (std::vector<std::uint32_t>{9, 10}));
-  wire::RingPayload p = wire::decode_ring(h.sent[0].payload);
+  wire::RingPayload p = ring_of(h.sent[0].payload);
   EXPECT_EQ(p.seen, Harness::pids({2}));
   EXPECT_EQ(p.need, Harness::pids({1, 2, 3}));
 

@@ -3,6 +3,10 @@
 // failures — the scenarios §2 motivates.
 #include <gtest/gtest.h>
 
+#include "core/wire.hpp"
+#include "membership/failure_detector.hpp"
+#include "store/replicated_store.hpp"
+#include "trace/trace.hpp"
 #include "workload/apps.hpp"
 #include "workload/deployment.hpp"
 
@@ -303,6 +307,74 @@ TEST(Integration, AutomatedLightingWorksWithTwoDeadModalities) {
   home.run_for(seconds(30));
   // FTCombiner(2): motion alone keeps the app alive.
   EXPECT_GT(home.bus().actuator(ActuatorId{1}).actions(), 10u);
+}
+
+// One valid frame of each message type, as a peer would send it: the core
+// frames first, then the keep-alive and the store's.
+std::vector<std::pair<net::MsgType, std::vector<std::byte>>> one_of_each(
+    ProcessId p1, ProcessId p2, ProcessId p3) {
+  namespace wire = core::wire;
+  devices::SensorEvent e;
+  e.id = {SensorId{1}, 999};
+  e.emitted_at = TimePoint{1000};
+  wire::RingPayload ring{AppId{1}, SensorId{1}, {p2}, {p1, p2, p3}, e};
+  wire::EventPayload event{AppId{1}, SensorId{1}, e};
+  wire::SyncResponse sync{AppId{1}, {{SensorId{1}, 1, 5, {{2, 3}}}}};
+  wire::CommandPayload command{AppId{1}, 1, {}};
+  store::Batch batch{{{"k", store::Entry{1.0, TimePoint{5}, 1, p2}}}};
+  membership::KeepAlive keepalive{TimePoint{5}, encode(wire::Watermarks{})};
+  const std::vector<std::byte> app = encode(wire::AppFrame{AppId{1}});
+  return {{net::MsgType::kRingEvent, encode(ring)},
+          {net::MsgType::kRbEvent, encode(event)},
+          {net::MsgType::kGapForward, encode(event)},
+          {net::MsgType::kSyncRequest, app},
+          {net::MsgType::kSyncResponse, encode(sync)},
+          {net::MsgType::kCommand, encode(command)},
+          {net::MsgType::kPromote, app},
+          {net::MsgType::kDemote, app},
+          {net::MsgType::kCommandAck, encode(wire::CommandAck{})},
+          {net::MsgType::kKeepAlive, encode(keepalive)},
+          {net::MsgType::kStorePut, encode(batch.updates[0])},
+          {net::MsgType::kStoreSync, encode(batch)}};
+}
+
+// A malformed frame is dropped, not an abort: p2 sends p1 each frame type
+// cut one byte short. p1 stays up, records one kTamper "bad_frame" per
+// frame, and the home goes on delivering door events.
+TEST(Integration, TruncatedFramesAreDroppedNotFatal) {
+  HomeDeployment::Options opt;
+  opt.seed = 60;
+  opt.n_processes = 3;
+  HomeDeployment home(opt);
+  home.add_sensor(sensor_of(1, devices::SensorKind::kDoor, 2.0),
+                  {home.pid(1), home.pid(2)});
+  home.add_actuator(actuator_of(1), home.processes());
+  home.deploy(workload::apps::intrusion_detection(AppId{1}, {SensorId{1}},
+                                                  ActuatorId{1}));
+  trace::Recorder rec;
+  trace::Scope scope(rec);
+  home.start();
+  home.run_for(seconds(5));
+
+  const ProcessId p1 = home.pid(0);
+  const auto frames = one_of_each(p1, home.pid(1), home.pid(2));
+  for (const auto& [type, bytes] : frames) {
+    std::vector<std::byte> cut(bytes.begin(), bytes.end() - 1);
+    home.net().endpoint(home.pid(1)).send(p1, type, std::move(cut));
+  }
+  const std::uint64_t delivered =
+      home.metrics().counter_value("app1.delivered");
+  home.run_for(seconds(10));
+
+  EXPECT_TRUE(home.process(p1).up());
+  std::size_t bad_frames = 0;
+  rec.scan([&](const trace::RecordView& r) {
+    if (r.kind == trace::Kind::kTamper && r.process == p1 &&
+        r.detail().find("bad_frame") != std::string::npos)
+      ++bad_frames;
+  });
+  EXPECT_EQ(bad_frames, frames.size());
+  EXPECT_GT(home.metrics().counter_value("app1.delivered"), delivered + 10);
 }
 
 }  // namespace

@@ -199,15 +199,51 @@ TEST_F(Fixture, PiggybackPayloadRoundTrips) {
   });
   std::uint32_t seen = 0;
   ProcessId seen_from{};
-  fd2.set_payload_handler([&](ProcessId from, BinaryReader& r) {
-    seen = r.u32();
-    seen_from = from;
-  });
+  fd2.set_payload_handler(
+      [&](ProcessId from, const std::vector<std::byte>& piggyback) {
+        BinaryReader r(piggyback);
+        seen = r.u32();
+        seen_from = from;
+        return r.ok() && r.at_end();
+      });
   fd1.start();
   fd2.start();
   sim.run_for(seconds(2));
   EXPECT_EQ(seen, 0xc0ffeeu);
   EXPECT_EQ(seen_from, ProcessId{1});
+}
+
+// A keep-alive counts only if it decodes whole: one cut short, or one
+// whose piggyback the handler rejects, is reported and is no liveness.
+TEST_F(Fixture, MalformedKeepAliveIsNotLiveness) {
+  auto& fd1 = make(1, 2);
+  fd1.set_payload_handler(
+      [](ProcessId, const std::vector<std::byte>& piggyback) {
+        return piggyback.size() == 4;
+      });
+  fd1.start();  // p2 never starts: p1 hears only the frames fed below
+  auto from_p2 = [](std::vector<std::byte> payload) {
+    net::Message m;
+    m.src = ProcessId{2};
+    m.dst = ProcessId{1};
+    m.type = net::MsgType::kKeepAlive;
+    m.payload = std::move(payload);
+    return m;
+  };
+  const std::vector<std::byte> good =
+      encode(KeepAlive{TimePoint{}, std::vector<std::byte>(4)});
+  const net::Message truncated =
+      from_p2(std::vector<std::byte>(good.begin(), good.end() - 1));
+  const net::Message rejected =
+      from_p2(encode(KeepAlive{TimePoint{}, std::vector<std::byte>(3)}));
+  for (int i = 0; i < 10; ++i) {
+    sim.run_for(milliseconds(500));
+    EXPECT_FALSE(fd1.on_keepalive(truncated));
+    EXPECT_FALSE(fd1.on_keepalive(rejected));
+  }
+  EXPECT_FALSE(fd1.alive(ProcessId{2}));
+  EXPECT_TRUE(fd1.on_keepalive(from_p2(good)));
+  EXPECT_TRUE(fd1.alive(ProcessId{2}));
 }
 
 TEST_F(Fixture, SingleProcessHomeWorks) {

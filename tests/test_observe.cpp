@@ -317,5 +317,20 @@ TEST(Triage, HealthyHomeComesBackClean) {
   EXPECT_FALSE(rep.health.hit);
 }
 
+// A control character in the saved trace's path (from --trace-dir) or in a
+// trace's text comes out as \u00XX, so the report stays valid JSON.
+TEST(Triage, JsonEscapesControlCharacters) {
+  TriageReport rep;
+  rep.trace_path = "traces\tdir/home-0.rivtrace";
+  rep.first_divergence = "t=1us p1 \"fault\"\r";
+  const std::string json = render_triage_json({rep});
+  EXPECT_NE(json.find("\"trace_path\": \"traces\\u0009dir/home-0.rivtrace\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\\\"fault\\\"\\u000d"), std::string::npos) << json;
+  EXPECT_EQ(json.find('\t'), std::string::npos);
+  EXPECT_EQ(json.find('\r'), std::string::npos);
+}
+
 }  // namespace
 }  // namespace riv::fleet

@@ -64,13 +64,18 @@ struct Network {
       Node& dst = node(msg.dst);
       if (dst.silenced || rng.bernoulli(drop_prob)) continue;
       switch (msg.type) {
-        case net::MsgType::kRingEvent:
-          dst.stream->on_ring(msg.src, wire::decode_ring(msg.payload));
+        case net::MsgType::kRingEvent: {
+          wire::RingPayload p;
+          ASSERT_TRUE(wire::decode(msg.payload, p));
+          dst.stream->on_ring(msg.src, p);
           break;
-        case net::MsgType::kRbEvent:
-          dst.stream->on_rb(msg.src,
-                            wire::decode_event_payload(msg.payload));
+        }
+        case net::MsgType::kRbEvent: {
+          wire::EventPayload p;
+          ASSERT_TRUE(wire::decode(msg.payload, p));
+          dst.stream->on_rb(msg.src, p);
           break;
+        }
         default:
           break;
       }

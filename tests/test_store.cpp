@@ -62,15 +62,34 @@ TEST(ReplicatedStore, MergePrefersNewerWrite) {
   sim::Simulation sim(1);
   StandaloneStore s(sim, ProcessId{1});
   s.store->start();
-  BinaryWriter newer;
-  store::encode_entry(newer, "k", Entry{9.0, TimePoint{500}, 1, ProcessId{2}});
-  s.store->on_update(newer.take());
+  s.store->on_update(
+      encode(store::Update{"k", Entry{9.0, TimePoint{500}, 1, ProcessId{2}}}));
   EXPECT_EQ(s.store->get("k"), 9.0);
-  BinaryWriter older;
-  store::encode_entry(older, "k", Entry{1.0, TimePoint{100}, 1, ProcessId{3}});
-  s.store->on_update(older.take());
+  s.store->on_update(
+      encode(store::Update{"k", Entry{1.0, TimePoint{100}, 1, ProcessId{3}}}));
   EXPECT_EQ(s.store->get("k"), 9.0);  // stale write ignored
   EXPECT_EQ(s.store->merges_ignored(), 1u);
+}
+
+// An anti-entropy batch merges whole or not at all: cut inside its third
+// entry, it merges none of the two complete ones before the cut.
+TEST(ReplicatedStore, TruncatedSyncBatchMergesNothing) {
+  sim::Simulation sim(1);
+  StandaloneStore s(sim, ProcessId{1});
+  s.store->start();
+  store::Batch batch;
+  for (const char* key : {"a", "b", "c"})
+    batch.updates.push_back({key, Entry{1.0, TimePoint{100}, 1, ProcessId{2}}});
+  const std::vector<std::byte> whole = encode(batch);
+  const std::size_t cut_at = 4 + batch.updates[0].encoded_size() +
+                             batch.updates[1].encoded_size() + 5;
+  const std::vector<std::byte> cut(whole.begin(),
+                                   whole.begin() + static_cast<long>(cut_at));
+  EXPECT_FALSE(s.store->on_sync(cut));
+  EXPECT_EQ(s.store->size(), 0u);
+  EXPECT_EQ(s.store->merges_applied(), 0u);
+  EXPECT_TRUE(s.store->on_sync(whole));
+  EXPECT_EQ(s.store->size(), 3u);
 }
 
 TEST(ReplicatedStore, CrashRecoveryFromStableStore) {

@@ -18,6 +18,13 @@ devices::SensorEvent sample_event(std::uint32_t payload = 4) {
   return e;
 }
 
+template <class Frame>
+Frame decoded(const std::vector<std::byte>& buf) {
+  Frame f;
+  EXPECT_TRUE(decode(buf, f));
+  return f;
+}
+
 std::set<ProcessId> pids(std::uint16_t first, std::size_t n) {
   std::set<ProcessId> out;
   for (std::size_t i = 0; i < n; ++i)
@@ -31,19 +38,23 @@ TEST(Wire, PidSetRoundTrip) {
        {std::set<ProcessId>{ProcessId{1}, ProcessId{5}, ProcessId{300}},
         pids(3, 9), pids(2, 255)}) {
     BinaryWriter w;
-    write_pid_set(w, s);
+    io(w, PidSet(s));
     EXPECT_EQ(w.size(), 1u + 2u * s.size());
     BinaryReader r(w.data());
-    EXPECT_EQ(read_pid_set(r), s);
+    PidSet got;
+    io(r, got);
+    EXPECT_EQ(got, s);
     EXPECT_TRUE(r.at_end());
   }
 }
 
 TEST(Wire, EmptyPidSet) {
   BinaryWriter w;
-  write_pid_set(w, {});
+  io(w, PidSet{});
   BinaryReader r(w.data());
-  EXPECT_TRUE(read_pid_set(r).empty());
+  PidSet got{ProcessId{4}};
+  io(r, got);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST(Wire, RingPayloadRoundTrip) {
@@ -58,7 +69,7 @@ TEST(Wire, RingPayloadRoundTrip) {
     p.event = sample_event();
     std::vector<std::byte> buf = encode(p);
     EXPECT_EQ(buf.size(), 2u + 2u + 5u + 1u + 2u * need.size() + 27u);
-    RingPayload d = decode_ring(buf);
+    RingPayload d = decoded<RingPayload>(buf);
     EXPECT_EQ(d.app, p.app);
     EXPECT_EQ(d.sensor, p.sensor);
     EXPECT_EQ(d.seen, p.seen);
@@ -85,18 +96,18 @@ TEST(Wire, EventPayloadRoundTripAndSize) {
   p.app = AppId{2};
   p.sensor = SensorId{3};
   p.event = sample_event(8);
-  std::vector<std::byte> buf = encode_event_payload(p);
+  std::vector<std::byte> buf = encode(p);
   EXPECT_EQ(buf.size(), 2u + 2u + 23u + 8u);
-  EventPayload d = decode_event_payload(buf);
+  EventPayload d = decoded<EventPayload>(buf);
   EXPECT_EQ(d.app, p.app);
   EXPECT_EQ(d.event.id, p.event.id);
   EXPECT_DOUBLE_EQ(d.event.value, 21.5);
 }
 
 TEST(Wire, SyncRequestRoundTrip) {
-  std::vector<std::byte> buf = encode_sync_request(AppId{12});
+  std::vector<std::byte> buf = encode(AppFrame{AppId{12}});
   EXPECT_EQ(buf.size(), 2u);
-  EXPECT_EQ(decode_sync_request(buf), AppId{12});
+  EXPECT_EQ(decoded<AppFrame>(buf).app, AppId{12});
 }
 
 TEST(Wire, SyncResponseRoundTrip) {
@@ -107,7 +118,7 @@ TEST(Wire, SyncResponseRoundTrip) {
   std::vector<std::byte> buf = encode(p);
   // app + count, then 14 B per summary and 8 B per missing run.
   EXPECT_EQ(buf.size(), 2u + 2u + 2u * 14u + 2u * 8u);
-  SyncResponse d = decode_sync_response(buf);
+  SyncResponse d = decoded<SyncResponse>(buf);
   EXPECT_EQ(d.app, p.app);
   ASSERT_EQ(d.streams.size(), 2u);
   EXPECT_EQ(d.streams[0].prefix, 101u);
@@ -129,15 +140,15 @@ TEST(Wire, CommandPayloadRoundTrip) {
   p.command.issued_at = TimePoint{42};
   std::vector<std::byte> buf = encode(p);
   EXPECT_EQ(buf.size(), 2u + 1u + devices::Command::kWireSize);
-  CommandPayload d = decode_command_payload(buf);
+  CommandPayload d = decoded<CommandPayload>(buf);
   EXPECT_EQ(d.guarantee, 1);
   EXPECT_EQ(d.command.id, p.command.id);
   EXPECT_TRUE(d.command.test_and_set);
 }
 
 TEST(Wire, RoleChangeRoundTrip) {
-  std::vector<std::byte> buf = encode_role_change(AppId{3});
-  EXPECT_EQ(decode_role_change(buf), AppId{3});
+  std::vector<std::byte> buf = encode(AppFrame{AppId{3}});
+  EXPECT_EQ(decoded<AppFrame>(buf).app, AppId{3});
 }
 
 TEST(Wire, CommandAckRoundTrip) {
@@ -146,7 +157,7 @@ TEST(Wire, CommandAckRoundTrip) {
   p.command = {ProcessId{3}, 77};
   std::vector<std::byte> buf = encode(p);
   EXPECT_EQ(buf.size(), 2u + 6u);
-  CommandAck d = decode_command_ack(buf);
+  CommandAck d = decoded<CommandAck>(buf);
   EXPECT_EQ(d.app, p.app);
   EXPECT_EQ(d.command, p.command);
 }
@@ -160,9 +171,35 @@ TEST(Wire, LargeEventSurvivesRing) {
   p.event = sample_event(20 * 1024);
   std::vector<std::byte> buf = encode(p);
   EXPECT_GT(buf.size(), 20u * 1024u);
-  RingPayload d = decode_ring(buf);
+  RingPayload d = decoded<RingPayload>(buf);
   EXPECT_EQ(d.event.payload_size, 20u * 1024u);
   EXPECT_DOUBLE_EQ(d.event.value, 21.5);
+}
+
+// Each frame is written into one buffer reserved at its exact size: an
+// encoded_size() that disagrees with the field list would show as spare or
+// regrown capacity here.
+TEST(Wire, EncodeReservesExactSize) {
+  auto exact = [](const std::vector<std::byte>& buf) {
+    return buf.capacity() == buf.size();
+  };
+  RingPayload ring;
+  ring.seen = {ProcessId{1}};
+  ring.need = {ProcessId{1}, ProcessId{2}};
+  ring.event = sample_event(20);
+  EXPECT_TRUE(exact(encode(ring)));
+  EventPayload event;
+  event.event = sample_event(4);
+  EXPECT_TRUE(exact(encode(event)));
+  EXPECT_TRUE(exact(encode(AppFrame{AppId{2}})));
+  SyncResponse sync;
+  sync.streams.push_back({SensorId{9}, 7, 40, {{7, 9}, {12, 30}}});
+  EXPECT_TRUE(exact(encode(sync)));
+  EXPECT_TRUE(exact(encode(CommandPayload{})));
+  EXPECT_TRUE(exact(encode(CommandAck{})));
+  Watermarks marks;
+  marks.apps.push_back({AppId{1}, {{SensorId{1}, TimePoint{5}}}});
+  EXPECT_TRUE(exact(encode(marks)));
 }
 
 }  // namespace

@@ -1,16 +1,20 @@
 // Wire/codec round-trip property tests.
 //
-// For every protocol message type: randomized payloads encode and decode
-// back to the same value; every strict prefix of a valid encoding is
-// rejected by the try_decode_* variant (returns nullopt instead of
-// asserting); and random byte soup never crashes a decoder.
+// For every protocol frame (the core frames, the keep-alive and its
+// watermark piggyback, the store's update and batch): randomized frames
+// encode and decode back to the same value; every strict prefix of a
+// valid encoding, and the encoding with one byte appended, is rejected by
+// decode (false, never an abort); and random byte soup never crashes it.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/wire.hpp"
+#include "membership/failure_detector.hpp"
+#include "store/replicated_store.hpp"
 
 namespace riv {
 namespace {
@@ -65,6 +69,13 @@ void expect_event_eq(const devices::SensorEvent& a,
   EXPECT_EQ(a.payload_size, b.payload_size);
 }
 
+template <class Frame>
+std::optional<Frame> try_decode(const std::vector<std::byte>& buf) {
+  Frame f;
+  if (!decode(buf, f)) return std::nullopt;
+  return f;
+}
+
 // Every strict prefix of a valid encoding must be rejected: the decoders
 // consume an exact, self-describing structure, so cutting any suffix off
 // must trip the bounds-checked reader (or the consumed-exactly check).
@@ -78,6 +89,17 @@ void expect_all_prefixes_rejected(const std::vector<std::byte>& buf,
   }
 }
 
+// A valid encoding with one byte appended must be rejected too: decode
+// accepts only a buffer it consumes exactly.
+template <typename TryDecode>
+void expect_extra_byte_rejected(const std::vector<std::byte>& buf,
+                                TryDecode try_decode) {
+  std::vector<std::byte> longer = buf;
+  longer.push_back(std::byte{0});
+  EXPECT_FALSE(try_decode(longer).has_value())
+      << "accepted " << longer.size() << " bytes";
+}
+
 TEST(WireFuzzTest, RingPayloadRoundTripsAndRejectsTruncation) {
   Rng rng(1);
   for (int i = 0; i < kRounds; ++i) {
@@ -89,7 +111,7 @@ TEST(WireFuzzTest, RingPayloadRoundTripsAndRejectsTruncation) {
     p.event = random_event(rng);
     std::vector<std::byte> buf = encode(p);
 
-    std::optional<RingPayload> q = try_decode_ring(buf);
+    std::optional<RingPayload> q = try_decode<RingPayload>(buf);
     ASSERT_TRUE(q.has_value());
     EXPECT_EQ(q->app, p.app);
     EXPECT_EQ(q->sensor, p.sensor);
@@ -97,7 +119,8 @@ TEST(WireFuzzTest, RingPayloadRoundTripsAndRejectsTruncation) {
     EXPECT_EQ(q->need, p.need);
     expect_event_eq(q->event, p.event);
 
-    if (i < 10) expect_all_prefixes_rejected(buf, try_decode_ring);
+    expect_extra_byte_rejected(buf, try_decode<RingPayload>);
+    if (i < 10) expect_all_prefixes_rejected(buf, try_decode<RingPayload>);
   }
 }
 
@@ -108,15 +131,16 @@ TEST(WireFuzzTest, EventPayloadRoundTripsAndRejectsTruncation) {
     p.app = AppId{static_cast<std::uint16_t>(1 + rng.next() % 8)};
     p.sensor = SensorId{static_cast<std::uint16_t>(1 + rng.next() % 16)};
     p.event = random_event(rng);
-    std::vector<std::byte> buf = encode_event_payload(p);
+    std::vector<std::byte> buf = encode(p);
 
-    std::optional<EventPayload> q = try_decode_event_payload(buf);
+    std::optional<EventPayload> q = try_decode<EventPayload>(buf);
     ASSERT_TRUE(q.has_value());
     EXPECT_EQ(q->app, p.app);
     EXPECT_EQ(q->sensor, p.sensor);
     expect_event_eq(q->event, p.event);
 
-    if (i < 10) expect_all_prefixes_rejected(buf, try_decode_event_payload);
+    expect_extra_byte_rejected(buf, try_decode<EventPayload>);
+    if (i < 10) expect_all_prefixes_rejected(buf, try_decode<EventPayload>);
   }
 }
 
@@ -125,17 +149,13 @@ TEST(WireFuzzTest, SyncRequestAndRoleChangeRoundTrip) {
   for (int i = 0; i < kRounds; ++i) {
     AppId app{static_cast<std::uint16_t>(rng.next() % 1000)};
 
-    std::vector<std::byte> buf = encode_sync_request(app);
-    std::optional<AppId> q = try_decode_sync_request(buf);
+    // kSyncRequest, kPromote and kDemote share the app frame.
+    std::vector<std::byte> buf = encode(AppFrame{app});
+    std::optional<AppFrame> q = try_decode<AppFrame>(buf);
     ASSERT_TRUE(q.has_value());
-    EXPECT_EQ(*q, app);
-    expect_all_prefixes_rejected(buf, try_decode_sync_request);
-
-    buf = encode_role_change(app);
-    q = try_decode_role_change(buf);
-    ASSERT_TRUE(q.has_value());
-    EXPECT_EQ(*q, app);
-    expect_all_prefixes_rejected(buf, try_decode_role_change);
+    EXPECT_EQ(q->app, app);
+    expect_all_prefixes_rejected(buf, try_decode<AppFrame>);
+    expect_extra_byte_rejected(buf, try_decode<AppFrame>);
   }
 }
 
@@ -166,7 +186,7 @@ TEST(WireFuzzTest, SyncResponseRoundTripsAndRejectsTruncation) {
     for (int j = 0; j < n; ++j) p.streams.push_back(random_summary(rng));
     std::vector<std::byte> buf = encode(p);
 
-    std::optional<SyncResponse> q = try_decode_sync_response(buf);
+    std::optional<SyncResponse> q = try_decode<SyncResponse>(buf);
     ASSERT_TRUE(q.has_value());
     EXPECT_EQ(q->app, p.app);
     ASSERT_EQ(q->streams.size(), p.streams.size());
@@ -177,7 +197,8 @@ TEST(WireFuzzTest, SyncResponseRoundTripsAndRejectsTruncation) {
       EXPECT_EQ(q->streams[j].missing, p.streams[j].missing);
     }
 
-    if (i < 10) expect_all_prefixes_rejected(buf, try_decode_sync_response);
+    expect_extra_byte_rejected(buf, try_decode<SyncResponse>);
+    if (i < 10) expect_all_prefixes_rejected(buf, try_decode<SyncResponse>);
   }
 }
 
@@ -192,7 +213,7 @@ TEST(WireFuzzTest, SyncResponseRejectsMalformedSummaries) {
     return encode(p);
   };
   auto accepted = [](const std::vector<std::byte>& buf) {
-    return try_decode_sync_response(buf).has_value();
+    return try_decode<SyncResponse>(buf).has_value();
   };
   EXPECT_TRUE(accepted(one(5, 20, {{5, 7}, {9, 12}})));
   EXPECT_TRUE(accepted(one(5, 20, {{5, 7}, {7, 20}})));  // touching, inside
@@ -229,7 +250,7 @@ TEST(WireFuzzTest, CommandPayloadRoundTripsAndRejectsTruncation) {
     p.command = random_command(rng);
     std::vector<std::byte> buf = encode(p);
 
-    std::optional<CommandPayload> q = try_decode_command_payload(buf);
+    std::optional<CommandPayload> q = try_decode<CommandPayload>(buf);
     ASSERT_TRUE(q.has_value());
     EXPECT_EQ(q->app, p.app);
     EXPECT_EQ(q->guarantee, p.guarantee);
@@ -241,8 +262,9 @@ TEST(WireFuzzTest, CommandPayloadRoundTripsAndRejectsTruncation) {
 
     // The provenance cause rides at the end of the command encoding, so
     // strict-prefix rejection specifically covers truncation inside it.
+    expect_extra_byte_rejected(buf, try_decode<CommandPayload>);
     if (i < 10)
-      expect_all_prefixes_rejected(buf, try_decode_command_payload);
+      expect_all_prefixes_rejected(buf, try_decode<CommandPayload>);
   }
 }
 
@@ -256,11 +278,126 @@ TEST(WireFuzzTest, CommandAckRoundTripsAndRejectsTruncation) {
                   static_cast<std::uint32_t>(rng.next() % 100000)};
     std::vector<std::byte> buf = encode(p);
 
-    std::optional<CommandAck> q = try_decode_command_ack(buf);
+    std::optional<CommandAck> q = try_decode<CommandAck>(buf);
     ASSERT_TRUE(q.has_value());
     EXPECT_EQ(q->app, p.app);
     EXPECT_EQ(q->command, p.command);
-    expect_all_prefixes_rejected(buf, try_decode_command_ack);
+    expect_all_prefixes_rejected(buf, try_decode<CommandAck>);
+    expect_extra_byte_rejected(buf, try_decode<CommandAck>);
+  }
+}
+
+Watermarks random_watermarks(Rng& rng) {
+  Watermarks w;
+  const int apps = static_cast<int>(rng.next() % 4);
+  for (int a = 0; a < apps; ++a) {
+    AppWatermarks& app = w.apps.emplace_back();
+    app.app = AppId{static_cast<std::uint16_t>(1 + rng.next() % 8)};
+    const int streams = static_cast<int>(rng.next() % 4);
+    for (int k = 0; k < streams; ++k) {
+      app.streams.push_back(
+          {SensorId{static_cast<std::uint16_t>(1 + rng.next() % 16)},
+           TimePoint{static_cast<std::int64_t>(rng.next() % 100000000)}});
+    }
+  }
+  return w;
+}
+
+void expect_watermarks_eq(const Watermarks& a, const Watermarks& b) {
+  ASSERT_EQ(a.apps.size(), b.apps.size());
+  for (std::size_t i = 0; i < a.apps.size(); ++i) {
+    EXPECT_EQ(a.apps[i].app, b.apps[i].app);
+    ASSERT_EQ(a.apps[i].streams.size(), b.apps[i].streams.size());
+    for (std::size_t k = 0; k < a.apps[i].streams.size(); ++k) {
+      EXPECT_EQ(a.apps[i].streams[k].sensor, b.apps[i].streams[k].sensor);
+      EXPECT_EQ(a.apps[i].streams[k].processed,
+                b.apps[i].streams[k].processed);
+    }
+  }
+}
+
+// The keep-alive piggyback, decoded again into one reused frame as the
+// runtime does: every round replaces the previous round's contents.
+TEST(WireFuzzTest, WatermarksRoundTripAndRejectTruncation) {
+  Rng rng(12);
+  Watermarks reused;
+  for (int i = 0; i < kRounds; ++i) {
+    Watermarks p = random_watermarks(rng);
+    std::vector<std::byte> buf = encode(p);
+    ASSERT_TRUE(decode(buf, reused));
+    expect_watermarks_eq(reused, p);
+    expect_extra_byte_rejected(buf, try_decode<Watermarks>);
+    if (i < 10) expect_all_prefixes_rejected(buf, try_decode<Watermarks>);
+  }
+}
+
+TEST(WireFuzzTest, KeepAliveRoundTripsAndRejectsTruncation) {
+  using membership::KeepAlive;
+  Rng rng(13);
+  for (int i = 0; i < kRounds; ++i) {
+    KeepAlive p;
+    p.sent_at = TimePoint{static_cast<std::int64_t>(rng.next() % 100000000)};
+    p.piggyback = encode(random_watermarks(rng));
+    std::vector<std::byte> buf = encode(p);
+
+    std::optional<KeepAlive> q = try_decode<KeepAlive>(buf);
+    ASSERT_TRUE(q.has_value());
+    EXPECT_EQ(q->sent_at, p.sent_at);
+    EXPECT_EQ(q->piggyback, p.piggyback);
+    expect_extra_byte_rejected(buf, try_decode<KeepAlive>);
+    if (i < 10) expect_all_prefixes_rejected(buf, try_decode<KeepAlive>);
+  }
+}
+
+store::Update random_update(Rng& rng) {
+  store::Update u;
+  u.key = "key" + std::to_string(rng.next() % 1000);
+  if (rng.bernoulli(0.3)) u.key += std::string(20, 'x');  // past SSO
+  u.entry.value = rng.uniform(-100.0, 100.0);
+  u.entry.written_at =
+      TimePoint{static_cast<std::int64_t>(rng.next() % 100000000)};
+  u.entry.seq = static_cast<std::uint32_t>(rng.next() % 100000);
+  u.entry.writer = ProcessId{static_cast<std::uint16_t>(1 + rng.next() % 8)};
+  return u;
+}
+
+void expect_update_eq(const store::Update& a, const store::Update& b) {
+  EXPECT_EQ(a.key, b.key);
+  EXPECT_DOUBLE_EQ(a.entry.value, b.entry.value);
+  EXPECT_EQ(a.entry.written_at, b.entry.written_at);
+  EXPECT_EQ(a.entry.seq, b.entry.seq);
+  EXPECT_EQ(a.entry.writer, b.entry.writer);
+}
+
+TEST(WireFuzzTest, StoreUpdateRoundTripsAndRejectsTruncation) {
+  Rng rng(14);
+  for (int i = 0; i < kRounds; ++i) {
+    store::Update p = random_update(rng);
+    std::vector<std::byte> buf = encode(p);
+
+    std::optional<store::Update> q = try_decode<store::Update>(buf);
+    ASSERT_TRUE(q.has_value());
+    expect_update_eq(*q, p);
+    expect_extra_byte_rejected(buf, try_decode<store::Update>);
+    if (i < 10) expect_all_prefixes_rejected(buf, try_decode<store::Update>);
+  }
+}
+
+TEST(WireFuzzTest, StoreBatchRoundTripsAndRejectsTruncation) {
+  Rng rng(15);
+  for (int i = 0; i < kRounds; ++i) {
+    store::Batch p;
+    const int n = static_cast<int>(rng.next() % 5);
+    for (int k = 0; k < n; ++k) p.updates.push_back(random_update(rng));
+    std::vector<std::byte> buf = encode(p);
+
+    std::optional<store::Batch> q = try_decode<store::Batch>(buf);
+    ASSERT_TRUE(q.has_value());
+    ASSERT_EQ(q->updates.size(), p.updates.size());
+    for (std::size_t k = 0; k < p.updates.size(); ++k)
+      expect_update_eq(q->updates[k], p.updates[k]);
+    expect_extra_byte_rejected(buf, try_decode<store::Batch>);
+    if (i < 10) expect_all_prefixes_rejected(buf, try_decode<store::Batch>);
   }
 }
 
@@ -273,7 +410,7 @@ TEST(WireFuzzTest, SealedFrameRoundTripsBodyAndTrailer) {
     p.app = AppId{static_cast<std::uint16_t>(1 + rng.next() % 8)};
     p.sensor = SensorId{static_cast<std::uint16_t>(1 + rng.next() % 16)};
     p.event = random_event(rng);
-    std::vector<std::byte> base = encode_event_payload(p);
+    std::vector<std::byte> base = encode(p);
 
     std::uint64_t key = rng.next();
     std::uint64_t chain = rng.next();
@@ -289,7 +426,7 @@ TEST(WireFuzzTest, SealedFrameRoundTripsBodyAndTrailer) {
     EXPECT_EQ(tr.mac, compute_mac(key, base.data(), base.size(), chain));
 
     // The stripped body decodes back to the original payload.
-    std::optional<EventPayload> q = try_decode_event_payload(body);
+    std::optional<EventPayload> q = try_decode<EventPayload>(body);
     ASSERT_TRUE(q.has_value());
     EXPECT_EQ(q->app, p.app);
     EXPECT_EQ(q->sensor, p.sensor);
@@ -377,13 +514,16 @@ TEST(WireFuzzTest, RandomBytesNeverCrashDecoders) {
     std::vector<std::byte> buf(len);
     for (std::size_t j = 0; j < len; ++j)
       buf[j] = static_cast<std::byte>(rng.next() & 0xff);
-    (void)try_decode_ring(buf);
-    (void)try_decode_event_payload(buf);
-    (void)try_decode_sync_request(buf);
-    (void)try_decode_sync_response(buf);
-    (void)try_decode_command_payload(buf);
-    (void)try_decode_role_change(buf);
-    (void)try_decode_command_ack(buf);
+    (void)try_decode<RingPayload>(buf);
+    (void)try_decode<EventPayload>(buf);
+    (void)try_decode<AppFrame>(buf);
+    (void)try_decode<SyncResponse>(buf);
+    (void)try_decode<CommandPayload>(buf);
+    (void)try_decode<CommandAck>(buf);
+    (void)try_decode<Watermarks>(buf);
+    (void)try_decode<membership::KeepAlive>(buf);
+    (void)try_decode<store::Update>(buf);
+    (void)try_decode<store::Batch>(buf);
   }
 }
 
