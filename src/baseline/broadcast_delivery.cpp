@@ -22,7 +22,7 @@ void BroadcastDeliveryNode::start() {
 }
 
 void BroadcastDeliveryNode::on_device_event(const devices::SensorEvent& e) {
-  if (seen_.count(e.id) != 0) return;  // already heard via broadcast
+  if (seen_.contains(e.id)) return;  // already heard via broadcast
   note(e, /*from_network=*/false);
 
   core::wire::EventPayload p;
@@ -41,7 +41,7 @@ void BroadcastDeliveryNode::on_message(const net::Message& msg) {
   if (msg.type != net::MsgType::kRbEvent) return;
   core::wire::EventPayload p;
   if (!core::wire::decode(msg.payload, p)) return;  // malformed: dropped
-  if (seen_.count(p.event.id) != 0) return;
+  if (seen_.contains(p.event.id)) return;
   note(p.event, /*from_network=*/true);
 }
 

@@ -10,9 +10,9 @@
 // byte comparison in bench_fig5 is apples-to-apples.
 #pragma once
 
-#include <set>
 #include <vector>
 
+#include "common/seq_set.hpp"
 #include "core/wire.hpp"
 #include "devices/home_bus.hpp"
 #include "net/sim_network.hpp"
@@ -41,7 +41,7 @@ class BroadcastDeliveryNode {
   ProcessId self_;
   std::vector<ProcessId> all_;
   bool app_bearing_;
-  std::set<EventId> seen_;
+  EventIdSet seen_;
   std::uint64_t delivered_to_app_{0};
   std::uint64_t broadcasts_{0};
 };

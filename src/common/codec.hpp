@@ -35,6 +35,7 @@
 #include "common/assert.hpp"
 #include "common/pid_set.hpp"
 #include "common/rng.hpp"
+#include "common/seq_set.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 
@@ -520,6 +521,29 @@ template <Archive A, class C>
   requires kCountedSeq<std::remove_const_t<C>>
 void io(A& a, C& c) {
   io_seq(a, c);
+}
+
+// A sequence set and an event-id set: a u64 count, then the members
+// ascending — the layout of the ordered sets they replace. Restore's
+// ascending inserts each extend the last run.
+inline void io(BinaryWriter& w, const SeqSet& s) {
+  w.u64(s.size());
+  for (std::uint32_t seq : s) w.u32(seq);
+}
+inline void io(BinaryReader& r, SeqSet& s) {
+  s.clear();
+  const std::uint64_t n = read_count<std::uint64_t>(r);
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) s.insert(r.u32());
+}
+inline void io(BinaryWriter& w, const EventIdSet& s) {
+  w.u64(s.size());
+  for (const auto& [sensor, seqs] : s.streams())
+    for (std::uint32_t seq : seqs) w.event_id({sensor, seq});
+}
+inline void io(BinaryReader& r, EventIdSet& s) {
+  s.clear();
+  const std::uint64_t n = read_count<std::uint64_t>(r);
+  for (std::uint64_t i = 0; i < n && r.ok(); ++i) s.insert(r.event_id());
 }
 
 // A hash map is written in key order, so equal contents capture equal

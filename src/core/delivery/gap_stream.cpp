@@ -54,7 +54,7 @@ void GapStream::on_forward(ProcessId from, const wire::EventPayload& p) {
 
 void GapStream::deliver_dedup(const devices::SensorEvent& e,
                               const char* src) {
-  if (recent_.count(e.id) != 0) return;
+  if (recent_.contains(e.id)) return;
   if (trace::active(trace::Component::kDelivery)) {
     trace::emit(ctx_.timers->now(), ctx_.self, trace::Component::kDelivery,
                 trace::Kind::kIngest, provenance_of(e.id),
@@ -131,7 +131,7 @@ void GapStream::io_state(A& a, Self& s) {
   io(a, s.recent_order_);
   if constexpr (A::kReads) {
     s.recent_.clear();
-    s.recent_.insert(s.recent_order_.begin(), s.recent_order_.end());
+    for (EventId id : s.recent_order_) s.recent_.insert(id);
   }
   io(a, s.epochs_seen_);
   io(a, s.ingested_);

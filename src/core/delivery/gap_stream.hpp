@@ -22,6 +22,7 @@
 #include <optional>
 #include <set>
 
+#include "common/seq_set.hpp"
 #include "core/delivery/stream_context.hpp"
 #include "core/wire.hpp"
 
@@ -75,7 +76,7 @@ class GapStream {
 
   StreamContext ctx_;
   std::uint32_t first_epoch_{0};
-  std::set<EventId> recent_;
+  EventIdSet recent_;
   std::deque<EventId> recent_order_;
   std::set<std::uint32_t> epochs_seen_;
 

@@ -91,8 +91,7 @@ void GaplessStream::on_ring(ProcessId from, const wire::RingPayload& p) {
 }
 
 void GaplessStream::initiate_reliable_broadcast(EventId id) {
-  if (rb_done_.count(id) != 0) return;  // broadcast at most once per event
-  rb_done_.insert(id);
+  if (!rb_done_.insert(id)) return;  // broadcast at most once per event
   const StoredEvent* stored = ctx_.log->find(id);
   RIV_ASSERT(stored != nullptr, "broadcasting an event we do not hold");
   ++rb_initiated_;
@@ -142,8 +141,7 @@ void GaplessStream::on_rb(ProcessId from, const wire::EventPayload& p) {
 }
 
 void GaplessStream::reflood(ProcessId origin, const wire::EventPayload& p) {
-  if (rb_done_.count(p.event.id) != 0) return;
-  rb_done_.insert(p.event.id);
+  if (!rb_done_.insert(p.event.id)) return;
   std::vector<std::byte> buf = wire::encode(p);
   if (ctx_.seal) ctx_.seal(buf, p.event.chain);
   net::Payload payload = std::move(buf);  // shared by all targets

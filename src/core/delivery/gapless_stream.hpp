@@ -28,6 +28,7 @@
 #include <optional>
 #include <set>
 
+#include "common/seq_set.hpp"
 #include "core/delivery/stream_context.hpp"
 #include "core/wire.hpp"
 
@@ -96,7 +97,7 @@ class GaplessStream {
   StreamContext ctx_;
   std::uint32_t first_epoch_{0};
   std::set<std::uint32_t> epochs_seen_;
-  std::set<EventId> rb_done_;  // events already broadcast/re-flooded here
+  EventIdSet rb_done_;  // events already broadcast/re-flooded here
 
   std::uint64_t ingested_{0};
   std::uint64_t ring_forwards_{0};

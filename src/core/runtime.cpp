@@ -322,7 +322,7 @@ void RivuletProcess::on_device_event(const devices::SensorEvent& e) {
     // ...while a replayed genuine event passes it and is caught here:
     // every sensor emission carries a fresh seq (polls included), so a
     // seq this process already ingested can only be a re-injection.
-    if (!device_seqs_seen_[e.id.sensor].insert(e.id.seq).second) {
+    if (!device_seqs_seen_[e.id.sensor].insert(e.id.seq)) {
       if (trace::active(trace::Component::kRuntime)) {
         trace::emit(sim_->now(), self_, trace::Component::kRuntime,
                     trace::Kind::kTamper, provenance_of(e.id),
@@ -618,7 +618,7 @@ void RivuletProcess::deliver_to_logic(AppId id, AppState& app,
                 trace::fu(trace::Key::kApp, id.value),
                 trace::fe(trace::Key::kEvent, e.id));
   }
-  if (!app.instance_delivered.insert(e.id).second) {
+  if (!app.instance_delivered.insert(e.id)) {
     if (app.m_dup_instance == nullptr)
       app.m_dup_instance =
           &metrics_->counter(metric_prefix(id) + ".dup_instance_delivery");
@@ -768,7 +768,7 @@ void RivuletProcess::handle_command(const net::Message& msg) {
 bool RivuletProcess::device_seq_seen(SensorId sensor,
                                      std::uint32_t seq) const {
   auto it = device_seqs_seen_.find(sensor);
-  return it != device_seqs_seen_.end() && it->second.count(seq) != 0;
+  return it != device_seqs_seen_.end() && it->second.contains(seq);
 }
 
 std::size_t RivuletProcess::device_seqs_seen_count(SensorId sensor) const {

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "appmodel/logic.hpp"
+#include "common/seq_set.hpp"
 #include "core/config.hpp"
 #include "core/delivery/gap_stream.hpp"
 #include "core/delivery/gapless_stream.hpp"
@@ -147,7 +148,7 @@ class RivuletProcess : public sim::TimerOwner {
     // for both guarantees (§4.2 Gap dedup; Gapless log-exact dedup), so
     // duplicates are charged to the "<app>.dup_instance_delivery" metric,
     // which the chaos invariant checker requires to stay zero.
-    std::set<EventId> instance_delivered;
+    EventIdSet instance_delivered;
   };
 
   // The process's own timer kind: periodic anti-entropy plus command
@@ -241,7 +242,7 @@ class RivuletProcess : public sim::TimerOwner {
   std::map<AppId, EventLog> logs_;
   // Integrity layer (survives crashes, like store_): per-origin device
   // sequence history for replay detection, and the verify scratch buffer.
-  std::map<SensorId, std::set<std::uint32_t>> device_seqs_seen_;
+  std::map<SensorId, SeqSet> device_seqs_seen_;
   std::vector<std::byte> unseal_scratch_;
   // Keep-alive piggyback scratch, reused in place: one frame to send and
   // one per sender, since each sender's piggyback keeps its shape from one

@@ -68,9 +68,6 @@ SensorEvent decode_event(BinaryReader& r);
 inline void io_wire(BinaryWriter& w, const SensorEvent& e) { encode(w, e); }
 inline void io_wire(BinaryReader& r, SensorEvent& e) { e = decode_event(r); }
 
-// The snapshot form of one event (SensorEvent::io_state).
-inline void encode_clone(BinaryWriter& w, const SensorEvent& e) { io(w, e); }
-
 // Keyed MAC authenticating the device->process radio hop of one event:
 // FNV-1a over (key, event id, epoch, emission time, flags, value bits,
 // chain). A forged event fails it; a replayed event passes it (the frame

@@ -1,8 +1,8 @@
 #include "workload/fig1.hpp"
 
 #include <algorithm>
-#include <set>
 
+#include "common/seq_set.hpp"
 #include "devices/home_bus.hpp"
 #include "sim/simulation.hpp"
 
@@ -24,7 +24,7 @@ struct Fig1Deployment::Impl {
   std::vector<ProcessId> procs;
   std::map<SensorId, std::size_t> row_of;
   std::map<SensorId, std::map<ProcessId, std::uint64_t>> counts;
-  std::set<EventId> received_anywhere;
+  EventIdSet received_anywhere;
   std::vector<Fig1Result::Row> rows;
 
   explicit Impl(const Fig1Options& opt)

@@ -116,10 +116,13 @@ TEST(Marzullo, FailureBudgets) {
 // --- property sweep: with <= f arbitrary liars, the fused interval always
 // contains the true value -----------------------------------------------------
 
+// No padding: gtest names each case after the parameter's bytes.
 struct MarzulloCase {
   std::size_t n;
   std::uint64_t seed;
 };
+static_assert(sizeof(MarzulloCase) ==
+              sizeof(std::size_t) + sizeof(std::uint64_t));
 
 class MarzulloProperty : public ::testing::TestWithParam<MarzulloCase> {};
 

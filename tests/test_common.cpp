@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "common/hash.hpp"
 #include "common/pid_set.hpp"
 #include "common/rng.hpp"
+#include "common/seq_set.hpp"
 #include "common/time.hpp"
 #include "common/types.hpp"
 
@@ -264,6 +267,206 @@ TEST(PidSet, SpillsPastInlineCapacityAndStaysSorted) {
   EXPECT_EQ(copy, PidSet{ProcessId{1}});
   copy.clear();
   EXPECT_TRUE(copy.empty());
+}
+
+// --- SeqSet / EventIdSet against the ordered sets they replace ----------
+
+constexpr std::uint32_t kMaxSeq = std::numeric_limits<std::uint32_t>::max();
+
+std::vector<std::uint32_t> members(const SeqSet& s) {
+  return std::vector<std::uint32_t>(s.begin(), s.end());
+}
+std::vector<EventId> members(const EventIdSet& s) {
+  std::vector<EventId> out;
+  for (const auto& [sensor, seqs] : s.streams())
+    for (std::uint32_t seq : seqs) out.push_back({sensor, seq});
+  return out;
+}
+
+// Runs are ascending, non-empty and never touch: one set, one form.
+void expect_canonical(const SeqSet& s) {
+  const auto& runs = s.runs();
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_LE(runs[i].lo, runs[i].hi);
+    if (i > 0) {
+      EXPECT_GT(runs[i].lo, std::uint64_t{runs[i - 1].hi} + 1);
+    }
+  }
+}
+
+// A seq near 0, near UINT32_MAX, in a middle cluster, or one past the
+// largest member (the in-order arrival the fast path serves).
+std::uint32_t pick_seq(Rng& rng, const std::set<std::uint32_t>& ref) {
+  switch (rng.uniform_int(4)) {
+    case 0:
+      return static_cast<std::uint32_t>(rng.uniform_int(40));
+    case 1:
+      return kMaxSeq - static_cast<std::uint32_t>(rng.uniform_int(40));
+    case 2:
+      return ref.empty() ? 0 : *ref.rbegin() + 1;
+    default:
+      return 1000 + static_cast<std::uint32_t>(rng.uniform_int(60));
+  }
+}
+
+// Every operation's result, size, membership around the touched seq and
+// the ascending order match std::set after each step, under out-of-order
+// inserts, merges of two runs, splitting erases, 0 and UINT32_MAX.
+TEST(SeqSet, MatchesOrderedSetUnderRandomOperations) {
+  int merges = 0, splits = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    SeqSet set;
+    std::set<std::uint32_t> ref;
+    for (int step = 0; step < 600; ++step) {
+      const std::uint32_t seq = pick_seq(rng, ref);
+      const std::size_t runs_before = set.runs().size();
+      if (rng.uniform_int(3) == 0) {
+        ASSERT_EQ(set.erase(seq), ref.erase(seq) != 0) << "seed " << seed;
+        splits += set.runs().size() > runs_before;
+      } else {
+        ASSERT_EQ(set.insert(seq), ref.insert(seq).second) << "seed " << seed;
+        merges += set.runs().size() < runs_before;
+      }
+      ASSERT_EQ(set.size(), ref.size());
+      for (std::uint32_t probe : {seq - 1, seq, seq + 1})
+        ASSERT_EQ(set.contains(probe), ref.count(probe) != 0);
+      ASSERT_EQ(members(set),
+                std::vector<std::uint32_t>(ref.begin(), ref.end()));
+      expect_canonical(set);
+    }
+    set.clear();
+    EXPECT_EQ(set.size(), 0u);
+    EXPECT_EQ(set.begin(), set.end());
+  }
+  EXPECT_GT(merges, 0);  // some insert filled the gap between two runs
+  EXPECT_GT(splits, 0);  // some erase cut a run in two
+}
+
+TEST(SeqSet, RunsMergeSplitAndReachTheEnds) {
+  SeqSet set;
+  for (std::uint32_t seq : {1u, 2u, 3u, 5u, 6u}) EXPECT_TRUE(set.insert(seq));
+  EXPECT_EQ(set.runs().size(), 2u);
+  EXPECT_TRUE(set.insert(4));  // fills the gap: the two runs merge
+  ASSERT_EQ(set.runs().size(), 1u);
+  EXPECT_EQ(set.runs()[0].lo, 1u);
+  EXPECT_EQ(set.runs()[0].hi, 6u);
+  EXPECT_TRUE(set.erase(3));  // inside the run: it splits
+  EXPECT_EQ(set.runs().size(), 2u);
+  EXPECT_FALSE(set.contains(3));
+  EXPECT_TRUE(set.contains(2));
+  EXPECT_TRUE(set.contains(4));
+
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_TRUE(set.insert(kMaxSeq));
+  EXPECT_TRUE(set.insert(kMaxSeq - 1));
+  EXPECT_FALSE(set.insert(kMaxSeq));
+  EXPECT_EQ(members(set),
+            (std::vector<std::uint32_t>{0, 1, 2, 4, 5, 6, kMaxSeq - 1,
+                                        kMaxSeq}));
+  EXPECT_EQ(set.size(), 8u);
+  EXPECT_TRUE(set.erase(kMaxSeq));
+  EXPECT_TRUE(set.erase(0));
+  EXPECT_FALSE(set.erase(0));
+  EXPECT_EQ(set.size(), 6u);
+}
+
+TEST(EventIdSet, MatchesOrderedSetUnderRandomOperations) {
+  const SensorId sensors[] = {SensorId{0}, SensorId{1}, SensorId{7},
+                              SensorId{0xffff}};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventIdSet set;
+    std::set<EventId> ref;
+    std::set<std::uint32_t> seqs;  // pick_seq's view of the largest seq
+    for (int step = 0; step < 600; ++step) {
+      const EventId id{sensors[rng.uniform_int(4)], pick_seq(rng, seqs)};
+      seqs.insert(id.seq);
+      if (rng.uniform_int(3) == 0) {
+        ASSERT_EQ(set.erase(id), ref.erase(id) != 0) << "seed " << seed;
+      } else {
+        ASSERT_EQ(set.insert(id), ref.insert(id).second) << "seed " << seed;
+      }
+      ASSERT_EQ(set.size(), ref.size());
+      for (SensorId s : sensors)
+        ASSERT_EQ(set.contains({s, id.seq}), ref.count({s, id.seq}) != 0);
+      ASSERT_EQ(members(set), std::vector<EventId>(ref.begin(), ref.end()));
+    }
+    set.clear();
+    EXPECT_EQ(set.size(), 0u);
+    EXPECT_TRUE(members(set).empty());
+  }
+}
+
+template <class T>
+std::vector<std::byte> bytes_of(const T& v) {
+  BinaryWriter w;
+  io(w, v);
+  return w.take();
+}
+
+// Each set writes exactly the bytes of the std::set it replaces (a u64
+// count, then the members ascending), and reads them back.
+TEST(SeqSet, EncodesLikeTheOrderedSet) {
+  Rng rng(3);
+  SeqSet set;
+  std::set<std::uint32_t> ref;
+  EventIdSet ids;
+  std::set<EventId> ref_ids;
+  std::map<SensorId, SeqSet> per_sensor;
+  std::map<SensorId, std::set<std::uint32_t>> ref_per_sensor;
+  for (int i = 0; i < 300; ++i) {
+    const std::uint32_t seq = pick_seq(rng, ref);
+    const SensorId sensor{static_cast<std::uint16_t>(rng.uniform_int(3))};
+    set.insert(seq);
+    ref.insert(seq);
+    ids.insert({sensor, seq});
+    ref_ids.insert({sensor, seq});
+    per_sensor[sensor].insert(seq);
+    ref_per_sensor[sensor].insert(seq);
+  }
+  EXPECT_EQ(bytes_of(set), bytes_of(ref));
+  EXPECT_EQ(bytes_of(ids), bytes_of(ref_ids));
+  EXPECT_EQ(bytes_of(per_sensor), bytes_of(ref_per_sensor));
+  EXPECT_EQ(bytes_of(SeqSet{}), bytes_of(std::set<std::uint32_t>{}));
+  EXPECT_EQ(bytes_of(EventIdSet{}), bytes_of(std::set<EventId>{}));
+
+  const std::vector<std::byte> image = bytes_of(set);
+  BinaryReader r(image);
+  SeqSet back;
+  back.insert(77);  // restore replaces what was there
+  io(r, back);
+  EXPECT_TRUE(r.ok() && r.at_end());
+  EXPECT_EQ(members(back), members(set));
+  expect_canonical(back);
+
+  const std::vector<std::byte> id_image = bytes_of(ids);
+  BinaryReader ir(id_image);
+  EventIdSet ids_back;
+  io(ir, ids_back);
+  EXPECT_TRUE(ir.ok() && ir.at_end());
+  EXPECT_EQ(members(ids_back), members(ids));
+}
+
+TEST(SeqSet, CountBeyondTheBytesLeftFailsTheReader) {
+  BinaryWriter w;
+  w.u64(1000);  // claims 1000 members; two follow
+  w.u32(1);
+  w.u32(2);
+  {
+    BinaryReader r(w.data());
+    SeqSet set;
+    io(r, set);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(set.size(), 0u);
+  }
+  {
+    BinaryReader r(w.data());
+    EventIdSet set;
+    io(r, set);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(set.size(), 0u);
+  }
 }
 
 }  // namespace

@@ -575,7 +575,7 @@ class MapLog {
 
 std::vector<std::byte> clone_bytes(const StoredEvent& se) {
   BinaryWriter w;
-  devices::encode_clone(w, se.event);
+  io(w, se.event);
   io(w, se.seen);
   io(w, se.need);
   return w.take();

@@ -35,12 +35,15 @@ constexpr AppId kApp{1};
 constexpr SensorId kDoor{1};
 constexpr ActuatorId kLight{1};
 
+// No padding: gtest names each case after the parameter's bytes.
 struct FaultCase {
   std::uint64_t seed;
   double link_loss;
   int n_processes;
   int receivers;
 };
+static_assert(sizeof(FaultCase) ==
+              sizeof(std::uint64_t) + sizeof(double) + 2 * sizeof(int));
 
 void print_case(const FaultCase& c) {
   SCOPED_TRACE(::testing::Message()

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "workload/apps.hpp"
 #include "workload/deployment.hpp"
@@ -77,10 +78,15 @@ INSTANTIATE_TEST_SUITE_P(HomeSizes, RingSizeSweep,
 
 // --- loss grid: Gapless tracks 1 - p^m, Gap tracks 1 - p -------------------
 
+// gtest names each case of a value-parameterized suite after its
+// parameter's bytes, so a parameter type has no padding: a padding byte
+// is uninitialized and would name the same case differently in each
+// build.
 struct LossPoint {
   double loss;
-  int receivers;
+  std::int64_t receivers;
 };
+static_assert(sizeof(LossPoint) == sizeof(double) + sizeof(std::int64_t));
 
 class LossGridSweep : public ::testing::TestWithParam<LossPoint> {};
 

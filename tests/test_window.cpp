@@ -117,10 +117,12 @@ TEST(Window, BurstSuppressionUseCase) {
 
 // --- parameterized sweep: bounds respected under any (bound, count) -------
 
+// No padding: gtest names each case after the parameter's bytes.
 struct BoundCase {
   std::size_t bound;
   std::size_t inserted;
 };
+static_assert(sizeof(BoundCase) == 2 * sizeof(std::size_t));
 
 class WindowBoundSweep : public ::testing::TestWithParam<BoundCase> {};
 
