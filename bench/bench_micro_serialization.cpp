@@ -58,9 +58,9 @@ void BM_RingPayloadRoundTrip(benchmark::State& state) {
   }
   p.event = make_event(4);
   for (auto _ : state) {
-    std::vector<std::byte> buf = core::wire::encode(p);
+    const FrameBuffer buf = core::wire::encode(p);
     core::wire::RingPayload d;
-    benchmark::DoNotOptimize(core::wire::decode(buf, d));
+    benchmark::DoNotOptimize(core::wire::decode(buf.bytes(), d));
     benchmark::DoNotOptimize(d);
   }
 }

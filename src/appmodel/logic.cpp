@@ -19,13 +19,15 @@ LogicInstance::LogicInstance(const AppGraph& graph,
   }
   for (const SensorEdge& e : graph.sensor_edges) {
     OpState& op = ops_.at(e.to_op);
+    const std::string key = sensor_key(e.sensor);
     op.streams.push_back(
-        Stream{sensor_key(e.sensor), e.sensor, Window(e.window), {}});
+        Stream{key, e.sensor, Window(e.window), StreamWindow{key, {}}});
   }
   for (const OperatorEdge& e : graph.operator_edges) {
     OpState& to = ops_.at(e.to_op);
+    const std::string key = op_key(e.from_op);
     to.streams.push_back(
-        Stream{op_key(e.from_op), std::nullopt, Window(e.window), {}});
+        Stream{key, std::nullopt, Window(e.window), StreamWindow{key, {}}});
     ops_.at(e.from_op).downstream_ops.push_back(e.to_op);
   }
   for (const ActuatorEdge& e : graph.actuator_edges)
@@ -99,37 +101,40 @@ void LogicInstance::try_trigger_event_driven(OpState& op, Stream& stream) {
 
 void LogicInstance::take_pending(OpState& op, Stream& stream) {
   (void)op;
-  std::vector<devices::SensorEvent> events =
-      stream.window.snapshot(timers_->now());
-  if (events.empty()) return;  // an empty window never counts as "ready"
-  stream.pending = StreamWindow{stream.key, std::move(events)};
+  // An empty window never counts as "ready", and leaves an earlier
+  // triggered window in place.
+  if (!stream.window.snapshot(timers_->now(), stream.pending.events)) return;
+  stream.triggered = true;
   stream.window.after_trigger(timers_->now());
 }
 
 void LogicInstance::evaluate(OpState& op) {
-  // The pending windows move into `ready` and, if the combiner blocks,
-  // back out again in the same stream order: a blocked evaluation (most
-  // of them, under an AllCombiner) copies no events.
-  std::vector<StreamWindow> ready;
-  for (Stream& stream : op.streams) {
-    if (!stream.pending) continue;
-    if (ready.empty()) ready.reserve(op.streams.size());
-    ready.push_back(std::move(*stream.pending));
-  }
+  // The triggered windows move into the operator's `ready` scratch and,
+  // delivered or blocked, back to their streams in the same order, so an
+  // evaluation copies no events and allocates nothing once the buffers
+  // have grown. The graph is acyclic, so the handler cannot feed this
+  // operator and no stream's `triggered` changes before the hand-back.
+  std::vector<StreamWindow>& ready = op.ready;
+  for (Stream& stream : op.streams)
+    if (stream.triggered) ready.push_back(std::move(stream.pending));
   if (ready.empty()) return;
-  if (!op.combiner->should_deliver(ready, op.streams.size())) {
+  const bool fire = op.combiner->should_deliver(ready, op.streams.size());
+  if (fire) {
+    deliver(op);
+  } else {
     ++combiner_blocked_;
-    auto back = ready.begin();
-    for (Stream& stream : op.streams) {
-      if (stream.pending) *stream.pending = std::move(*back++);
-    }
-    return;
   }
-  for (Stream& stream : op.streams) stream.pending.reset();
-  deliver(op, std::move(ready));
+  auto back = ready.begin();
+  for (Stream& stream : op.streams) {
+    if (!stream.triggered) continue;
+    stream.pending = std::move(*back++);
+    stream.triggered = !fire;
+  }
+  ready.clear();
 }
 
-void LogicInstance::deliver(OpState& op, std::vector<StreamWindow> ready) {
+void LogicInstance::deliver(OpState& op) {
+  const std::vector<StreamWindow>& ready = op.ready;
   ++triggers_fired_;
   // The trigger's causal id: the newest real sensor reading among the
   // windows that fired. Derived (downstream) events carry the synthetic
@@ -233,10 +238,9 @@ void LogicInstance::io_state(A& a, Self& s) {
            "clone restore: stream count mismatch");
     for (auto& stream : op.streams) {
       io(a, stream.window);
-      io_optional(a, stream.pending, [&](auto& pending) {
-        if constexpr (A::kReads) pending.stream = stream.key;
-        io(a, pending.events);
-      });
+      // Presence, then the events: the layout of an optional window.
+      io(a, stream.triggered);
+      if (stream.triggered) io(a, stream.pending.events);
       // A fired or cancelled timer leaves its id behind: captured as 0.
       io_via(
           a, stream.periodic_timer,

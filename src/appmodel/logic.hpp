@@ -93,7 +93,10 @@ class LogicInstance {
     std::string key;  // "s:<sensor>" or "o:<operator>"
     std::optional<SensorId> sensor;  // sensor streams match events on this
     Window window;
-    std::optional<StreamWindow> pending;
+    // The triggered window (named by key) while `triggered`. Its event
+    // buffer stays with the stream between triggers.
+    StreamWindow pending;
+    bool triggered{false};
     std::uint64_t timer_arg{0};  // this stream's kPeriodicTimer arg
     sim::TimerId periodic_timer{0};
   };
@@ -103,6 +106,9 @@ class LogicInstance {
     std::vector<Stream> streams;
     std::vector<const ActuatorEdge*> actuators;
     std::vector<std::string> downstream_ops;
+    // evaluate()'s scratch: the triggered windows, borrowed from their
+    // streams for one evaluation.
+    std::vector<StreamWindow> ready;
   };
 
   static std::string sensor_key(SensorId s) {
@@ -120,7 +126,7 @@ class LogicInstance {
   void try_trigger_event_driven(OpState& op, Stream& stream);
   void take_pending(OpState& op, Stream& stream);
   void evaluate(OpState& op);
-  void deliver(OpState& op, std::vector<StreamWindow> ready);
+  void deliver(OpState& op);
   void emit_downstream(OpState& from, double value);
 
   const AppGraph* graph_;

@@ -73,9 +73,11 @@ bool Window::event_trigger_ready() const {
   return false;
 }
 
-std::vector<devices::SensorEvent> Window::snapshot(TimePoint now) {
+bool Window::snapshot(TimePoint now, std::vector<devices::SensorEvent>& out) {
   enforce_bounds(now);
-  return {buffer_.begin(), buffer_.end()};
+  if (buffer_.empty()) return false;
+  out.assign(buffer_.begin(), buffer_.end());
+  return true;
 }
 
 void Window::after_trigger(TimePoint now) {

@@ -86,8 +86,10 @@ class Window {
   // by the logic engine; this answers event-driven kinds.)
   bool event_trigger_ready() const;
 
-  // Snapshot current contents (bound + age constraints applied).
-  std::vector<devices::SensorEvent> snapshot(TimePoint now);
+  // Copy the current contents (bound + age constraints applied) into
+  // `out`, reusing its capacity; false, with `out` untouched, when the
+  // window is empty.
+  bool snapshot(TimePoint now, std::vector<devices::SensorEvent>& out);
 
   // Apply the evictor after a successful trigger.
   void after_trigger(TimePoint now);

@@ -8,18 +8,25 @@
 //   ids             — see types.hpp for widths
 //   TimePoint       — 8 bytes (microsecond ticks)
 //   bytes           — u32 length prefix + payload
+// A fixed-width field is written and read whole: one capacity or bounds
+// check and one copy in host order, which the static_assert below pins to
+// little-endian.
 //
 // Below the two classes, the symmetric field I/O that snapshot state
 // (DESIGN.md §16) is written in: each component lists its fields once,
 // in one function template that capture instantiates with BinaryWriter
-// and restore with BinaryReader.
+// and restore with BinaryReader. At the end, the recycled frame buffers
+// and the frame codec (DESIGN.md §9).
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -41,6 +48,10 @@
 
 namespace riv {
 
+static_assert(std::endian::native == std::endian::little,
+              "the codec copies fixed-width fields in host order; a "
+              "big-endian host needs a byte swap in put() and get()");
+
 class BinaryWriter {
  public:
   static constexpr bool kReads = false;
@@ -55,18 +66,9 @@ class BinaryWriter {
   }
 
   void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
 
@@ -95,7 +97,8 @@ class BinaryWriter {
   }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    for (char c : s) buf_.push_back(static_cast<std::byte>(c));
+    const auto* p = reinterpret_cast<const std::byte*>(s.data());
+    buf_.insert(buf_.end(), p, p + s.size());
   }
 
   // Reserve `n` opaque payload bytes without materializing content. Large
@@ -112,6 +115,13 @@ class BinaryWriter {
   std::vector<std::byte> take() { return std::move(buf_); }
 
  private:
+  template <class T>
+  void put(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof v);
+    std::memcpy(buf_.data() + at, &v, sizeof v);
+  }
+
   std::vector<std::byte> buf_;
 };
 
@@ -125,22 +135,10 @@ class BinaryReader {
 
   explicit BinaryReader(const std::vector<std::byte>& buf) : buf_(buf) {}
 
-  std::uint8_t u8() {
-    if (!ensure(1)) return 0;
-    return static_cast<std::uint8_t>(buf_[pos_++]);
-  }
-  std::uint16_t u16() {
-    std::uint16_t lo = u8(), hi = u8();
-    return static_cast<std::uint16_t>(lo | (hi << 8));
-  }
-  std::uint32_t u32() {
-    std::uint32_t lo = u16(), hi = u16();
-    return lo | (hi << 16);
-  }
-  std::uint64_t u64() {
-    std::uint64_t lo = u32(), hi = u32();
-    return lo | (hi << 32);
-  }
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
 
@@ -186,10 +184,7 @@ class BinaryReader {
   std::string str() {
     std::uint32_t n = u32();
     if (!ensure(n)) return {};
-    std::string out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-      out.push_back(static_cast<char>(buf_[pos_ + i]));
+    std::string out(reinterpret_cast<const char*>(buf_.data() + pos_), n);
     pos_ += n;
     return out;
   }
@@ -205,11 +200,20 @@ class BinaryReader {
 
  private:
   bool ensure(std::size_t n) {
-    if (pos_ + n > buf_.size()) {
+    if (n > buf_.size() - pos_) {
       ok_ = false;
       return false;
     }
     return true;
+  }
+  // A whole field, or 0 with the reader failed when fewer bytes are left.
+  template <class T>
+  T get() {
+    T v{};
+    if (!ensure(sizeof v)) return v;
+    std::memcpy(&v, buf_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
+    return v;
   }
 
   const std::vector<std::byte>& buf_;
@@ -586,6 +590,69 @@ void io(A& a, O& o) {
   io_optional(a, o, [&a](auto& x) { io(a, x); });
 }
 
+// --- Frame buffers -----------------------------------------------------------
+// A wire frame's bytes live in a FrameBlock: the byte buffer and its
+// reference count in one object. encode() below draws a block from the
+// calling thread's free list, net::Payload shares it across every copy of
+// a fan-out, and when the last reference drops the block goes back to the
+// free list of the thread that dropped it, capacity and all. The next
+// encode on that thread writes into it, so the steady-state event path
+// allocates no frame memory (DESIGN.md §9). The bounds are constants:
+//   - a new block's buffer starts at kFloorBytes, so a recycled one rarely
+//     has to grow for the next frame;
+//   - a block whose buffer grew past kKeptBytes (a 1-20 KB camera frame)
+//     is freed, not kept;
+//   - a list holds at most kFreeBlocks blocks; the rest are freed.
+// So a thread's idle frame memory stays under kFreeBlocks * kKeptBytes.
+struct FrameBlock {
+  static constexpr std::size_t kFloorBytes = 256;
+  static constexpr std::size_t kKeptBytes = 1024;
+  static constexpr std::size_t kFreeBlocks = 256;
+
+  // Atomic: a block may be released on another thread than the one that
+  // encoded it (a home built on one thread and run or destroyed on a
+  // worker).
+  std::atomic<std::uint32_t> refs{1};
+  std::vector<std::byte> bytes;
+
+  // A block with one reference and no bytes, from this thread's list when
+  // it has one.
+  static FrameBlock* acquire();
+  // Drop one reference. The last one returns the block to this thread's
+  // list, or frees it when the list is full, the buffer is over
+  // kKeptBytes, or the list is gone (a release during static destruction).
+  static void release(FrameBlock* block) noexcept;
+  // Blocks on this thread's list.
+  static std::size_t free_count();
+};
+
+// The one, writable reference to a block: what encode() returns. A sealed
+// frame appends its trailer to bytes() before net::Payload adopts the
+// block. Converting it to a vector moves the bytes out.
+class FrameBuffer {
+ public:
+  FrameBuffer() : block_(FrameBlock::acquire()) {}
+  FrameBuffer(FrameBuffer&& o) noexcept
+      : block_(std::exchange(o.block_, nullptr)) {}
+  FrameBuffer& operator=(FrameBuffer&&) = delete;
+  ~FrameBuffer() {
+    if (block_ != nullptr) FrameBlock::release(block_);
+  }
+
+  std::vector<std::byte>& bytes() { return block_->bytes; }
+  const std::vector<std::byte>& bytes() const { return block_->bytes; }
+  std::size_t size() const { return block_->bytes.size(); }
+  operator std::vector<std::byte>() && {  // NOLINT
+    return std::move(block_->bytes);
+  }
+
+  // Hand the reference to the caller (net::Payload adopts it).
+  FrameBlock* release() && { return std::exchange(block_, nullptr); }
+
+ private:
+  FrameBlock* block_;
+};
+
 // --- Wire frames -------------------------------------------------------------
 // A wire frame is plain data that lists its fields once, in a static
 // io_state like a snapshot component's, and states its exact encoded size
@@ -597,13 +664,22 @@ concept WireFrame = requires(const F& f, BinaryWriter& w) {
   F::io_state(w, f);
 };
 
-// The frame's bytes, in one buffer reserved at encoded_size().
+// The frame's bytes into `out`, reusing its capacity, with room reserved
+// for `spare` more (a sealed frame's trailer).
 template <WireFrame F>
-std::vector<std::byte> encode(const F& f) {
-  BinaryWriter w;
-  w.reserve(f.encoded_size());
+void encode(const F& f, std::vector<std::byte>& out, std::size_t spare = 0) {
+  BinaryWriter w(std::move(out));
+  w.reserve(f.encoded_size() + spare);
   io(w, f);
-  return w.take();
+  out = w.take();
+}
+
+// The same into a recycled frame block.
+template <WireFrame F>
+FrameBuffer encode(const F& f, std::size_t spare = 0) {
+  FrameBuffer out;
+  encode(f, out.bytes(), spare);
+  return out;
 }
 
 // Total: true iff every read stayed in bounds, the frame's validity rule

@@ -37,9 +37,7 @@ void GapStream::on_device_event(const devices::SensorEvent& e) {
     p.sensor = e.id.sensor;
     p.event = e;
     ++forwards_;
-    std::vector<std::byte> buf = wire::encode(p);
-    if (ctx_.seal) ctx_.seal(buf, e.chain);
-    ctx_.send(*bearer, net::MsgType::kGapForward, std::move(buf));
+    ctx_.send(*bearer, net::MsgType::kGapForward, ctx_.encode(p, e.chain));
     return;
   }
   ++discarded_;

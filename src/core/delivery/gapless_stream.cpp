@@ -57,9 +57,7 @@ void GaplessStream::forward_to_successor(const devices::SensorEvent& e,
   p.need = need;
   p.event = e;
   ++ring_forwards_;
-  std::vector<std::byte> buf = wire::encode(p);
-  if (ctx_.seal) ctx_.seal(buf, e.chain);
-  ctx_.send(*succ, net::MsgType::kRingEvent, std::move(buf));
+  ctx_.send(*succ, net::MsgType::kRingEvent, ctx_.encode(p, e.chain));
 }
 
 void GaplessStream::on_ring(ProcessId from, const wire::RingPayload& p) {
@@ -110,9 +108,8 @@ void GaplessStream::initiate_reliable_broadcast(EventId id) {
   p.app = ctx_.app;
   p.sensor = id.sensor;
   p.event = stored->event;
-  std::vector<std::byte> buf = wire::encode(p);
-  if (ctx_.seal) ctx_.seal(buf, stored->event.chain);
-  net::Payload payload = std::move(buf);  // shared by all targets
+  // Shared by all targets.
+  const net::Payload payload = ctx_.encode(p, stored->event.chain);
   for (ProcessId t : targets) {
     if (t == ctx_.self) continue;
     ctx_.send(t, net::MsgType::kRbEvent, payload);
@@ -142,9 +139,8 @@ void GaplessStream::on_rb(ProcessId from, const wire::EventPayload& p) {
 
 void GaplessStream::reflood(ProcessId origin, const wire::EventPayload& p) {
   if (!rb_done_.insert(p.event.id)) return;
-  std::vector<std::byte> buf = wire::encode(p);
-  if (ctx_.seal) ctx_.seal(buf, p.event.chain);
-  net::Payload payload = std::move(buf);  // shared by all targets
+  // Shared by all targets.
+  const net::Payload payload = ctx_.encode(p, p.event.chain);
   for (ProcessId t : ctx_.view()) {
     if (t == ctx_.self || t == origin) continue;
     ctx_.send(t, net::MsgType::kRbEvent, payload);
@@ -173,9 +169,8 @@ void GaplessStream::sync_successor(ProcessId successor,
     p.need.insert(view.begin(), view.end());
     p.event = se->event;
     ++ring_forwards_;
-    std::vector<std::byte> buf = wire::encode(p);
-    if (ctx_.seal) ctx_.seal(buf, se->event.chain);
-    ctx_.send(successor, net::MsgType::kRingEvent, std::move(buf));
+    ctx_.send(successor, net::MsgType::kRingEvent,
+              ctx_.encode(p, se->event.chain));
   }
 }
 

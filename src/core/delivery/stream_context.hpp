@@ -12,6 +12,7 @@
 
 #include "appmodel/graph.hpp"
 #include "core/event_log.hpp"
+#include "core/wire.hpp"
 #include "devices/event.hpp"
 #include "net/message.hpp"
 #include "sim/simulation.hpp"
@@ -38,9 +39,9 @@ struct StreamContext {
 
   // Actions performed by the runtime.
   std::function<void(const devices::SensorEvent&)> deliver;  // to local logic
-  // Payload converts from std::vector<std::byte>; fan-out paths build one
-  // Payload and hand it to every target so the buffer is shared, not
-  // re-copied per peer.
+  // Payload adopts an encoded FrameBuffer; fan-out paths build one Payload
+  // and hand it to every target so the buffer is shared, not re-copied
+  // per peer.
   std::function<void(ProcessId, net::MsgType, net::Payload)> send;
   std::function<void(std::uint32_t epoch)> staleness;  // epoch had no event
   std::function<void(std::uint32_t epoch)> poll;       // issue a device poll
@@ -52,6 +53,16 @@ struct StreamContext {
 
   sim::ProcessTimers* timers{nullptr};
   EventLog* log{nullptr};  // Gapless only
+
+  // An event-bearing frame in a recycled buffer, sealed with `chain` when
+  // integrity is armed; encode reserves the trailer's room up front.
+  template <class F>
+  FrameBuffer encode(const F& frame, std::uint64_t chain) const {
+    FrameBuffer buf =
+        wire::encode(frame, seal ? wire::kIntegrityTrailerBytes : 0);
+    if (seal) seal(buf.bytes(), chain);
+    return buf;
+  }
 };
 
 // A stream timer's arg: the stream's key (app, sensor) and the epoch the

@@ -168,7 +168,8 @@ void RivuletProcess::build_volatile_shell() {
   fd_->set_on_view_change([this](const std::set<ProcessId>&) {
     on_view_change();
   });
-  fd_->set_payload_provider([this] { return keepalive_payload(); });
+  fd_->set_payload_provider(
+      [this](std::vector<std::byte>& out) { keepalive_payload(out); });
   fd_->set_payload_handler(
       [this](ProcessId from, const std::vector<std::byte>& piggyback) {
         return on_watermarks(from, piggyback);
@@ -674,11 +675,7 @@ void RivuletProcess::route_command(AppId id, AppState& app,
   payload.app = id;
   payload.guarantee = static_cast<std::uint8_t>(edge.guarantee);
   payload.command = cmd;
-  std::vector<std::byte> buf = wire::encode(payload);
-  // Commands have no per-origin chain; sealed with chain 0 they still get
-  // the keyed MAC, so a corrupted forwarder cannot mutate them unnoticed.
-  if (config_.integrity) wire::seal(buf, config_.integrity_key, 0);
-  net::Payload bytes = std::move(buf);  // shared across all targets
+  net::Payload bytes = command_frame(payload);  // shared across all targets
   if (edge.guarantee == appmodel::Guarantee::kGapless) {
     // Replicate to every active actuator node and keep the command
     // pending until one of them acknowledges; the device's idempotence or
@@ -691,6 +688,16 @@ void RivuletProcess::route_command(AppId id, AppState& app,
     net_->endpoint(self_).send(targets.front(), net::MsgType::kCommand,
                                std::move(bytes));
   }
+}
+
+FrameBuffer RivuletProcess::command_frame(
+    const wire::CommandPayload& payload) const {
+  // Commands have no per-origin chain; sealed with chain 0 they still get
+  // the keyed MAC, so a corrupted forwarder cannot mutate them unnoticed.
+  if (!config_.integrity) return wire::encode(payload);
+  FrameBuffer buf = wire::encode(payload, wire::kIntegrityTrailerBytes);
+  wire::seal(buf.bytes(), config_.integrity_key, 0);
+  return buf;
 }
 
 void RivuletProcess::retry_pending_commands() {
@@ -711,9 +718,7 @@ void RivuletProcess::retry_pending_commands() {
         pending.last_sent = sim_->now();
         std::vector<ProcessId> targets =
             actuator_targets(pending.payload.command.actuator);
-        std::vector<std::byte> buf = wire::encode(pending.payload);
-        if (config_.integrity) wire::seal(buf, config_.integrity_key, 0);
-        net::Payload bytes = std::move(buf);  // shared buffer
+        net::Payload bytes = command_frame(pending.payload);  // shared
         bool local = false;
         for (ProcessId p : targets) {
           if (p == self_) {
@@ -778,9 +783,10 @@ std::size_t RivuletProcess::device_seqs_seen_count(SensorId sensor) const {
 
 // --- watermark gossip ---------------------------------------------------------
 
-std::vector<std::byte> RivuletProcess::keepalive_payload() {
+void RivuletProcess::keepalive_payload(std::vector<std::byte>& out) {
   // Refilled in place: keep-alives go out every period from every process,
-  // and a steady set of apps and streams reuses gossip_out_'s buffers.
+  // and a steady set of apps and streams reuses gossip_out_'s buffers and
+  // the detector's piggyback buffer.
   std::size_t n = 0;
   for (const auto& [id, app] : apps_) {
     if (app.logic == nullptr) continue;
@@ -794,7 +800,7 @@ std::vector<std::byte> RivuletProcess::keepalive_payload() {
     }
   }
   gossip_out_.apps.resize(n);
-  return wire::encode(gossip_out_);
+  wire::encode(gossip_out_, out);
 }
 
 bool RivuletProcess::on_watermarks(ProcessId from,

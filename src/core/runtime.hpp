@@ -120,7 +120,7 @@ class RivuletProcess : public sim::TimerOwner {
         io(a, bytes);
         if (!wire::decode(bytes, c.payload)) a.fail();
       } else {
-        io(a, wire::encode(c.payload));
+        io(a, wire::encode(c.payload).bytes());
       }
       io(a, c.first_sent);
       io(a, c.last_sent);
@@ -217,11 +217,14 @@ class RivuletProcess : public sim::TimerOwner {
   // Alive processes hosting an active actuator node for `actuator`.
   std::vector<ProcessId> actuator_targets(ActuatorId actuator) const;
   void retry_pending_commands();
+  // A command frame, sealed when integrity is armed.
+  FrameBuffer command_frame(const wire::CommandPayload& payload) const;
 
   // Watermark gossip: the keep-alive piggyback, built in gossip_out_ and
-  // decoded into the sender's gossip_in_ frame. on_watermarks applies
-  // nothing from bytes that do not decode and returns false.
-  std::vector<std::byte> keepalive_payload();
+  // encoded into `out` in place, and decoded into the sender's gossip_in_
+  // frame. on_watermarks applies nothing from bytes that do not decode and
+  // returns false.
+  void keepalive_payload(std::vector<std::byte>& out);
   bool on_watermarks(ProcessId from, const std::vector<std::byte>& piggyback);
 
   std::string metric_prefix(AppId id) const;

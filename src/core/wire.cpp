@@ -1,24 +1,10 @@
 #include "core/wire.hpp"
 
+#include <cstring>
+
 #include "common/hash.hpp"
 
 namespace riv::core::wire {
-namespace {
-
-void put_u64_le(std::vector<std::byte>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    buf.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-}
-
-std::uint64_t get_u64_le(const std::byte* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(p[i]))
-         << (8 * i);
-  return v;
-}
-
-}  // namespace
 
 std::uint64_t compute_mac(std::uint64_t key, const std::byte* body,
                           std::size_t n, std::uint64_t chain) {
@@ -31,13 +17,17 @@ std::uint64_t compute_mac(std::uint64_t key, const std::byte* body,
   return h.value();
 }
 
+// The trailer's two words are copied in host order, which codec.hpp pins
+// to little-endian.
 void seal(std::vector<std::byte>& buf, std::uint64_t key,
           std::uint64_t chain) {
-  std::uint64_t mac = compute_mac(key, buf.data(), buf.size(), chain);
-  buf.reserve(buf.size() + kIntegrityTrailerBytes);
-  buf.push_back(static_cast<std::byte>(kIntegrityMarker));
-  put_u64_le(buf, chain);
-  put_u64_le(buf, mac);
+  const std::uint64_t mac = compute_mac(key, buf.data(), buf.size(), chain);
+  const std::size_t base = buf.size();
+  buf.resize(base + kIntegrityTrailerBytes);  // in place: encode left room
+  std::byte* t = buf.data() + base;
+  t[0] = std::byte{kIntegrityMarker};
+  std::memcpy(t + 1, &chain, sizeof chain);
+  std::memcpy(t + 9, &mac, sizeof mac);
 }
 
 bool verify_and_strip(const std::vector<std::byte>& buf, std::uint64_t key,
@@ -47,8 +37,8 @@ bool verify_and_strip(const std::vector<std::byte>& buf, std::uint64_t key,
   const std::byte* t = buf.data() + base;
   if (std::to_integer<std::uint8_t>(t[0]) != kIntegrityMarker) return false;
   IntegrityTrailer tr;
-  tr.chain = get_u64_le(t + 1);
-  tr.mac = get_u64_le(t + 9);
+  std::memcpy(&tr.chain, t + 1, sizeof tr.chain);
+  std::memcpy(&tr.mac, t + 9, sizeof tr.mac);
   if (compute_mac(key, buf.data(), base, tr.chain) != tr.mac) return false;
   body.assign(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(base));
   if (out != nullptr) *out = tr;

@@ -8,9 +8,10 @@
 // Each frame is a plain struct that lists its fields once, in a static
 // io_state, and states its exact size in encoded_size(). The frame codec in
 // common/codec.hpp is this layer's only entry point: encode(frame) writes
-// one buffer reserved at that size, and decode(bytes, frame) is total — it
-// returns false on any truncated, overlong or (for SyncResponse) invalid
-// frame, which the receiver drops.
+// into a recycled frame buffer with room for that size (plus the trailer
+// below, for a frame that will be sealed), and decode(bytes, frame) is
+// total — it returns false on any truncated, overlong or (for
+// SyncResponse) invalid frame, which the receiver drops.
 #pragma once
 
 #include <vector>
@@ -235,7 +236,8 @@ struct IntegrityTrailer {
 std::uint64_t compute_mac(std::uint64_t key, const std::byte* body,
                           std::size_t n, std::uint64_t chain);
 
-// Append the integrity trailer to an encoded payload.
+// Append the integrity trailer to an encoded payload; in place when the
+// payload was encoded with kIntegrityTrailerBytes to spare.
 void seal(std::vector<std::byte>& buf, std::uint64_t key,
           std::uint64_t chain);
 

@@ -29,10 +29,10 @@ void FailureDetector::start() {
 void FailureDetector::tick() {
   // Send keep-alives. The frame is identical for every peer (same
   // timestamp, same piggyback), so encode once and share it.
-  KeepAlive ka;
-  ka.sent_at = timers_->now();
-  if (provider_) ka.piggyback = provider_();
-  net::Payload payload = encode(ka);
+  sending_.sent_at = timers_->now();
+  sending_.piggyback.clear();
+  if (provider_) provider_(sending_.piggyback);
+  net::Payload payload = encode(sending_);
   for (ProcessId p : all_) {
     if (p == self_) continue;
     transport_->send(p, net::MsgType::kKeepAlive, payload);

@@ -52,7 +52,9 @@ class FailureDetector {
   static constexpr std::uint16_t kTickTimer = 1;
 
   using ViewChangeFn = std::function<void(const std::set<ProcessId>& view)>;
-  using PayloadProvider = std::function<std::vector<std::byte>()>;
+  // Writes the piggyback into `out` (empty on entry), reusing its
+  // capacity.
+  using PayloadProvider = std::function<void(std::vector<std::byte>& out)>;
   // Applies a non-empty piggyback; false when it does not decode.
   using PayloadHandler = std::function<bool(
       ProcessId from, const std::vector<std::byte>& piggyback)>;
@@ -111,7 +113,10 @@ class FailureDetector {
   ViewChangeFn on_view_change_;
   PayloadProvider provider_;
   PayloadHandler handler_;
-  KeepAlive received_;  // decode scratch: its piggyback buffer is reused
+  // Send and decode scratch: their piggyback buffers are reused, so a
+  // steady tick allocates nothing.
+  KeepAlive sending_;
+  KeepAlive received_;
   bool started_{false};
 };
 

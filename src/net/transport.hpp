@@ -24,9 +24,10 @@ class Transport {
   virtual ProcessId local() const = 0;
 
   // Fire-and-forget send. Never blocks; delivery is asynchronous. The
-  // payload converts implicitly from std::vector<std::byte>; broadcast
-  // loops should build one Payload and pass it to every send so the
-  // targets share the buffer.
+  // payload converts implicitly from an encoded FrameBuffer (the recycled
+  // block encode() wrote the frame into) or from a plain byte vector;
+  // broadcast loops should build one Payload and pass it to every send so
+  // the targets share the block.
   virtual void send(ProcessId dst, MsgType type, Payload payload) = 0;
 
   // Install the receive callback. Passing an empty handler detaches the

@@ -64,7 +64,9 @@ bool ReplicatedStore::merge(const std::string& key, const Entry& incoming) {
 
 void ReplicatedStore::persist(const std::string& key, const Entry& e) {
   if (hooks_.stable == nullptr) return;
-  hooks_.stable->put(kStablePrefix + key, encode(Update{key, e}));
+  std::vector<std::byte> bytes;
+  encode(Update{key, e}, bytes);
+  hooks_.stable->put(kStablePrefix + key, std::move(bytes));
 }
 
 void ReplicatedStore::recover() {

@@ -161,6 +161,30 @@ TEST(Codec, OutOfBoundsReadSetsErrorFlag) {
   EXPECT_FALSE(r.ok());
 }
 
+// A fixed-width read with too few bytes left fails the reader, yields 0
+// and consumes nothing.
+TEST(Codec, ShortFixedWidthReadFailsTheReader) {
+  const std::vector<std::byte> ones(7, std::byte{0xff});
+  auto first = [&ones](std::size_t n) {
+    return std::vector<std::byte>(ones.begin(),
+                                  ones.begin() + static_cast<long>(n));
+  };
+  const std::vector<std::byte> one = first(1), three = first(3),
+                               four = first(4);
+  BinaryReader r16(one), r32(three), r64(ones);
+  EXPECT_EQ(r16.u16(), 0u);
+  EXPECT_EQ(r32.u32(), 0u);
+  EXPECT_EQ(r64.u64(), 0u);
+  for (const BinaryReader* r : {&r16, &r32, &r64}) EXPECT_FALSE(r->ok());
+  EXPECT_EQ(r16.remaining(), 1u);
+  EXPECT_EQ(r32.remaining(), 3u);
+  EXPECT_EQ(r64.remaining(), 7u);
+  BinaryReader exact(four);
+  EXPECT_EQ(exact.u32(), 0xffffffffu);
+  EXPECT_TRUE(exact.ok());
+  EXPECT_TRUE(exact.at_end());
+}
+
 TEST(Codec, TruncatedStringFailsGracefully) {
   BinaryWriter w;
   w.u32(100);  // claims 100 bytes follow, none do

@@ -186,6 +186,37 @@ TEST_F(LogicFixture, BlockedCombinerKeepsPendingWindowsIntact) {
   }
 }
 
+// A triggered window's event buffer stays with its stream between
+// triggers. Each trigger of a clear-on-trigger window still hands the
+// operator exactly the events since the last one, however many fewer.
+TEST_F(LogicFixture, ConsecutiveTriggersDeliverDisjointEvents) {
+  AppBuilder app(AppId{1}, "t");
+  auto op = app.add_operator("op");
+  op.add_sensor(SensorId{1}, Guarantee::kGap,
+                WindowSpec::time_window(seconds(1)));
+  std::vector<std::vector<std::uint32_t>> batches;
+  op.handle_triggered_window(
+      [&batches](const std::vector<StreamWindow>& w, TriggerContext&) {
+        std::vector<std::uint32_t>& seqs = batches.emplace_back();
+        for (const devices::SensorEvent& e : w[0].events)
+          seqs.push_back(e.id.seq);
+      });
+  AppGraph graph = app.build();
+  LogicInstance logic(graph, owner.timers(), callbacks());
+  armed = &logic;
+  logic.start();
+  // Three events before the first trigger at 1 s, one before the second.
+  for (std::uint32_t seq : {1u, 2u, 3u, 4u}) {
+    const TimePoint at{milliseconds(seq < 4 ? 100 * seq : 1500).us};
+    sim.schedule_at(at, [&logic, this, seq] {
+      logic.on_sensor_event(ev(1, seq, 1.0, sim.now()));
+    });
+  }
+  sim.run_until(TimePoint{milliseconds(2500).us});
+  EXPECT_EQ(batches,
+            (std::vector<std::vector<std::uint32_t>>{{1, 2, 3}, {4}}));
+}
+
 TEST_F(LogicFixture, OperatorDagPropagatesEmissions) {
   AppBuilder app(AppId{1}, "t");
   auto source = app.add_operator("source");

@@ -192,10 +192,10 @@ TEST_F(Fixture, ViewChangeCallbackFires) {
 TEST_F(Fixture, PiggybackPayloadRoundTrips) {
   auto& fd1 = make(1, 2);
   auto& fd2 = make(2, 2);
-  fd1.set_payload_provider([] {
-    BinaryWriter w;
+  fd1.set_payload_provider([](std::vector<std::byte>& out) {
+    BinaryWriter w(std::move(out));
     w.u32(0xc0ffee);
-    return w.take();
+    out = w.take();
   });
   std::uint32_t seen = 0;
   ProcessId seen_from{};

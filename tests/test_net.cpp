@@ -1,8 +1,13 @@
 // Unit tests for the simulated WiFi network: delivery, FIFO ordering,
 // crash and partition loss semantics, asymmetric (one-directional) severs
-// and per-edge delay/loss overrides, latency model, byte accounting.
+// and per-edge delay/loss overrides, latency model, byte accounting; and
+// the recycled frame buffers payloads live in.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "core/wire.hpp"
 #include "net/sim_network.hpp"
 
 namespace riv::net {
@@ -279,6 +284,90 @@ TEST(WifiModel, DeterministicGivenSeed) {
     else
       EXPECT_EQ(arrival, reference);
   }
+}
+
+// --- Recycled frame buffers ----------------------------------------------
+
+// Takes every block off this thread's free list, so a test starts from an
+// empty list whatever ran before it in this process.
+std::vector<FrameBuffer> drain_free_list() {
+  std::vector<FrameBuffer> held;
+  while (FrameBlock::free_count() > 0) held.emplace_back();
+  return held;
+}
+
+TEST(FrameBuffers, ReleasedFrameIsReusedByTheNextEncode) {
+  const std::vector<FrameBuffer> held = drain_free_list();
+  Payload first = encode(core::wire::AppFrame{AppId{1}});
+  const std::vector<std::byte>* block = &first.bytes();
+  first = {};
+  EXPECT_EQ(FrameBlock::free_count(), 1u);
+  const Payload next = encode(core::wire::AppFrame{AppId{2}});
+  EXPECT_EQ(FrameBlock::free_count(), 0u);
+  EXPECT_EQ(&next.bytes(), block);
+  core::wire::AppFrame decoded;
+  ASSERT_TRUE(decode(next, decoded));
+  EXPECT_EQ(decoded.app, AppId{2});
+}
+
+TEST(FrameBuffers, ListKeepsNoLargeBufferAndAtMostItsCountBound) {
+  const std::vector<FrameBuffer> held = drain_free_list();
+  {
+    FrameBuffer large;
+    large.bytes().resize(FrameBlock::kKeptBytes + 1);
+  }
+  EXPECT_EQ(FrameBlock::free_count(), 0u);
+  {
+    FrameBuffer largest_kept;
+    largest_kept.bytes().resize(FrameBlock::kKeptBytes);
+  }
+  EXPECT_EQ(FrameBlock::free_count(), 1u);
+  // A 20 KB camera frame (Table 3) takes that block and is then freed.
+  core::wire::EventPayload camera;
+  camera.event.payload_size = 20 * 1024;
+  { const Payload frame = encode(camera); }
+  EXPECT_EQ(FrameBlock::free_count(), 0u);
+  { std::vector<FrameBuffer> burst(FrameBlock::kFreeBlocks + 8); }
+  EXPECT_EQ(FrameBlock::free_count(), FrameBlock::kFreeBlocks);
+}
+
+TEST(FrameBuffers, FanOutCopiesShareOneBlock) {
+  const std::vector<FrameBuffer> held = drain_free_list();
+  Payload frame = encode(core::wire::AppFrame{AppId{3}});
+  std::vector<Payload> targets(4, frame);
+  for (const Payload& t : targets) EXPECT_EQ(&t.bytes(), &frame.bytes());
+  frame = {};
+  targets.resize(1);
+  EXPECT_EQ(FrameBlock::free_count(), 0u);  // one copy still holds it
+  targets.clear();
+  EXPECT_EQ(FrameBlock::free_count(), 1u);
+}
+
+// Copies dropped on other threads at once: the last reference parks the
+// block on the list of the thread it dropped on, exactly once.
+TEST(FrameBuffers, BlockReleasedOnAnotherThreadJoinsThatThreadsList) {
+  const std::vector<FrameBuffer> held = drain_free_list();
+  Payload frame = encode(core::wire::AppFrame{AppId{4}});
+  constexpr int kThreads = 4;
+  std::atomic<int> waiting{kThreads};
+  std::atomic<bool> go{false};
+  std::atomic<std::size_t> parked{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([copy = frame, &waiting, &go, &parked]() mutable {
+      const std::size_t before = FrameBlock::free_count();
+      --waiting;
+      while (!go) std::this_thread::yield();
+      copy = {};
+      parked += FrameBlock::free_count() - before;
+    });
+  }
+  while (waiting > 0) std::this_thread::yield();
+  frame = {};  // not the last reference: every thread still holds one
+  go = true;
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(parked.load(), 1u);
+  EXPECT_EQ(FrameBlock::free_count(), 0u);
 }
 
 }  // namespace

@@ -16,6 +16,13 @@ devices::SensorEvent ev(std::uint32_t seq, TimePoint t, double value = 0.0) {
   return e;
 }
 
+// The window's contents now, in a fresh vector.
+std::vector<devices::SensorEvent> snapshot(Window& w, TimePoint now) {
+  std::vector<devices::SensorEvent> out;
+  w.snapshot(now, out);
+  return out;
+}
+
 TEST(WindowSpec, TimeWindowDefaultsToPeriodicTrigger) {
   WindowSpec w = WindowSpec::time_window(seconds(60));
   EXPECT_EQ(w.bound, WindowSpec::Bound::kTime);
@@ -34,7 +41,7 @@ TEST(WindowSpec, CountWindowDefaultsToCountTrigger) {
 TEST(Window, CountBoundEvictsOldest) {
   Window w(WindowSpec::count_window(3, TriggerPolicy::periodic(seconds(1))));
   for (std::uint32_t i = 1; i <= 5; ++i) w.add(ev(i, TimePoint{(int64_t)i}), TimePoint{(int64_t)i});
-  auto snap = w.snapshot(TimePoint{5});
+  auto snap = snapshot(w, TimePoint{5});
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].id.seq, 3u);
   EXPECT_EQ(snap[2].id.seq, 5u);
@@ -45,7 +52,7 @@ TEST(Window, TimeBoundEvictsByAge) {
   w.add(ev(1, TimePoint{seconds(0).us}), TimePoint{seconds(0).us});
   w.add(ev(2, TimePoint{seconds(8).us}), TimePoint{seconds(8).us});
   w.add(ev(3, TimePoint{seconds(15).us}), TimePoint{seconds(15).us});
-  auto snap = w.snapshot(TimePoint{seconds(15).us});
+  auto snap = snapshot(w, TimePoint{seconds(15).us});
   ASSERT_EQ(snap.size(), 2u);  // event 1 is 15 s old, beyond the 10 s span
   EXPECT_EQ(snap[0].id.seq, 2u);
 }
@@ -75,7 +82,7 @@ TEST(Window, PeriodicTriggerIsNeverEventDriven) {
 TEST(Window, ClearOnTriggerEmptiesBuffer) {
   Window w(WindowSpec::count_window(3));
   for (std::uint32_t i = 1; i <= 3; ++i) w.add(ev(i, {}), {});
-  EXPECT_EQ(w.snapshot({}).size(), 3u);
+  EXPECT_EQ(snapshot(w, {}).size(), 3u);
   w.after_trigger({});
   EXPECT_TRUE(w.empty());
 }
@@ -86,7 +93,7 @@ TEST(Window, SlidingKeepLastRetainsSuffix) {
                                     EvictorPolicy::sliding_keep_last(4)));
   for (std::uint32_t i = 1; i <= 5; ++i) w.add(ev(i, {}), {});
   w.after_trigger({});
-  auto snap = w.snapshot({});
+  auto snap = snapshot(w, {});
   ASSERT_EQ(snap.size(), 4u);
   EXPECT_EQ(snap.front().id.seq, 2u);  // oldest dropped, rest slides
 }
@@ -97,7 +104,7 @@ TEST(Window, SlidingMaxAgePurgesOldEvents) {
   w.add(ev(1, TimePoint{seconds(0).us}), TimePoint{seconds(0).us});
   w.add(ev(2, TimePoint{seconds(4).us}), TimePoint{seconds(4).us});
   w.after_trigger(TimePoint{seconds(4).us});
-  auto snap = w.snapshot(TimePoint{seconds(7).us});
+  auto snap = snapshot(w, TimePoint{seconds(7).us});
   ASSERT_EQ(snap.size(), 1u);  // event 1 aged out
   EXPECT_EQ(snap[0].id.seq, 2u);
 }
@@ -108,7 +115,7 @@ TEST(Window, BurstSuppressionUseCase) {
   Window w(WindowSpec::count_window(3));
   for (std::uint32_t i = 1; i <= 3; ++i) w.add(ev(i, {}, 1.0), {});
   ASSERT_TRUE(w.event_trigger_ready());
-  auto snap = w.snapshot({});
+  auto snap = snapshot(w, {});
   ASSERT_EQ(snap.size(), 3u);
   for (const auto& e : snap) EXPECT_EQ(e.value, 1.0);
   w.after_trigger({});
@@ -154,7 +161,7 @@ TEST_P(WindowAgeSweep, TimeBoundHonoredForAnySpan) {
     w.add(ev(static_cast<std::uint32_t>(i), t), t);
   }
   TimePoint now{seconds(3 * span_s - 1).us};
-  for (const auto& e : w.snapshot(now))
+  for (const auto& e : snapshot(w, now))
     EXPECT_LE((now - e.emitted_at).us, seconds(span_s).us);
 }
 

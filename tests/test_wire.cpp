@@ -176,30 +176,29 @@ TEST(Wire, LargeEventSurvivesRing) {
   EXPECT_DOUBLE_EQ(d.event.value, 21.5);
 }
 
-// Each frame is written into one buffer reserved at its exact size: an
-// encoded_size() that disagrees with the field list would show as spare or
-// regrown capacity here.
-TEST(Wire, EncodeReservesExactSize) {
-  auto exact = [](const std::vector<std::byte>& buf) {
-    return buf.capacity() == buf.size();
+// encode() reserves encoded_size() in a recycled buffer, so a size that
+// disagrees with the field list would show as a frame of another length.
+TEST(Wire, EncodedSizeMatchesFieldList) {
+  auto exact = [](const auto& frame) {
+    return encode(frame).size() == frame.encoded_size();
   };
   RingPayload ring;
   ring.seen = {ProcessId{1}};
   ring.need = {ProcessId{1}, ProcessId{2}};
   ring.event = sample_event(20);
-  EXPECT_TRUE(exact(encode(ring)));
+  EXPECT_TRUE(exact(ring));
   EventPayload event;
   event.event = sample_event(4);
-  EXPECT_TRUE(exact(encode(event)));
-  EXPECT_TRUE(exact(encode(AppFrame{AppId{2}})));
+  EXPECT_TRUE(exact(event));
+  EXPECT_TRUE(exact(AppFrame{AppId{2}}));
   SyncResponse sync;
   sync.streams.push_back({SensorId{9}, 7, 40, {{7, 9}, {12, 30}}});
-  EXPECT_TRUE(exact(encode(sync)));
-  EXPECT_TRUE(exact(encode(CommandPayload{})));
-  EXPECT_TRUE(exact(encode(CommandAck{})));
+  EXPECT_TRUE(exact(sync));
+  EXPECT_TRUE(exact(CommandPayload{}));
+  EXPECT_TRUE(exact(CommandAck{}));
   Watermarks marks;
   marks.apps.push_back({AppId{1}, {{SensorId{1}, TimePoint{5}}}});
-  EXPECT_TRUE(exact(encode(marks)));
+  EXPECT_TRUE(exact(marks));
 }
 
 }  // namespace
